@@ -37,7 +37,7 @@ from .spherical import (
     sphere_sizes,
 )
 from .abel import abel_forward
-from .tree import ball_geometry, opnorm_lower, shell_masses
+from .tree import opnorm_lower, shell_masses
 from .zline import (
     DICTIONARY_VERSION,
     ZKernel,
@@ -233,14 +233,16 @@ def tree_norm_upper(kernel, p, n=512):
     return step1 + step2, step1, step2
 
 
-def tree_norm_lower(kernel, p, radius=None, seed=0):
+def tree_norm_lower(kernel, p, radius=None):
     """Certified lower bound by compression to a ball of the given radius.
 
     Every reported value is an attained Rayleigh quotient of the exact
-    ball convolution, hence a true lower bound for the convolutor norm.
-    Returns ``(value, method)``.  The ball must strictly contain the
-    kernel support (``radius >= D + 1`` so the central column is complete);
-    the default ``D + 3`` leaves room for window trials.
+    ball convolution of a radial trial function, computed on the radial
+    quotient of the ball by :func:`~treeharmonics.tree.opnorm_lower`,
+    hence a true lower bound for the convolutor norm.  Returns
+    ``(value, method)``.  The ball must strictly contain the kernel
+    support (``radius >= D + 1`` so the central column is complete); the
+    default ``D + 3`` leaves room for window trials.
     """
     kernel = kernel.trimmed()
     p = check_exponent(p)
@@ -253,8 +255,7 @@ def tree_norm_lower(kernel, p, radius=None, seed=0):
             f"compression radius {radius} must be at least D+1 = {D + 1} "
             "so the central column is complete"
         )
-    ball = ball_geometry(kernel.params.q, radius)
-    return opnorm_lower(ball, kernel, p, seed=seed)
+    return opnorm_lower(kernel, p, radius)
 
 
 def symbol_norm_report(kernel, p, seed=0, n=None):
@@ -470,9 +471,11 @@ def bounds_report(kernel, p, radius=None, seed=0, n=512):
 
     Assembles the height-splitting upper bound, the ball-compression
     lower bound at the given radius (default ``D + 3``), and the shifted
-    symbol's norm interval into a :class:`BoundsReport`.  A certified
-    lower bound exceeding the certified upper bound (beyond rounding
-    slack) raises :class:`SoundnessError`.
+    symbol's norm interval into a :class:`BoundsReport`.  ``seed`` feeds
+    only the symbol's trial dictionary; the compression is deterministic.
+    A certified lower bound exceeding the certified upper bound (beyond
+    rounding slack), or either side being NaN, raises
+    :class:`SoundnessError`.
     """
     kernel = kernel.trimmed()
     p = check_exponent(p)
@@ -482,9 +485,9 @@ def bounds_report(kernel, p, radius=None, seed=0, n=512):
         radius = kernel.radius + 3
     radius = int(radius)
     total, step1, step2 = tree_norm_upper(kernel, p, n=n)
-    lower, _ = tree_norm_lower(kernel, p, radius=radius, seed=seed)
+    lower, _ = tree_norm_lower(kernel, p, radius=radius)
     interval, weyl = symbol_norm_report(kernel, p, seed=seed)
-    if lower > total + 1e-10 * max(1.0, total):
+    if not lower <= total + 1e-10 * max(1.0, total):
         raise SoundnessError(
             f"certified lower bound {lower!r} exceeds certified upper bound "
             f"{total!r} at q={kernel.params.q}, p={p:g}, R={radius}"

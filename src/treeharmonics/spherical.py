@@ -43,6 +43,8 @@ class RadialKernel:
         vals = np.asarray(self.values, dtype=complex)
         if vals.ndim != 1 or vals.size == 0:
             raise DomainError("radial kernel needs a nonempty 1-d value array")
+        if not np.isfinite(vals).all():
+            raise DomainError("radial kernel values must be finite (no NaN or infinity)")
         object.__setattr__(self, "values", vals)
 
     @property

@@ -15,6 +15,13 @@ recurrence driven by the nearest-neighbour sum, never through explicit
 distance matrices; for inputs supported in the ball of radius ``R - D``
 (``D`` the kernel radius) the truncation at the ball boundary is exact,
 because every missing sphere sum vanishes identically.
+
+The certified compression lower bound :func:`opnorm_lower` never builds a
+ball.  Ball convolution maps radial functions to radial functions, so it
+runs the same recurrence on the radial quotient: ``R + 1`` per-sphere
+values, rescaled so that no sphere size is formed at any radius.  The
+explicit :class:`TreeBall` (at most :data:`MAX_BALL_VERTICES` vertices)
+serves the census, the transference check and the tests.
 """
 
 import math
@@ -24,8 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from .params import DomainError, check_exponent, dual_exponent, tree_params
-from .spherical import RadialKernel, sphere_sizes
-from .zline import _phase_power, lp_norm
+from .spherical import sphere_sizes
+from .zline import _phase_power
 
 
 @dataclass(frozen=True)
@@ -147,13 +154,32 @@ class TreeBall:
         return out
 
 
+#: Largest explicit ball :func:`ball_geometry` builds, in vertices: six
+#: 8-byte index arrays make that about 200 MB.  q=3, R=10 has about 118k.
+MAX_BALL_VERTICES = 2**22
+
+
 def ball_geometry(q, radius):
-    """Build the breadth-first :class:`TreeBall` of the given radius."""
+    """Build the breadth-first :class:`TreeBall` of the given radius.
+
+    Balls of more than :data:`MAX_BALL_VERTICES` vertices are refused with
+    :class:`~treeharmonics.params.DomainError` before anything is allocated.
+    """
     params = tree_params(q)
     radius = int(radius)
     if radius < 0:
         raise DomainError(f"ball radius must be >= 0, got {radius}")
     q = params.q
+    # q**radius alone exceeds the budget: refuse before sphere_sizes
+    # allocates one entry per sphere of a huge radius
+    if (
+        radius * params.log_q > math.log(MAX_BALL_VERTICES)
+        or sphere_sizes(params, radius).sum() > MAX_BALL_VERTICES
+    ):
+        raise DomainError(
+            f"the ball of radius {radius} at q={q} has more than "
+            f"{MAX_BALL_VERTICES} vertices, the explicit-ball budget"
+        )
     counts = sphere_sizes(params, radius).astype(np.int64)
     level_start = np.concatenate([[0], np.cumsum(counts)])
     n = int(level_start[-1])
@@ -299,42 +325,107 @@ def haar_residual(ball, values):
 _TREE_POWER_ITERATES = 200
 
 
-def opnorm_lower(ball, kernel, p, seed=0, iters=_TREE_POWER_ITERATES):
+def _radial_adjacency(h, q, p):
+    """Nearest-neighbour sum, within the ball, of a radial function in scaled coordinates.
+
+    A radial function with per-sphere values ``g`` is stored as
+    ``h[0] = g[0]``, ``h[d] = q^{(d-1)/p} g[d]``.  The unscaled sum
+    ``out[0] = (q+1) g[1]``, ``out[d] = g[d-1] + q g[d+1]``,
+    ``out[R] = g[R-1]`` then has the bounded coefficients below, and the
+    ``l^p`` norm has the sphere weights ``1, q+1, q+1, ...``
+    (:func:`_radial_norm`), so no sphere size is ever formed.  At ``p = 1``
+    and ``p = inf`` every coefficient is an integer.
+    """
+    up = float(q) ** (1.0 / p)
+    down = q / up
+    out = np.empty_like(h)
+    out[0] = (q + 1) * h[1]
+    out[1] = h[0]
+    out[2:] = up * h[1:-1]
+    out[1:-1] += down * h[2:]
+    return out
+
+
+def _radial_convolve(kv, h, q, p):
+    """Ball convolution by the kernel values ``kv`` of a radial function in scaled coordinates.
+
+    The sphere-sum recurrence of :meth:`TreeBall.convolve` with
+    :func:`_radial_adjacency` in place of the vertex-level sum; exact for
+    ``h`` supported in the ball of radius ``R - D``.
+    """
+    out = kv[0] * h
+    if kv.size == 1:
+        return out
+    s_prev, s_cur = h, _radial_adjacency(h, q, p)
+    out += kv[1] * s_cur
+    for d in range(2, kv.size):
+        back = (q + 1) if d == 2 else q
+        s_prev, s_cur = s_cur, _radial_adjacency(s_cur, q, p) - back * s_prev
+        out += kv[d] * s_cur
+    return out
+
+
+def _radial_norm(h, q, p):
+    """``l^p`` norm on the tree of the radial function with scaled sphere values ``h``."""
+    mag = np.abs(h)
+    if math.isinf(p):
+        return float(mag.max())
+    return float((mag[0] ** p + (q + 1) * np.sum(mag[1:] ** p)) ** (1.0 / p))
+
+
+def _scaled(g, q, p):
+    """Scaled coordinates of the per-sphere values ``g``, divided by the outer sphere's scale.
+
+    Ratios do not see the common factor, and dividing by the largest
+    scale keeps every entry at most ``|g|`` at any radius.
+    """
+    d = np.arange(g.size)
+    return g * float(q) ** ((np.maximum(d, 1) - max(g.size - 1, 1)) / p)
+
+
+def opnorm_lower(kernel, p, radius, iters=_TREE_POWER_ITERATES):
     """Best certified lower bound for the ``l^p`` norm of radial convolution.
 
-    Every candidate ``f`` is supported in the ball of radius
-    ``radius - D`` (``D`` the kernel radius), where the ball convolution
-    is exact, so every ratio ``||k * f||_p / ||f||_p`` is a true lower
-    bound for the operator norm on the whole tree.  Candidates: the point
-    mass at the base vertex (sharp at ``p = 1``), ball indicators at
-    dyadic radii, a phase-matched radial profile concentrated at the base
-    vertex (sharp at ``p = inf`` once the window holds the kernel), seeded
-    random sign vectors, and the iterates of a duality-map ascent.
-    Returns ``(bound, method)``.
+    Works on the radial quotient of the ball of the given radius: a
+    radial function is its ``radius + 1`` sphere values, and the ball
+    convolution of a radial function is again radial, so every
+    convolution costs ``O(radius * D)`` (``D`` the kernel radius) instead
+    of the ``O(q^radius * D)`` of an explicit :class:`TreeBall`.  Every
+    candidate ``f`` is supported in the ball of radius ``radius - D``,
+    where the ball convolution is exact, so every ratio
+    ``||k * f||_p / ||f||_p`` is a true lower bound for the operator norm
+    on the whole tree.  Candidates, all radial: the point mass at the
+    base vertex (``delta``, sharp at ``p = 1``), ball indicators at
+    dyadic radii (``ball[r]``), a phase-matched profile concentrated at
+    the base vertex (``matched-row``, sharp at ``p = inf`` once the window
+    holds the kernel), and the iterates of a duality-map ascent
+    (``power[k]``, for ``1 < p < inf``).  Returns ``(bound, method)``.
     """
     p = check_exponent(p)
     kernel = kernel.trimmed()
+    q = kernel.params.q
+    kv = kernel.values
     D = kernel.radius
-    window = ball.radius - D
+    radius = int(radius)
+    window = radius - D
     if window < 0:
         raise DomainError(
-            f"ball radius {ball.radius} too small for kernel radius {D}: "
+            f"ball radius {radius} too small for kernel radius {D}: "
             "no support window is left for trial functions"
         )
-    nw = int(ball.level_start[window + 1])
-    n = ball.size
+    nw = window + 1
 
     best = 0.0
     best_name = "none"
 
-    def consider(fw, name):
+    def consider(hw, name):
         nonlocal best, best_name
-        denom = lp_norm(fw, p)
+        denom = _radial_norm(hw, q, p)
         if denom == 0.0:
             return
-        f = np.zeros(n, dtype=complex)
-        f[: fw.size] = fw
-        ratio = lp_norm(ball.convolve(kernel, f), p) / denom
+        h = np.zeros(radius + 1, dtype=complex)
+        h[: hw.size] = hw
+        ratio = _radial_norm(_radial_convolve(kv, h, q, p), q, p) / denom
         if ratio > best:
             best = ratio
             best_name = name
@@ -348,47 +439,36 @@ def opnorm_lower(ball, kernel, p, seed=0, iters=_TREE_POWER_ITERATES):
     if window >= 1:
         radii.append(window)
     for r in radii:
-        consider(np.ones(int(ball.level_start[r + 1]), dtype=complex), f"ball[{r}]")
+        consider(_scaled(np.ones(r + 1, dtype=complex), q, p), f"ball[{r}]")
 
+    # phase-matched row conj(k) |k|^{1/(p-1) - 1}; the bare phase at p = 1 and p = inf
     rmatch = min(D, window)
-    prof = np.abs(kernel.values[ball.depth[: int(ball.level_start[rmatch + 1])]])
-    phase = np.conj(kernel.values[ball.depth[: int(ball.level_start[rmatch + 1])]])
-    nzmask = prof > 0.0
-    matched = np.zeros(prof.size, dtype=complex)
-    if math.isinf(p):
-        matched[nzmask] = phase[nzmask] / prof[nzmask]
-    elif p > 1.0:
-        matched[nzmask] = (
-            phase[nzmask] / prof[nzmask] * prof[nzmask] ** (1.0 / (p - 1.0))
-        )
-    else:
-        matched[nzmask] = phase[nzmask] / prof[nzmask]
-    consider(matched, "matched-row")
+    expo = 1.0 / (p - 1.0) if 1.0 < p < math.inf else 0.0
+    matched = _phase_power(np.conj(kv[: rmatch + 1]), expo)
+    consider(_scaled(matched, q, p), "matched-row")
 
-    rng = np.random.default_rng(seed)
-    for rep in range(8):
-        consider(rng.integers(0, 2, size=nw) * 2.0 - 1.0, f"sign[#{rep}]")
-
-    if 1.0 < p and not math.isinf(p):
+    if 1.0 < p < math.inf:
+        # In scaled coordinates the adjoint of convolution by k is
+        # convolution by conj(k) at the dual exponent.
         pd = dual_exponent(p)
-        conj_kernel = RadialKernel(kernel.params, np.conj(kernel.values))
-        x = np.zeros(n, dtype=complex)
-        x[:nw] = 1.0
-        x /= lp_norm(x[:nw], p)
+        conj_kv = np.conj(kv)
+        x = np.zeros(radius + 1, dtype=complex)
+        x[:nw] = _scaled(np.ones(nw, dtype=complex), q, p)
+        x /= _radial_norm(x, q, p)
         prev = -1.0
         for it in range(iters):
-            y = ball.convolve(kernel, x)
-            est = lp_norm(y, p)
+            y = _radial_convolve(kv, x, q, p)
+            est = _radial_norm(y, q, p)
             if est > best:
                 best = est
                 best_name = f"power[{it + 1}]"
             if prev >= 0.0 and abs(est - prev) <= 1e-10 * max(est, 1e-300):
                 break
             prev = est
-            z = ball.convolve(conj_kernel, _phase_power(y, p - 1.0))
-            x = np.zeros(n, dtype=complex)
+            z = _radial_convolve(conj_kv, _phase_power(y, p - 1.0), q, pd)
+            x = np.zeros(radius + 1, dtype=complex)
             x[:nw] = _phase_power(z[:nw], pd - 1.0)
-            nx = lp_norm(x[:nw], p)
+            nx = _radial_norm(x, q, p)
             if nx == 0.0:
                 break
             x /= nx

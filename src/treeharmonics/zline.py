@@ -75,6 +75,8 @@ class ZKernel:
         vals = np.asarray(self.values, dtype=complex)
         if vals.ndim != 1 or vals.size == 0:
             raise DomainError("kernel values must form a nonempty 1-d array")
+        if not np.isfinite(vals).all():
+            raise DomainError("kernel values must be finite (no NaN or infinity)")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "offset", int(self.offset))
 

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: explicit adjacency lists, per-source
 breadth-first searches, dense O(n^2) convolution, high-precision mpmath
 evaluations, and exact Fraction cell sums.  None of it shares code paths
-with the package, so agreement is evidence rather than tautology.
+with the package, so agreement is evidence rather than tautology; the one
+exception, :func:`ball_opnorm_lower`, runs on the package's explicit ball
+(checked here against the dense oracles) to check the radial quotient.
 """
 
 import math
@@ -93,6 +95,100 @@ def dense_convolve(neighbors, kernel_values, f):
         dist = bfs_distances(neighbors, x)
         out[x] = sum(kv[dist[y]] * f[y] for y in range(n))
     return out
+
+
+def _lp_norm(x, p):
+    x = np.abs(np.asarray(x))
+    if math.isinf(p):
+        return float(x.max()) if x.size else 0.0
+    return float(np.sum(x ** p) ** (1.0 / p))
+
+
+def _phase_power(y, expo):
+    mag = np.abs(y)
+    out = np.zeros_like(y, dtype=complex)
+    nz = mag > 0.0
+    out[nz] = (y[nz] / mag[nz]) * mag[nz] ** expo
+    return out
+
+
+def ball_opnorm_lower(ball, kernel, p, seed=0, iters=200):
+    """Compression lower bound on an explicit ball, vertex by vertex.
+
+    The explicit-ball form of ``tree.opnorm_lower``: the same trials
+    (``delta``, ``ball[r]``, ``matched-row``, the ``power[k]`` duality
+    ascent) plus eight seeded non-radial sign vectors, every convolution
+    run over all ``O(q^R)`` vertices by ``TreeBall.convolve`` (itself
+    checked against :func:`dense_convolve`) rather than on the radial
+    quotient.  Returns ``(bound, method)``.
+    """
+    kernel = kernel.trimmed()
+    kv = kernel.values
+    D = kernel.radius
+    window = ball.radius - D
+    if window < 0:
+        raise ValueError("no support window")
+    nw = int(ball.level_start[window + 1])
+    n = ball.size
+    best, best_name = 0.0, "none"
+
+    def consider(fw, name):
+        nonlocal best, best_name
+        denom = _lp_norm(fw, p)
+        if denom == 0.0:
+            return
+        f = np.zeros(n, dtype=complex)
+        f[: fw.size] = fw
+        ratio = _lp_norm(ball.convolve(kernel, f), p) / denom
+        if ratio > best:
+            best, best_name = ratio, name
+
+    consider(np.ones(1, dtype=complex), "delta")
+    radii = []
+    r = 1
+    while r < window:
+        radii.append(r)
+        r *= 2
+    if window >= 1:
+        radii.append(window)
+    for r in radii:
+        consider(np.ones(int(ball.level_start[r + 1]), dtype=complex), f"ball[{r}]")
+
+    row = kv[ball.depth[: int(ball.level_start[min(D, window) + 1])]]
+    prof = np.abs(row)
+    nz = prof > 0.0
+    matched = np.zeros(prof.size, dtype=complex)
+    expo = 1.0 / (p - 1.0) if 1.0 < p < math.inf else 0.0
+    matched[nz] = np.conj(row[nz]) / prof[nz] * prof[nz] ** expo
+    consider(matched, "matched-row")
+
+    rng = np.random.default_rng(seed)
+    for rep in range(8):
+        consider(rng.integers(0, 2, size=nw) * 2.0 - 1.0, f"sign[#{rep}]")
+
+    if 1.0 < p < math.inf:
+        pd = p / (p - 1.0)
+        conj_kernel = type(kernel)(kernel.params, np.conj(kv))
+        x = np.zeros(n, dtype=complex)
+        x[:nw] = 1.0
+        x /= _lp_norm(x[:nw], p)
+        prev = -1.0
+        for it in range(iters):
+            y = ball.convolve(kernel, x)
+            est = _lp_norm(y, p)
+            if est > best:
+                best, best_name = est, f"power[{it + 1}]"
+            if prev >= 0.0 and abs(est - prev) <= 1e-10 * max(est, 1e-300):
+                break
+            prev = est
+            z = ball.convolve(conj_kernel, _phase_power(y, p - 1.0))
+            x = np.zeros(n, dtype=complex)
+            x[:nw] = _phase_power(z[:nw], pd - 1.0)
+            nx = _lp_norm(x[:nw], p)
+            if nx == 0.0:
+                break
+            x /= nx
+    return best, best_name
 
 
 def census_counter(q, radius):

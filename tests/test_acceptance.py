@@ -173,7 +173,7 @@ def test_criterion_06_two_sided_sandwich():
                 checked += 1
     assert checked == 40
     # p = 2 convenience oracle: compression at q=2, R=14 reaches 95% of 1+2*sqrt(2)
-    lower, _ = opnorm_lower(ball_geometry(2, 14), ball_kernel(2, 1), 2.0)
+    lower, _ = opnorm_lower(ball_kernel(2, 1), 2.0, 14)
     assert lower >= 0.95 * (1.0 + 2.0 * math.sqrt(2.0))
     print("criterion 6: PASS — 40-case sandwich, p=1 equality, p=2 compression at 95%")
 

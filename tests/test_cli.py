@@ -79,6 +79,16 @@ def test_io_errors_exit_with_two(tmp_path):
     assert main(["transform", "--kernel", str(bad)]) == 2
 
 
+def test_non_finite_kernel_file_exits_with_two(tmp_path):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"q": 2, "values": [[1.0, 0.0], [NaN, 0.0]]}')
+    assert main(["check", "--kernel", str(bad), "--p", "1.5", "--radius", "5"]) == 2
+
+
+def test_census_over_the_ball_budget_exits_with_two():
+    assert main(["census", "--q", "10", "--radius", "10"]) == 2
+
+
 def test_census_command_matches_library(tmp_path, capsys):
     rc = main(["census", "--q", "2", "--radius", "3"])
     assert rc == 0

@@ -26,6 +26,7 @@ from treeharmonics.engine import (
 from treeharmonics.params import DomainError, ScopeError, strip_halfwidth, tree_params
 from treeharmonics.spherical import ball_kernel, delta_kernel, radial_kernel, sphere_kernel
 from treeharmonics.tree import ball_geometry
+from treeharmonics.zline import ZKernel
 
 
 def random_kernel(rng, q, D):
@@ -413,3 +414,27 @@ def test_necessity_ratio_guards():
 
 def test_soundness_error_is_a_runtime_error():
     assert issubclass(SoundnessError, RuntimeError)
+
+
+def test_nan_upper_bound_fails_the_sandwich(monkeypatch):
+    import treeharmonics.engine as engine
+
+    monkeypatch.setattr(engine, "tree_norm_upper", lambda kernel, p, n: (math.nan, None, None))
+    with pytest.raises(SoundnessError):
+        bounds_report(ball_kernel(2, 1), 1.5, radius=5)
+
+
+def test_non_finite_kernels_are_rejected():
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            radial_kernel(2, [1.0, bad])
+        with pytest.raises(DomainError, match="finite"):
+            ZKernel(tree_params(2), -1, [1.0, bad])
+
+
+def test_compression_at_large_radius_stays_finite_and_sound():
+    # sphere sizes overflow float64 near q=3, R=645 and q=2, R=1020
+    for q, R in ((3, 700), (2, 1100)):
+        rep = bounds_report(ball_kernel(q, 2), 1.5, radius=R)
+        assert math.isfinite(rep.compression_lower)
+        assert 0.0 < rep.compression_lower <= rep.total_upper, (q, R)

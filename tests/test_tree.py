@@ -1,6 +1,7 @@
 """Ball geometry, census, exact Haar decomposition, convolution, lower bounds."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,14 +9,22 @@ import pytest
 
 from oracles import (
     adjacency_ball,
+    ball_opnorm_lower,
     bfs_distances,
     census_counter,
     dense_convolve,
     ray_heights,
 )
 from treeharmonics.params import DomainError
-from treeharmonics.spherical import ball_kernel, delta_kernel, radial_kernel, sphere_sizes
+from treeharmonics.spherical import (
+    ball_kernel,
+    delta_kernel,
+    radial_kernel,
+    sphere_kernel,
+    sphere_sizes,
+)
 from treeharmonics.tree import (
+    MAX_BALL_VERTICES,
     ball_geometry,
     census_cells,
     haar_residual,
@@ -191,14 +200,27 @@ def test_convolve_validates_inputs():
         ball.convolve(delta_kernel(2), np.zeros(3))
 
 
+def test_ball_geometry_refuses_balls_over_the_vertex_budget():
+    # q=2, R=21 has 6.3M vertices; q=10, R=10 about 1.1e10
+    tracemalloc.start()
+    try:
+        for q, R in ((2, 21), (10, 10), (3, 10**9)):
+            with pytest.raises(DomainError, match="budget"):
+                ball_geometry(q, R)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert sphere_sizes(2, 20).sum() <= MAX_BALL_VERTICES < sphere_sizes(2, 21).sum()
+
+
 # ---------------------------------------------------------------------------
 # Compression lower bounds
 # ---------------------------------------------------------------------------
 
 def test_opnorm_lower_is_exact_for_delta():
-    ball = ball_geometry(2, 4)
     for p in (1.0, 1.5, 2.0, 3.0, math.inf):
-        bound, method = opnorm_lower(ball, delta_kernel(2), p)
+        bound, method = opnorm_lower(delta_kernel(2), p, 4)
         assert bound == pytest.approx(1.0, abs=1e-12)
         assert isinstance(method, str) and method
 
@@ -206,8 +228,7 @@ def test_opnorm_lower_is_exact_for_delta():
 def test_opnorm_lower_attains_l1_norm_at_p_one():
     for q, r in ((2, 1), (3, 2)):
         kernel = ball_kernel(q, r)
-        ball = ball_geometry(q, r + 1)
-        bound, method = opnorm_lower(ball, kernel, 1.0)
+        bound, method = opnorm_lower(kernel, 1.0, r + 1)
         assert bound == pytest.approx(kernel.l1_on_tree(), rel=1e-12)
         assert method == "delta"
 
@@ -219,13 +240,25 @@ def test_opnorm_lower_never_exceeds_l1():
         D = int(rng.integers(0, 3))
         vals = rng.normal(size=D + 1)
         kernel = radial_kernel(q, vals)
-        ball = ball_geometry(q, D + 3)
         for p in (1.0, 4.0 / 3.0, 2.0, 4.0):
-            bound, _ = opnorm_lower(ball, kernel, p)
+            bound, _ = opnorm_lower(kernel, p, D + 3)
             assert bound <= kernel.l1_on_tree() * (1.0 + 1e-10)
 
 
+def test_opnorm_lower_matches_explicit_ball_oracle():
+    rng = np.random.default_rng(0)
+    complex3 = radial_kernel(2, rng.normal(size=4) + 1j * rng.normal(size=4))
+    cases = [(ball_kernel(2, 2), 1.5, 10)]
+    cases += [(sphere_kernel(3, 3), p, 8) for p in (4.0 / 3.0, 1.5, 3.0)]
+    cases += [(complex3, 4.0 / 3.0, 8)]
+    for kernel, p, R in cases:
+        expected, oracle_method = ball_opnorm_lower(ball_geometry(kernel.params.q, R), kernel, p)
+        bound, method = opnorm_lower(kernel, p, R)
+        assert bound == pytest.approx(expected, rel=1e-12), (kernel.values, p, R)
+        assert method == oracle_method
+    assert oracle_method.startswith("power[")
+
+
 def test_opnorm_lower_needs_a_support_window():
-    ball = ball_geometry(2, 1)
     with pytest.raises(DomainError):
-        opnorm_lower(ball, ball_kernel(2, 2), 2.0)
+        opnorm_lower(ball_kernel(2, 2), 2.0, 1)
