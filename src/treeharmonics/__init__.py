@@ -58,7 +58,6 @@ _EXPORTS = {
     "abel_bruteforce": ".abel",
     "ball_shell_masses": ".abel",
     "horocycle_slice_sum": ".abel",
-    "horocyclic_moment": ".abel",
     # zline
     "ZKernel": ".zline",
     "zkernel": ".zline",

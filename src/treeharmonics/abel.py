@@ -13,12 +13,11 @@ census summation over an explicit ball (:func:`abel_bruteforce`,
 :func:`horocycle_slice_sum`), the latter exact for rational inputs.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DomainError, check_exponent, tree_params
+from .params import DomainError, tree_params
 from .spherical import RadialKernel
 from .zline import ZKernel
 
@@ -62,9 +61,15 @@ class AbelSequence:
     def is_even(self):
         return self.weyl_residual == 0.0
 
-    def to_zkernel(self):
-        """The coefficients as a kernel on the integers (offset ``-support_radius``)."""
-        return ZKernel(self.params, -self.support_radius, self.values.copy())
+    def to_zkernel(self, delta=0.0):
+        """The shifted coefficients ``a_j q^{j delta}`` as a kernel on the integers.
+
+        The kernel starts at ``-support_radius``.  Its symbol is the
+        symbol of ``a`` on the line ``Im z = delta``.
+        """
+        J = self.support_radius
+        shift = self.params.qpow(np.arange(-J, J + 1) * delta)
+        return ZKernel(self.params, -J, self.values * shift)
 
 
 def abel_forward(kernel):
@@ -174,48 +179,3 @@ def abel_bruteforce(ball, kernel, j):
         raise DomainError("kernel and ball live on trees of different degree")
     s = horocycle_slice_sum(ball, list(kernel.values), j)
     return complex(ball.params.qpow(-j / 2.0) * s)
-
-
-# ---------------------------------------------------------------------------
-# Horocyclic moments
-# ---------------------------------------------------------------------------
-
-def horocyclic_moment(q, p, ell):
-    """Shell moment ``sum_m (2m)^ell mu_m q^{-2m/p}`` of the horocyclic weight.
-
-    The weight ``q^{-2m/p}`` beats the shell growth ``mu_m ~ q^m`` exactly
-    when ``p < 2``; at ``p >= 2`` the series diverges and a
-    :class:`~treeharmonics.params.DomainError` explains why.  The series
-    is summed until the geometric tail estimate drops below ``1e-14``
-    relative.
-    """
-    params = tree_params(q)
-    q = params.q
-    p = check_exponent(p)
-    ell = int(ell)
-    if ell < 0:
-        raise DomainError(f"moment order must be >= 0, got {ell}")
-    ratio0 = q ** (1.0 - 2.0 / p)
-    if ratio0 >= 1.0:
-        raise DomainError(
-            f"moment diverges for p >= 2: shell masses grow like q^m "
-            f"against weight q^(-2m/p), ratio {ratio0:g} >= 1"
-        )
-    total = 1.0 if ell == 0 else 0.0
-    x = q ** (-2.0 / p)
-    term_base = (1.0 - 1.0 / q)  # mu_m x^m = (1 - 1/q) (q x)^m for m >= 1
-    m = 1
-    power = ratio0
-    while True:
-        term = (2.0 * m) ** ell * term_base * power
-        total += term
-        growth = ratio0 * ((m + 1.0) / m) ** ell
-        if growth < 1.0:
-            tail = term * growth / (1.0 - growth)
-            if tail <= 1e-14 * abs(total):
-                break
-        if m > 100000:
-            raise RuntimeError("moment series failed to converge")
-        m += 1
-        power *= ratio0
-    return total

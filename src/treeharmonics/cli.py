@@ -19,6 +19,59 @@ def _positive_int(text):
     return value
 
 
+def _kernel(help_text):
+    return "--kernel", {"required": True, "metavar": "PATH", "help": help_text}
+
+
+def _p(**kwargs):
+    return "--p", {"type": float, "help": "Lebesgue exponent", **kwargs}
+
+
+def _radius(help_text="ball radius", **kwargs):
+    return "--radius", {"type": int, "help": help_text, **kwargs}
+
+
+_JSON_KERNEL = _kernel("RadialKernel JSON file")
+_Q = "--q", {"type": _positive_int, "default": 2,
+             "help": "tree branching degree (q+1 neighbours per vertex)"}
+_GRID = "--grid", {"type": _positive_int, "default": 512,
+                   "help": "frequency grid size (power of two, >= 64)"}
+_SEED = "--seed", {"type": int, "default": 0, "help": "random seed"}
+
+#: Flags of every subcommand, listed after its own.
+_COMMON = (
+    ("--threads", {"type": _positive_int, "default": None,
+                   "help": "cap the numerical thread pools at this size"}),
+    ("--deterministic", {"action": "store_true",
+                         "help": "single-threaded reductions for byte-stable output"}),
+    ("--out", {"metavar": "PATH", "default": None,
+               "help": "output file (default: standard output)"}),
+)
+
+#: Subcommands: name, help text and argument specs, in help order.
+_COMMANDS = (
+    ("transform", "spherical transform of a radial kernel, written as a symbol CSV",
+     (_JSON_KERNEL, _GRID)),
+    ("invert", "inverse spherical transform of a symbol CSV, written as kernel JSON",
+     (_kernel("TorusSymbol CSV file"), _Q, _radius("reconstruction radius", required=True))),
+    ("abel", "Abel transform of a radial kernel, written as a sequence CSV",
+     (_JSON_KERNEL,)),
+    ("norms", "certified norm interval for the shifted symbol coefficients",
+     (_JSON_KERNEL, _p(required=True), _SEED)),
+    ("check", "two-sided bounds report with the soundness sandwich",
+     (_JSON_KERNEL, _p(required=True), _radius(), _GRID, _SEED)),
+    ("census", "horocyclic census of an explicit ball, written as CSV",
+     (_Q, _radius(required=True))),
+    ("transference", "randomized layered-convolution inequality suite",
+     (_Q, _p(default=1.5), _radius(default=8), _SEED,
+      ("--instances", {"type": _positive_int, "default": 100,
+                       "help": "number of random instances"}))),
+    ("hilbert", "growth of the p=2 lower bound for truncated reciprocal kernels",
+     (_Q, ("--grid", {"type": _positive_int, "nargs": "+", "default": [64, 256, 1024],
+                      "help": "support sizes N (one column per value)"}))),
+)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="treeharm",
@@ -26,62 +79,10 @@ def _build_parser():
         "on homogeneous trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name, help_text, **flags):
+    for name, help_text, specs in _COMMANDS:
         cmd = sub.add_parser(name, help=help_text, description=help_text)
-        if flags.get("kernel"):
-            cmd.add_argument("--kernel", required=True, metavar="PATH",
-                             help=flags.get("kernel_help", "input kernel file"))
-        if flags.get("q"):
-            cmd.add_argument("--q", type=_positive_int, default=flags.get("q_default", 2),
-                             help="tree branching degree (q+1 neighbours per vertex)")
-        if flags.get("p"):
-            cmd.add_argument("--p", type=float, default=flags.get("p_default"),
-                             required=flags.get("p_required", False),
-                             help="Lebesgue exponent")
-        if flags.get("radius"):
-            cmd.add_argument("--radius", type=int, default=flags.get("radius_default"),
-                             required=flags.get("radius_required", False),
-                             help=flags.get("radius_help", "ball radius"))
-        if flags.get("grid"):
-            cmd.add_argument("--grid", type=_positive_int, nargs=flags.get("grid_nargs"),
-                             default=flags.get("grid_default", 512),
-                             help=flags.get("grid_help",
-                                            "frequency grid size (power of two, >= 64)"))
-        if flags.get("seed"):
-            cmd.add_argument("--seed", type=int, default=0, help="random seed")
-        if flags.get("instances"):
-            cmd.add_argument("--instances", type=_positive_int, default=100,
-                             help="number of random instances")
-        cmd.add_argument("--threads", type=_positive_int, default=None,
-                         help="cap the numerical thread pools at this size")
-        cmd.add_argument("--deterministic", action="store_true",
-                         help="single-threaded reductions for byte-stable output")
-        cmd.add_argument("--out", metavar="PATH", default=None,
-                         help="output file (default: standard output)")
-        return cmd
-
-    add("transform", "spherical transform of a radial kernel, written as a symbol CSV",
-        kernel=True, kernel_help="RadialKernel JSON file", grid=True)
-    add("invert", "inverse spherical transform of a symbol CSV, written as kernel JSON",
-        kernel=True, kernel_help="TorusSymbol CSV file", q=True,
-        radius=True, radius_required=True, radius_help="reconstruction radius")
-    add("abel", "Abel transform of a radial kernel, written as a sequence CSV",
-        kernel=True, kernel_help="RadialKernel JSON file")
-    add("norms", "certified norm interval for the shifted symbol coefficients",
-        kernel=True, kernel_help="RadialKernel JSON file", p=True, p_required=True,
-        seed=True)
-    add("check", "two-sided bounds report with the soundness sandwich",
-        kernel=True, kernel_help="RadialKernel JSON file", p=True, p_required=True,
-        radius=True, grid=True, seed=True)
-    add("census", "horocyclic census of an explicit ball, written as CSV",
-        q=True, radius=True, radius_required=True)
-    add("transference", "randomized layered-convolution inequality suite",
-        q=True, p=True, p_default=1.5, radius=True, radius_default=8,
-        seed=True, instances=True)
-    add("hilbert", "growth of the p=2 lower bound for truncated reciprocal kernels",
-        q=True, grid=True, grid_nargs="+", grid_default=[64, 256, 1024],
-        grid_help="support sizes N (one column per value)")
+        for flag, kwargs in specs + _COMMON:
+            cmd.add_argument(flag, **kwargs)
     return parser
 
 
@@ -204,11 +205,10 @@ def _cmd_transference(args):
 def _cmd_hilbert(args):
     from .zline import hilbert_witness
 
-    sizes = args.grid if isinstance(args.grid, list) else [args.grid]
     lines = ["N,lower,log_N"]
     previous = None
     ok = True
-    for n_support in sizes:
+    for n_support in args.grid:
         lower, log_n = hilbert_witness(args.q, n_support)
         lines.append(f"{n_support},{lower!r},{log_n!r}")
         if lower < log_n or (previous is not None and lower <= previous):

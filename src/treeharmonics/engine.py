@@ -17,7 +17,7 @@ gives the exact operator norm directly, exposed separately as
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,12 +36,11 @@ from .spherical import (
     c_inverse_shifted,
     sphere_sizes,
 )
-from .abel import abel_forward
+from .abel import AbelSequence, abel_forward
 from .tree import opnorm_lower, shell_masses
 from .zline import (
     DICTIONARY_VERSION,
     ZKernel,
-    NormInterval,
     convolutor_interval,
     convolutor_upper,
     fourier_z,
@@ -60,22 +59,20 @@ _SCOPE_MESSAGE = (
 )
 
 
-def _half_width(params, radius, delta):
-    """Default profile half-width: support radius plus a 40-e-folding tail."""
-    return radius + math.ceil(40.0 / (2.0 * delta * params.log_q))
-
-
-def line_profile(kernel, p, n=512, half_width=None):
+def line_profile(kernel, p, n=512):
     """Contour-shifted reconstruction profile ``phi`` on the integers.
 
     For ``p in [1, 2)`` the shifted symbol is evaluated *algebraically* —
-    the Abel coefficients ``a_j`` are reweighted to ``a_j q^{j delta(p)}``,
-    which is exact for finitely supported kernels — then multiplied by the
-    regularized reciprocal c-function on the shifted line and inverted by
-    an ``n``-point trapezoid sum.  The result, returned as a two-sided
-    kernel on ``[-L, L]``, satisfies ``phi(d) = q^{d/p} k(d)`` for
+    the Abel coefficients ``a_j`` are reweighted to ``a_j q^{j delta(p)}``
+    by :meth:`~treeharmonics.abel.AbelSequence.to_zkernel`, which is exact
+    for finitely supported kernels — then multiplied by the regularized
+    reciprocal c-function on the shifted line and inverted by an
+    ``n``-point trapezoid sum.  The result, returned as a two-sided kernel
+    on ``[-L, L]``, satisfies ``phi(d) = q^{d/p} k(d)`` for
     ``0 <= d <= D``, vanishes for ``D < d <= L``, and decays like
-    ``q^{2 delta(p) l}`` into negative indices.
+    ``q^{2 delta(p) l}`` into negative indices.  The half-width ``L`` is
+    the kernel radius plus a 40-e-folding tail, so the discarded tail is
+    below ``1e-12`` of the sup bound.
 
     Parameters
     ----------
@@ -87,9 +84,6 @@ def line_profile(kernel, p, n=512, half_width=None):
     n : int
         Trapezoid grid size, a power of two, at least ``2 L + 2`` so that
         periodic aliasing of the profile window is below double precision.
-    half_width : int, optional
-        Output half-width ``L``; defaults so the discarded tail is below
-        ``1e-12`` of the sup bound.
     """
     kernel = kernel.trimmed()
     params = kernel.params
@@ -100,19 +94,14 @@ def line_profile(kernel, p, n=512, half_width=None):
             "handle p > 2 by duality before calling"
         )
     delta = strip_halfwidth(p)
-    L = int(half_width) if half_width is not None else _half_width(params, kernel.radius, delta)
-    if L < kernel.radius:
-        raise DomainError(f"half-width {L} cannot be below the kernel radius {kernel.radius}")
+    L = kernel.radius + math.ceil(40.0 / (2.0 * delta * params.log_q))
     n = check_grid(n)
     if n < 2 * L + 2:
         raise DomainError(
             f"grid n={n} too small for half-width L={L}: need n >= 2L+2 = {2 * L + 2} "
-            "to push aliasing below double precision (raise the grid or lower half_width)"
+            "to push aliasing below double precision (raise the grid)"
         )
-    seq = abel_forward(kernel)
-    J = seq.support_radius
-    jvals = np.arange(-J, J + 1)
-    shifted = ZKernel(params, -J, seq.values * params.qpow(jvals * delta))
+    shifted = abel_forward(kernel).to_zkernel(delta)
     s = torus_grid(params, n)
     g = fourier_z(shifted, s) * c_inverse_shifted(params, s, delta)
     ell = np.arange(-L, L + 1)
@@ -140,9 +129,8 @@ def profile_strip_constant(kernel, p):
         raise DomainError(f"strip constant is defined for p in [1, 2), got p={p:g}")
     params = kernel.params
     delta = strip_halfwidth(p)
-    seq = abel_forward(kernel)
-    jvals = np.arange(-seq.support_radius, seq.support_radius + 1)
-    coeff_l1 = float(np.sum(np.abs(seq.values) * params.qpow(jvals * delta)))
+    # magnitudes first, |a_j| q^{j delta}: the rounding order of the stated bound
+    coeff_l1 = AbelSequence(params, np.abs(abel_forward(kernel).values)).to_zkernel(delta).l1()
     line_sup = max(c_inverse_line_sup(params, delta), c_inverse_line_sup(params, -delta))
     return 2.0 * params.plancherel_const * params.period * coeff_l1 * line_sup
 
@@ -205,10 +193,9 @@ def nonnegative_height_bound(kernel, p):
     return math.fsum(terms)
 
 
-def spectral_sup(kernel, n=None):
+def spectral_sup(kernel):
     """Exact-at-``p=2`` operator norm: sup of the symbol on the real line."""
-    seq = abel_forward(kernel.trimmed())
-    value, _ = convolutor_upper(seq.to_zkernel(), 2.0, n=n)
+    value, _ = convolutor_upper(abel_forward(kernel.trimmed()).to_zkernel(), 2.0)
     return value
 
 
@@ -258,26 +245,22 @@ def tree_norm_lower(kernel, p, radius=None):
     return opnorm_lower(kernel, p, radius)
 
 
-def symbol_norm_report(kernel, p, seed=0, n=None):
+def symbol_norm_report(kernel, p, seed=0):
     """Two-sided norm interval for the shifted symbol's coefficients on ℤ.
 
     Builds the kernel ``(a_j q^{j delta(p)})_j`` from the Abel
-    coefficients and returns ``(interval, weyl_residual)`` where the
-    interval is the certified :func:`~treeharmonics.zline.convolutor_interval`
-    at ``p`` and the residual is the evenness defect of the coefficients
-    (exactly ``0`` for every radial kernel).  ``p = 2`` is out of scope.
+    coefficients (:meth:`~treeharmonics.abel.AbelSequence.to_zkernel`) and
+    returns ``(interval, weyl_residual)`` where the interval is the
+    certified :func:`~treeharmonics.zline.convolutor_interval` at ``p``
+    and the residual is the evenness defect of the coefficients (exactly
+    ``0`` for every radial kernel).  ``p = 2`` is out of scope.
     """
     kernel = kernel.trimmed()
     p = check_exponent(p)
     if p == 2.0:
         raise ScopeError(_SCOPE_MESSAGE)
-    params = kernel.params
-    delta = strip_halfwidth(p)
     seq = abel_forward(kernel)
-    J = seq.support_radius
-    jvals = np.arange(-J, J + 1)
-    shifted = ZKernel(params, -J, seq.values * params.qpow(jvals * delta))
-    interval = convolutor_interval(shifted, p, seed=seed, n=n)
+    interval = convolutor_interval(seq.to_zkernel(strip_halfwidth(p)), p, seed=seed)
     return interval, seq.weyl_residual
 
 
@@ -450,20 +433,7 @@ class BoundsReport:
         return math.inf if self.compression_lower > 0.0 else 0.0
 
     def to_json_dict(self):
-        return {
-            "q": self.q,
-            "p": self.p,
-            "R": self.R,
-            "step1_upper": self.step1_upper,
-            "step2_upper": self.step2_upper,
-            "total_upper": self.total_upper,
-            "compression_lower": self.compression_lower,
-            "symbol_lower": self.symbol_lower,
-            "symbol_upper": self.symbol_upper,
-            "weyl_residual": self.weyl_residual,
-            "grid_N": self.grid_N,
-            "dictionary_version": self.dictionary_version,
-        }
+        return asdict(self)
 
 
 def bounds_report(kernel, p, radius=None, seed=0, n=512):

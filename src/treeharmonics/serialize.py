@@ -9,6 +9,7 @@ command line can map the failure to its I/O exit code.
 
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -100,11 +101,6 @@ def symbol_to_csv(symbol):
     return "\n".join(lines) + "\n"
 
 
-def write_symbol(symbol, path):
-    with open(path, "w") as fh:
-        fh.write(symbol_to_csv(symbol))
-
-
 def read_symbol(q, path):
     """Read a symbol CSV sampled on the standard grid of its row count."""
     params = tree_params(q)
@@ -128,11 +124,6 @@ def abel_to_csv(seq):
     return "\n".join(lines) + "\n"
 
 
-def write_abel(seq, path):
-    with open(path, "w") as fh:
-        fh.write(abel_to_csv(seq))
-
-
 def read_abel(q, path):
     rows = _read_rows(path, ("j", "re", "im"))
     jcol = [int(r[0]) for r in rows]
@@ -148,11 +139,6 @@ def zkernel_to_csv(F):
     for d, v in zip(F.indices, F.values):
         lines.append(f"{int(d)},{_fmt(v.real)},{_fmt(v.imag)}")
     return "\n".join(lines) + "\n"
-
-
-def write_zkernel(F, path):
-    with open(path, "w") as fh:
-        fh.write(zkernel_to_csv(F))
 
 
 def read_zkernel(q, path):
@@ -175,28 +161,12 @@ def census_to_csv(rows):
     return "\n".join(lines) + "\n"
 
 
-def write_census(rows, path):
-    with open(path, "w") as fh:
-        fh.write(census_to_csv(rows))
-
-
 # ---------------------------------------------------------------------------
 # Structured JSON records
 # ---------------------------------------------------------------------------
 
 def interval_to_json(interval):
-    return (
-        json.dumps(
-            {
-                "lower": interval.lower,
-                "upper": interval.upper,
-                "lower_method": interval.lower_method,
-                "upper_method": interval.upper_method,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    return json.dumps(asdict(interval), indent=2) + "\n"
 
 
 def report_to_json(report):

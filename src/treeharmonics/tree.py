@@ -32,7 +32,7 @@ import numpy as np
 
 from .params import DomainError, check_exponent, dual_exponent, tree_params
 from .spherical import sphere_sizes
-from .zline import _phase_power
+from .zline import duality_ascent, phase_power
 
 
 @dataclass(frozen=True)
@@ -383,7 +383,7 @@ def _scaled(g, q, p):
     return g * float(q) ** ((np.maximum(d, 1) - max(g.size - 1, 1)) / p)
 
 
-def opnorm_lower(kernel, p, radius, iters=_TREE_POWER_ITERATES):
+def opnorm_lower(kernel, p, radius):
     """Best certified lower bound for the ``l^p`` norm of radial convolution.
 
     Works on the radial quotient of the ball of the given radius: a
@@ -398,8 +398,11 @@ def opnorm_lower(kernel, p, radius, iters=_TREE_POWER_ITERATES):
     base vertex (``delta``, sharp at ``p = 1``), ball indicators at
     dyadic radii (``ball[r]``), a phase-matched profile concentrated at
     the base vertex (``matched-row``, sharp at ``p = inf`` once the window
-    holds the kernel), and the iterates of a duality-map ascent
-    (``power[k]``, for ``1 < p < inf``).  Returns ``(bound, method)``.
+    holds the kernel), and the first :data:`_TREE_POWER_ITERATES` iterates
+    of :func:`~treeharmonics.zline.duality_ascent` (for ``1 < p < inf``),
+    named ``power[k]`` after the first iterate to reach the best ratio.  A
+    candidate whose ratio overflows certifies nothing and is skipped.
+    Returns ``(bound, method)``.
     """
     p = check_exponent(p)
     kernel = kernel.trimmed()
@@ -418,19 +421,23 @@ def opnorm_lower(kernel, p, radius, iters=_TREE_POWER_ITERATES):
     best = 0.0
     best_name = "none"
 
-    def consider(hw, name):
+    def consider(ratio, name):
         nonlocal best, best_name
-        denom = _radial_norm(hw, q, p)
-        if denom == 0.0:
-            return
-        h = np.zeros(radius + 1, dtype=complex)
-        h[: hw.size] = hw
-        ratio = _radial_norm(_radial_convolve(kv, h, q, p), q, p) / denom
-        if ratio > best:
+        if best < ratio < math.inf:
             best = ratio
             best_name = name
 
-    consider(np.ones(1, dtype=complex), "delta")
+    def padded(hw):
+        h = np.zeros(radius + 1, dtype=complex)
+        h[: hw.size] = hw
+        return h
+
+    def trial(hw, name):
+        denom = _radial_norm(hw, q, p)
+        if denom != 0.0:
+            consider(_radial_norm(_radial_convolve(kv, padded(hw), q, p), q, p) / denom, name)
+
+    trial(np.ones(1, dtype=complex), "delta")
     r = 1
     radii = []
     while r < window:
@@ -439,37 +446,26 @@ def opnorm_lower(kernel, p, radius, iters=_TREE_POWER_ITERATES):
     if window >= 1:
         radii.append(window)
     for r in radii:
-        consider(_scaled(np.ones(r + 1, dtype=complex), q, p), f"ball[{r}]")
+        trial(_scaled(np.ones(r + 1, dtype=complex), q, p), f"ball[{r}]")
 
     # phase-matched row conj(k) |k|^{1/(p-1) - 1}; the bare phase at p = 1 and p = inf
     rmatch = min(D, window)
     expo = 1.0 / (p - 1.0) if 1.0 < p < math.inf else 0.0
-    matched = _phase_power(np.conj(kv[: rmatch + 1]), expo)
-    consider(_scaled(matched, q, p), "matched-row")
+    matched = phase_power(np.conj(kv[: rmatch + 1]), expo)
+    trial(_scaled(matched, q, p), "matched-row")
 
     if 1.0 < p < math.inf:
         # In scaled coordinates the adjoint of convolution by k is
         # convolution by conj(k) at the dual exponent.
         pd = dual_exponent(p)
         conj_kv = np.conj(kv)
-        x = np.zeros(radius + 1, dtype=complex)
-        x[:nw] = _scaled(np.ones(nw, dtype=complex), q, p)
-        x /= _radial_norm(x, q, p)
-        prev = -1.0
-        for it in range(iters):
-            y = _radial_convolve(kv, x, q, p)
-            est = _radial_norm(y, q, p)
-            if est > best:
-                best = est
-                best_name = f"power[{it + 1}]"
-            if prev >= 0.0 and abs(est - prev) <= 1e-10 * max(est, 1e-300):
-                break
-            prev = est
-            z = _radial_convolve(conj_kv, _phase_power(y, p - 1.0), q, pd)
-            x = np.zeros(radius + 1, dtype=complex)
-            x[:nw] = _phase_power(z[:nw], pd - 1.0)
-            nx = _radial_norm(x, q, p)
-            if nx == 0.0:
-                break
-            x /= nx
+        for k, value in duality_ascent(
+            lambda x: _radial_convolve(kv, x, q, p),
+            lambda w: padded(_radial_convolve(conj_kv, w, q, pd)[:nw]),
+            lambda x: _radial_norm(x, q, p),
+            padded(_scaled(np.ones(nw, dtype=complex), q, p)),
+            p,
+            _TREE_POWER_ITERATES,
+        ):
+            consider(value, f"power[{k}]")
     return best, best_name

@@ -178,19 +178,17 @@ def _line_coefficients(F, v):
     return F.values * F.params.qpow(d * v), d
 
 
-def _line_sup(F, v, n=None):
+def _line_sup(F, v):
     """Sup of ``|FT F|`` on the horizontal line ``Im z = v``.
 
-    Returns ``(value, n)`` where ``n`` is the grid resolution used.  The
-    grid maximum is refined by two Newton steps on the stationarity
+    Returns ``(value, n)`` where ``n`` is the grid resolution, four times
+    the kernel span rounded up to a power of two, within ``[1024, 2^14]``.
+    The grid maximum is refined by two Newton steps on the stationarity
     equation of ``|symbol|^2`` at every local maximum, so the reported
     value is always an attained (hence certified) value of ``|FT F|``.
     """
-    if n is None:
-        span = max(abs(F.offset), abs(F.offset + F.values.size - 1), 1)
-        n = max(1024, 4 * _next_pow2(span))
-        n = min(n, 1 << 14)
-    n = check_grid(n)
+    span = max(abs(F.offset), abs(F.offset + F.values.size - 1), 1)
+    n = min(max(1024, 4 * _next_pow2(span)), 1 << 14)
     coeffs, dvals = _line_coefficients(F, v)
     tau = F.params.period
     grid = torus_grid(F.params, n)
@@ -255,7 +253,7 @@ class NormInterval:
             )
 
 
-def convolutor_upper(F, p, n=None):
+def convolutor_upper(F, p):
     """Certified upper bound for the norm of convolution by ``F`` on ``l^p``.
 
     Returns ``(value, method)``.  At ``p`` in ``{1, inf}`` the bound is the
@@ -268,10 +266,10 @@ def convolutor_upper(F, p, n=None):
     if p == 1.0 or math.isinf(p):
         return l1, "l1-exact"
     if p == 2.0:
-        sup, used = _line_sup(F, 0.0, n)
+        sup, used = _line_sup(F, 0.0)
         return sup, f"spectral-sup(grid={used})"
     theta = abs(2.0 / p - 1.0)
-    sup, used = _line_sup(F, 0.0, n)
+    sup, used = _line_sup(F, 0.0)
     if l1 == 0.0:
         return 0.0, "l1-exact"
     val = l1**theta * sup ** (1.0 - theta)
@@ -286,15 +284,7 @@ def lp_norm(x, p):
     return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
 
 
-def _ratio(f, vals, p):
-    """Exact convolution ratio ``||f * F||_p / ||f||_p`` for finite vectors."""
-    denom = lp_norm(f, p)
-    if denom == 0.0:
-        return 0.0
-    return lp_norm(np.convolve(f, vals), p) / denom
-
-
-def _phase_power(y, expo):
+def phase_power(y, expo):
     """``phase(y) * |y|**expo`` entrywise, with 0 mapped to 0."""
     mag = np.abs(y)
     out = np.zeros_like(y, dtype=complex)
@@ -303,61 +293,57 @@ def _phase_power(y, expo):
     return out
 
 
-def _power_iteration_lower(vals, p, start, iters=_POWER_ITERATES, tol=1e-10):
-    """Duality-map ascent for the ``l^p -> l^p`` convolution ratio.
+def duality_ascent(apply, adjoint, norm, x, p, iters):
+    """Duality-map ascent for the ``l^p -> l^p`` ratio of a linear map.
 
-    Every iterate yields the exact ratio of a concrete trial vector, so the
-    running maximum is a certified lower bound whether or not the iteration
-    has converged.  Returns ``(best_ratio, n_iterations)``.
+    Starting from ``x``, each step normalizes the iterate, yields
+    ``(k, norm(apply(x_k)))`` for the ``k``-th iterate, and moves to the
+    ``p'``-th power phase of ``adjoint`` applied to the ``p``-th power phase
+    of the image; ``adjoint`` also restricts to the trial window.  Every
+    yielded value is the exact ratio of a concrete trial vector, so each is
+    a certified lower bound whether or not the ascent has converged.  Stops
+    after ``iters`` iterates, when two successive values agree to a
+    relative ``1e-10``, when an iterate vanishes, or before yielding a
+    non-finite value.
     """
     if p <= 1.0 or math.isinf(p):
         raise DomainError("duality-map iteration needs 1 < p < inf")
     pd = dual_exponent(p)
-    L = vals.size
-    rev = np.conj(vals[::-1])
-    x = start.astype(complex)
-    nx = lp_norm(x, p)
-    if nx == 0.0:
-        return 0.0, 0
-    x = x / nx
-    best = 0.0
     prev = -1.0
-    done = 0
-    for it in range(iters):
-        y = np.convolve(x, vals)
-        est = lp_norm(y, p)
-        best = max(best, est)
-        if prev >= 0.0 and abs(est - prev) <= tol * max(est, 1e-300):
-            done = it + 1
-            break
-        prev = est
-        z = np.convolve(_phase_power(y, p - 1.0), rev)[L - 1 : L - 1 + x.size]
-        x = _phase_power(z, pd - 1.0)
-        nx = lp_norm(x, p)
+    for k in range(1, iters + 1):
+        nx = norm(x)
         if nx == 0.0:
-            done = it + 1
-            break
+            return
         x = x / nx
-        done = it + 1
-    return best, done
+        y = apply(x)
+        est = norm(y)
+        if not math.isfinite(est):
+            return
+        yield k, est
+        if prev >= 0.0 and abs(est - prev) <= 1e-10 * max(est, 1e-300):
+            return
+        prev = est
+        x = phase_power(adjoint(phase_power(y, p - 1.0)), pd - 1.0)
 
 
-def convolutor_interval(F, p, seed=0, n=None):
+def convolutor_interval(F, p, seed=0):
     """Certified two-sided bracket for the ``l^p`` convolution norm of ``F``.
 
     The upper end is :func:`convolutor_upper`.  For ``p`` in ``{1, inf}``
     the interval collapses to the exact ``l^1`` norm (the delta trial and
     a matched-sign trial attain it), and at ``p == 2`` both ends are the
     refined grid supremum of the symbol.  At every other exponent the
-    lower end is the best exact convolution ratio over the versioned trial
-    dictionary: deltas, dyadic boxes, modulated boxes at
+    lower end is the best finite exact convolution ratio over the
+    versioned trial dictionary: deltas, dyadic boxes, modulated boxes at
     :data:`_N_FREQUENCIES` equispaced frequencies, seeded random-sign
-    vectors, and the iterates of a duality-map ascent.
+    vectors, and the iterates of :func:`duality_ascent`, named
+    ``power[<iterates run>]``.  A trial whose ratio overflows certifies
+    nothing and is skipped.
     """
     p = check_exponent(p)
     F = F.trimmed()
     vals = F.values
-    upper, upper_method = convolutor_upper(F, p, n)
+    upper, upper_method = convolutor_upper(F, p)
     if p == 2.0:
         return NormInterval(upper, upper, upper_method, upper_method)
     if p == 1.0 or math.isinf(p):
@@ -367,32 +353,45 @@ def convolutor_interval(F, p, seed=0, n=None):
     best = 0.0
     best_name = "none"
 
-    def consider(f, name):
+    def consider(ratio, name):
         nonlocal best, best_name
-        r = _ratio(f, vals, p)
-        if r > best:
-            best = r
+        if best < ratio < math.inf:
+            best = ratio
             best_name = name
 
-    consider(np.ones(1, dtype=complex), "delta")
+    def trial(f, name):
+        denom = lp_norm(f, p)
+        if denom != 0.0:
+            consider(lp_norm(np.convolve(f, vals), p) / denom, name)
+
+    trial(np.ones(1, dtype=complex), "delta")
     for L in _BOX_LENGTHS:
-        consider(np.ones(L, dtype=complex), f"box[{L}]")
+        trial(np.ones(L, dtype=complex), f"box[{L}]")
     tau = F.params.period
     log_q = F.params.log_q
     for k in range(_N_FREQUENCIES):
         s0 = -tau / 2.0 + tau * k / _N_FREQUENCIES
         for L in _MODULATED_LENGTHS:
             idx = np.arange(L)
-            consider(np.exp(1j * s0 * log_q * idx), f"modbox[{L},k={k}]")
+            trial(np.exp(1j * s0 * log_q * idx), f"modbox[{L},k={k}]")
     rng = np.random.default_rng(seed)
     for L in _SIGN_LENGTHS:
         for rep in range(_SIGNS_PER_LENGTH):
-            consider(rng.integers(0, 2, size=L) * 2.0 - 1.0, f"sign[{L},#{rep}]")
-    start = np.ones(min(_POWER_WINDOW, 4 * max(vals.size, 16)), dtype=complex)
-    ratio, used = _power_iteration_lower(vals, p, start)
-    if ratio > best:
-        best = ratio
-        best_name = f"power[{used}]"
+            trial(rng.integers(0, 2, size=L) * 2.0 - 1.0, f"sign[{L},#{rep}]")
+    window = min(_POWER_WINDOW, 4 * max(vals.size, 16))
+    lag = vals.size - 1
+    rev = np.conj(vals[::-1])
+    used, ratio = 0, 0.0
+    for used, value in duality_ascent(
+        lambda x: np.convolve(x, vals),
+        lambda w: np.convolve(w, rev)[lag : lag + window],
+        lambda x: lp_norm(x, p),
+        np.ones(window, dtype=complex),
+        p,
+        _POWER_ITERATES,
+    ):
+        ratio = max(ratio, value)
+    consider(ratio, f"power[{used}]")
     best = min(best, upper)  # guard against last-ulp overshoot of the exact bound
     return NormInterval(
         best, upper, f"trial:{best_name}({DICTIONARY_VERSION})", upper_method
@@ -403,7 +402,7 @@ def convolutor_interval(F, p, seed=0, n=None):
 # Strip norms and truncation
 # ---------------------------------------------------------------------------
 
-def hinf_strip_norm(F, eps, n=None):
+def hinf_strip_norm(F, eps):
     """Sup of ``|FT F|`` over the closed strip ``-eps <= Im z <= 0``.
 
     The symbol of a finitely supported kernel is entire and periodic, so by
@@ -411,8 +410,8 @@ def hinf_strip_norm(F, eps, n=None):
     two boundary lines; each line sup is computed on a refined grid.
     """
     StripDomain(eps)
-    top, _ = _line_sup(F, 0.0, n)
-    bottom, _ = _line_sup(F, -float(eps), n)
+    top, _ = _line_sup(F, 0.0)
+    bottom, _ = _line_sup(F, -float(eps))
     return max(top, bottom)
 
 
@@ -444,7 +443,7 @@ def hilbert_witness(q, n_support):
     return interval.lower, math.log(n_support)
 
 
-def truncation_bound(F, J, eps, p, n=None):
+def truncation_bound(F, J, eps, p):
     """Certified bound for the ``l^p`` convolution norm of ``F * 1_{[J, inf)}``.
 
     For every ``J >= 0`` the truncated kernel satisfies
@@ -463,6 +462,6 @@ def truncation_bound(F, J, eps, p, n=None):
         raise DomainError(f"truncation index must be >= 0, got {J}")
     p = check_exponent(p)
     q = F.params.q
-    upper, _ = convolutor_upper(F, p, n)
-    big_h = hinf_strip_norm(F, eps, n)
+    upper, _ = convolutor_upper(F, p)
+    big_h = hinf_strip_norm(F, eps)
     return upper + (1.0 / (q ** float(eps) - 1.0) + J) * big_h

@@ -1,4 +1,4 @@
-"""Abel transform: dual evaluation routes, evenness, inversion, moments."""
+"""Abel transform: dual evaluation routes, evenness, inversion."""
 
 import math
 from fractions import Fraction
@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import fraction_slice_sum, mp_moment
+from oracles import fraction_slice_sum
 from treeharmonics.abel import (
     AbelSequence,
     abel_bruteforce,
@@ -14,7 +14,6 @@ from treeharmonics.abel import (
     abel_inverse,
     ball_shell_masses,
     horocycle_slice_sum,
-    horocyclic_moment,
 )
 from treeharmonics.params import DomainError, torus_grid, tree_params
 from treeharmonics.spherical import (
@@ -184,30 +183,3 @@ def test_abel_factorizes_the_spherical_transform():
             rhs = spherical_transform_at(k, grid)
             scale = max(1.0, float(np.abs(rhs).max()))
             assert np.abs(lhs - rhs).max() <= 1e-10 * scale
-
-
-# ---------------------------------------------------------------------------
-# Horocyclic moments
-# ---------------------------------------------------------------------------
-
-def test_moment_zeroth_closed_form_at_p_one():
-    # sum mu_m q^{-2m} = (q+1)/q
-    for q in (2, 3, 5):
-        assert horocyclic_moment(q, 1.0, 0) == pytest.approx((q + 1.0) / q, rel=1e-13)
-
-
-def test_moments_match_high_precision_oracle():
-    for q in (2, 3):
-        for p in (1.0, 4.0 / 3.0, 1.5, 1.9):
-            for ell in (0, 1, 2):
-                got = horocyclic_moment(q, p, ell)
-                want = mp_moment(q, p, ell)
-                assert got == pytest.approx(want, rel=1e-12), (q, p, ell)
-
-
-def test_moment_diverges_at_p_two_and_beyond():
-    for p in (2.0, 3.0, math.inf):
-        with pytest.raises(DomainError):
-            horocyclic_moment(2, p, 0)
-    with pytest.raises(DomainError):
-        horocyclic_moment(2, 1.5, -1)

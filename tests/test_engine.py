@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import mp_moment
 from treeharmonics.abel import abel_forward
 from treeharmonics.engine import (
     BoundsReport,
@@ -26,7 +27,7 @@ from treeharmonics.engine import (
 from treeharmonics.params import DomainError, ScopeError, strip_halfwidth, tree_params
 from treeharmonics.spherical import ball_kernel, delta_kernel, radial_kernel, sphere_kernel
 from treeharmonics.tree import ball_geometry
-from treeharmonics.zline import ZKernel
+from treeharmonics.zline import ZKernel, convolutor_upper
 
 
 def random_kernel(rng, q, D):
@@ -77,7 +78,7 @@ def test_line_profile_rejects_out_of_scope_exponents():
         with pytest.raises(DomainError):
             line_profile(k, p)
     with pytest.raises(DomainError):
-        line_profile(k, 1.5, n=64, half_width=40)  # grid cannot hold the window
+        line_profile(k, 1.5, n=64)  # grid cannot hold the window
 
 
 def test_profile_strip_constant_is_homogeneous():
@@ -110,6 +111,25 @@ def test_negative_height_bound_needs_open_interval():
     for p in (1.0, 2.0, 3.0):
         with pytest.raises(DomainError):
             negative_height_bound(k, p)
+
+
+def test_negative_height_bound_is_the_shell_series_in_closed_form():
+    # alpha * M_0 + H * M_1, with the horocyclic moments M_l summed term by
+    # term in high precision, alpha the l = 0 truncation bound and H the
+    # strip constant.  The p = 1.9 profile needs a grid of 2048 at q = 3 and
+    # 4096 at q = 2, where one kernel takes 3 s, so it runs at q = 3 only.
+    rng = np.random.default_rng(131)
+    for q, exponents in ((2, (1.1, 4.0 / 3.0, 1.5)), (3, (1.1, 4.0 / 3.0, 1.5, 1.9))):
+        kernels = (ball_kernel(q, 2), sphere_kernel(q, 3), random_kernel(rng, q, 3))
+        for p in exponents:
+            n = 2048 if p == 1.9 else 512
+            eps = 2.0 * strip_halfwidth(p)
+            for k in kernels:
+                H = profile_strip_constant(k, p)
+                upper, _ = convolutor_upper(line_profile(k, p, n=n), p)
+                alpha = upper + (1.0 / (q**eps - 1.0) + 1.0) * H
+                want = alpha * mp_moment(q, p, 0) + H * mp_moment(q, p, 1)
+                assert negative_height_bound(k, p, n=n) == pytest.approx(want, rel=1e-12)
 
 
 def test_nonnegative_height_bound_frozen_sphere_value():
@@ -410,6 +430,19 @@ def test_necessity_ratio_guards():
         dictionary_version="dict-v1",
     )
     assert degenerate.necessity_ratio == 0.0
+
+
+def test_overflowing_trial_ratios_certify_nothing():
+    # The l^p norms of the matched-row (1e100, p = 3/2) and delta (1e7,
+    # p = 50) trials overflow: an infinite ratio once tripped the sandwich,
+    # and the clamp to the upper end reported it as a collapsed interval.
+    for values, p, radius in (([1e100, 1e100], 1.5, 5), ([1e7, 1e7], 50.0, None)):
+        k = radial_kernel(2, values)
+        with np.errstate(over="ignore"):
+            rep = bounds_report(k, p, radius=radius)
+            interval, _ = symbol_norm_report(k, p)
+        assert 0.0 <= rep.compression_lower <= rep.total_upper < math.inf
+        assert interval.lower < interval.upper
 
 
 def test_soundness_error_is_a_runtime_error():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from treeharmonics.params import DomainError, tree_params
+from treeharmonics.params import DomainError, dual_exponent, tree_params
 from treeharmonics.zline import (
     DICTIONARY_VERSION,
     StripDomain,
@@ -13,11 +13,13 @@ from treeharmonics.zline import (
     convolutor_interval,
     convolutor_upper,
     delta_z,
+    duality_ascent,
     fourier_z,
     hilbert_witness,
     hinf_strip_norm,
     inverse_fourier_z,
     lp_norm,
+    phase_power,
     truncate,
     truncation_bound,
     zkernel,
@@ -158,6 +160,62 @@ def test_interval_values_are_plain_floats():
 # ---------------------------------------------------------------------------
 # Strip sups and truncation
 # ---------------------------------------------------------------------------
+
+def convolution_ascent(vals, p, window):
+    """``(apply, adjoint, norm)`` of convolution by ``vals`` on a trial window."""
+    lag = vals.size - 1
+    rev = np.conj(vals[::-1])
+    return (
+        lambda x: np.convolve(x, vals),
+        lambda w: np.convolve(w, rev)[lag : lag + window],
+        lambda x: lp_norm(x, p),
+    )
+
+
+def test_duality_ascent_yields_exact_ratios_of_its_iterates():
+    rng = np.random.default_rng(41)
+    for p in (1.1, 1.5, 3.0):
+        vals = rng.normal(size=5) + 1j * rng.normal(size=5)
+        apply, adjoint, norm = convolution_ascent(vals, p, 24)
+        x = rng.normal(size=24) + 0j
+        steps = list(duality_ascent(apply, adjoint, norm, x, p, 30))
+        assert [k for k, _ in steps] == list(range(1, len(steps) + 1))
+        # rebuild each iterate outside the generator, without normalizing:
+        # the ratio does not see the scale of the trial vector
+        for _, value in steps:
+            assert value == pytest.approx(norm(apply(x)) / norm(x), rel=1e-12)
+            x = phase_power(adjoint(phase_power(apply(x), p - 1.0)), dual_exponent(p) - 1.0)
+
+
+def test_duality_ascent_stopping_rules():
+    rng = np.random.default_rng(43)
+    vals = rng.normal(size=4) + 1j * rng.normal(size=4)
+    apply, adjoint, norm = convolution_ascent(vals, 1.5, 16)
+    start = np.ones(16, dtype=complex)
+    # the iterate cap
+    assert len(list(duality_ascent(apply, adjoint, norm, start, 1.5, 3))) == 3
+    # convergence: a scalar multiple has the same ratio at every iterate
+    scale = convolution_ascent(np.array([2.0 + 0j]), 1.5, 16)
+    steps = list(duality_ascent(*scale, start, 1.5, 50))
+    assert [k for k, _ in steps] == [1, 2]
+    assert all(value == pytest.approx(2.0, rel=1e-14) for _, value in steps)
+    # a vanishing start, and an iterate that vanishes after one step
+    assert list(duality_ascent(apply, adjoint, norm, np.zeros(16, dtype=complex), 1.5, 50)) == []
+    vanish = lambda w: np.zeros(16, dtype=complex)  # noqa: E731
+    assert [k for k, _ in duality_ascent(apply, vanish, norm, start, 1.5, 50)] == [1]
+    # a value that overflows, or is NaN, is never yielded
+    for bad in (1e300, math.nan):
+        blowup = lambda x, bad=bad: apply(x) * bad  # noqa: E731
+        with np.errstate(over="ignore"):
+            assert list(duality_ascent(blowup, adjoint, norm, start, 1.5, 50)) == []
+
+
+def test_duality_ascent_refuses_endpoint_exponents():
+    apply, adjoint, _ = convolution_ascent(np.ones(2, dtype=complex), 1.5, 8)
+    for p in (1.0, math.inf):
+        with pytest.raises(DomainError):
+            list(duality_ascent(apply, adjoint, lambda x: lp_norm(x, p), np.ones(8), p, 10))
+
 
 def test_strip_domain_validates_width():
     StripDomain(0.3)
