@@ -65,11 +65,15 @@ class AbelSequence:
         """The shifted coefficients ``a_j q^{j delta}`` as a kernel on the integers.
 
         The kernel starts at ``-support_radius``.  Its symbol is the
-        symbol of ``a`` on the line ``Im z = delta``.
+        symbol of ``a`` on the line ``Im z = delta``.  Coefficients that
+        overflow float64 raise :class:`~treeharmonics.params.DomainError`.
         """
         J = self.support_radius
-        shift = self.params.qpow(np.arange(-J, J + 1) * delta)
-        return ZKernel(self.params, -J, self.values * shift)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self.values * self.params.qpow(np.arange(-J, J + 1) * delta)
+        if not np.isfinite(values).all():
+            raise DomainError(f"the shifted Abel coefficients at delta={delta:g} overflow float64")
+        return ZKernel(self.params, -J, values)
 
 
 def abel_forward(kernel):

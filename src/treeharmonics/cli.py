@@ -60,7 +60,7 @@ _COMMANDS = (
      (_JSON_KERNEL, _p(required=True), _SEED)),
     ("check", "two-sided bounds report with the soundness sandwich",
      (_JSON_KERNEL, _p(required=True), _radius(), _GRID, _SEED)),
-    ("census", "horocyclic census of an explicit ball, written as CSV",
+    ("census", "horocyclic census of a ball, written as CSV",
      (_Q, _radius(required=True))),
     ("transference", "randomized layered-convolution inequality suite",
      (_Q, _p(default=1.5), _radius(default=8), _SEED,
@@ -167,10 +167,9 @@ def _cmd_check(args):
 
 def _cmd_census(args):
     from . import serialize
-    from .tree import ball_geometry
+    from .tree import census_cells
 
-    ball = ball_geometry(args.q, args.radius)
-    _emit(serialize.census_to_csv(ball.census()), args.out)
+    _emit(serialize.census_to_csv(census_cells(args.q, args.radius)), args.out)
     return 0
 
 

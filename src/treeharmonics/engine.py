@@ -44,6 +44,7 @@ from .zline import (
     convolutor_interval,
     convolutor_upper,
     fourier_z,
+    inverse_fourier_z,
     lp_norm,
 )
 
@@ -72,7 +73,8 @@ def line_profile(kernel, p, n=512):
     ``0 <= d <= D``, vanishes for ``D < d <= L``, and decays like
     ``q^{2 delta(p) l}`` into negative indices.  The half-width ``L`` is
     the kernel radius plus a 40-e-folding tail, so the discarded tail is
-    below ``1e-12`` of the sup bound.
+    below ``1e-12`` of the sup bound.  A profile that overflows float64
+    raises :class:`~treeharmonics.params.DomainError`.
 
     Parameters
     ----------
@@ -103,10 +105,12 @@ def line_profile(kernel, p, n=512):
         )
     shifted = abel_forward(kernel).to_zkernel(delta)
     s = torus_grid(params, n)
-    g = fourier_z(shifted, s) * c_inverse_shifted(params, s, delta)
-    ell = np.arange(-L, L + 1)
-    phases = np.exp(1j * params.log_q * np.outer(ell, s))
-    vals = 2.0 * params.plancherel_const * (params.period / n) * (phases @ g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = fourier_z(shifted, s) * c_inverse_shifted(params, s, delta)
+        ell = np.arange(-L, L + 1)
+        vals = 2.0 * params.plancherel_const * params.period * inverse_fourier_z(g, ell, params)
+    if not np.isfinite(vals).all():
+        raise DomainError("the line profile overflows float64: the kernel values are too large")
     return ZKernel(params, -L, vals)
 
 

@@ -25,6 +25,7 @@ from .params import (
     torus_grid,
     tree_params,
 )
+from .zline import inverse_fourier_z
 
 
 @dataclass(frozen=True)
@@ -337,11 +338,8 @@ def inverse_spherical_transform(symbol, radius):
         raise DomainError(f"radius must be >= 0, got {radius}")
     if symbol.v != 0.0:
         raise DomainError("inversion needs samples on the real line (symbol.v == 0)")
-    s = symbol.grid
-    n = s.size
-    weights = symbol.samples * c_inverse(params, -s)
+    weights = symbol.samples * c_inverse(params, -symbol.grid)
     d = np.arange(radius + 1)
-    phases = np.exp(1j * params.log_q * np.multiply.outer(d.astype(float), s))
-    vals = (2.0 * params.plancherel_const * params.period / n) * (phases @ weights)
+    vals = 2.0 * params.plancherel_const * params.period * inverse_fourier_z(weights, d, params)
     vals *= params.qpow(-d.astype(float) / 2.0)
     return RadialKernel(params, vals)

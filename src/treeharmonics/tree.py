@@ -21,7 +21,8 @@ ball.  Ball convolution maps radial functions to radial functions, so it
 runs the same recurrence on the radial quotient: ``R + 1`` per-sphere
 values, rescaled so that no sphere size is formed at any radius.  The
 explicit :class:`TreeBall` (at most :data:`MAX_BALL_VERTICES` vertices)
-serves the census, the transference check and the tests.
+serves the transference check and the tests; the census command uses the
+closed form :func:`census_cells`.
 """
 
 import math
@@ -126,32 +127,35 @@ class TreeBall:
     def convolve(self, kernel, f):
         """Radial convolution ``(k * f)(x) = sum_y k(dist(x, y)) f(y)`` on the ball.
 
-        Uses the sphere-sum recurrence ``s_1 = A f``,
-        ``s_2 = A s_1 - (q + 1) f``, ``s_{d+1} = A s_d - q s_{d-1}``, where
-        ``A`` is :meth:`adjacency_sum`.  For ``f`` supported in the ball of
+        Uses the sphere-sum recurrence of :func:`_sphere_sum_convolve` with
+        :meth:`adjacency_sum` as ``A``.  For ``f`` supported in the ball of
         radius ``radius - D`` the result is exact at every vertex, since
         all truncated contributions vanish.
         """
         if kernel.params.q != self.params.q:
             raise DomainError("kernel and ball live on trees of different degree")
-        kernel = kernel.trimmed()
-        kv = kernel.values
         f = np.asarray(f, dtype=complex)
         if f.shape != (self.size,):
             raise DomainError(f"expected a vector of length {self.size}, got {f.shape}")
-        out = kv[0] * f
-        if kernel.radius == 0:
-            return out
-        q = self.params.q
-        s_prev = f
-        s_cur = self.adjacency_sum(f)
-        out += kv[1] * s_cur
-        for d in range(2, kernel.radius + 1):
-            back = (q + 1) if d == 2 else q
-            s_next = self.adjacency_sum(s_cur) - back * s_prev
-            out += kv[d] * s_next
-            s_prev, s_cur = s_cur, s_next
+        return _sphere_sum_convolve(kernel.trimmed().values, f, self.adjacency_sum, self.params.q)
+
+
+def _sphere_sum_convolve(kv, f, adjacency, q):
+    """Radial convolution ``sum_d kv[d] s_d`` by the sphere-sum recurrence.
+
+    ``s_0 = f``, ``s_1 = A f``, ``s_2 = A s_1 - (q + 1) f`` and
+    ``s_{d+1} = A s_d - q s_{d-1}``, where ``A`` is ``adjacency``.
+    """
+    out = kv[0] * f
+    if kv.size == 1:
         return out
+    s_prev, s_cur = f, adjacency(f)
+    out += kv[1] * s_cur
+    for d in range(2, kv.size):
+        back = (q + 1) if d == 2 else q
+        s_prev, s_cur = s_cur, adjacency(s_cur) - back * s_prev
+        out += kv[d] * s_cur
+    return out
 
 
 #: Largest explicit ball :func:`ball_geometry` builds, in vertices: six
@@ -243,11 +247,14 @@ def census_cells(q, radius):
     on the reference ray (``merge == height``), ``q^{|height|}`` for the
     cells hanging off the base vertex (``merge == 0 > height``), and
     ``(q - 1) q^{merge - height - 1}`` otherwise.  Exactly the cells with
-    depth <= radius appear, each complete.
+    depth <= radius appear, each complete.  The largest count is ``q^radius``.
     """
     params = tree_params(q)
     q = params.q
     radius = int(radius)
+    # q >= 2, so radius > 63 overflows; tested first to skip a huge power
+    if not 0 <= radius <= 63 or q**radius >= 2**63:
+        raise DomainError(f"census radius must be >= 0 with q^radius < 2^63 (int64), got {radius}")
     rows = []
     for m in range(0, radius + 1):
         j_lo = 2 * m - radius
@@ -347,22 +354,12 @@ def _radial_adjacency(h, q, p):
 
 
 def _radial_convolve(kv, h, q, p):
-    """Ball convolution by the kernel values ``kv`` of a radial function in scaled coordinates.
+    """Ball convolution by ``kv`` of a radial function in scaled coordinates.
 
-    The sphere-sum recurrence of :meth:`TreeBall.convolve` with
-    :func:`_radial_adjacency` in place of the vertex-level sum; exact for
-    ``h`` supported in the ball of radius ``R - D``.
+    :func:`_sphere_sum_convolve` with :func:`_radial_adjacency` as ``A``;
+    exact for ``h`` supported in the ball of radius ``R - D``.
     """
-    out = kv[0] * h
-    if kv.size == 1:
-        return out
-    s_prev, s_cur = h, _radial_adjacency(h, q, p)
-    out += kv[1] * s_cur
-    for d in range(2, kv.size):
-        back = (q + 1) if d == 2 else q
-        s_prev, s_cur = s_cur, _radial_adjacency(s_cur, q, p) - back * s_prev
-        out += kv[d] * s_cur
-    return out
+    return _sphere_sum_convolve(kv, h, lambda g: _radial_adjacency(g, q, p), q)
 
 
 def _radial_norm(h, q, p):

@@ -43,6 +43,7 @@ _SIGN_LENGTHS = (16, 64, 256, 1024)
 _SIGNS_PER_LENGTH = 4
 _POWER_ITERATES = 50
 _POWER_WINDOW = 1024
+_EVAL_CHUNK = 2048  # frequencies per phase matrix in _eval_symbol
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,6 @@ class StripDomain:
     def __post_init__(self):
         if not (self.eps > 0.0) or not math.isfinite(self.eps):
             raise DomainError(f"strip width must be positive and finite, got {self.eps}")
-
-    def contains(self, z):
-        return -self.eps < complex(z).imag < 0.0
 
 
 @dataclass(frozen=True)
@@ -134,14 +132,16 @@ def fourier_z(F, z):
     return out.reshape(z.shape) if z.shape else complex(out[0])
 
 
-def _eval_symbol(vals, dvals, z, log_q, chunk=2048):
-    """Chunked evaluation of ``sum_d vals_d exp(-i d z log q)`` over flat ``z``."""
-    out = np.empty(z.shape, dtype=complex)
-    for start in range(0, z.size, chunk):
-        block = z[start : start + chunk]
-        out[start : start + chunk] = np.exp(
-            -1j * log_q * np.multiply.outer(block, dvals)
-        ) @ vals
+def _eval_symbol(vals, dvals, z, log_q):
+    """Chunked evaluation of ``sum_d vals_d exp(-i d z log q)`` over flat ``z``.
+
+    Each column of a 2-d ``vals`` is one symbol; ``out`` has shape ``z.shape + vals.shape[1:]``.
+    """
+    out = np.empty(z.shape + vals.shape[1:], dtype=complex)
+    for start in range(0, z.size, _EVAL_CHUNK):
+        phases = -1j * log_q * np.multiply.outer(z[start : start + _EVAL_CHUNK], dvals)
+        out[start : start + _EVAL_CHUNK] = np.exp(phases, out=phases) @ vals
+        del phases  # in place and freed: one phase matrix alive at a time
     return out
 
 
@@ -172,60 +172,39 @@ def inverse_fourier_z(symbol, d, params=None):
 # Line suprema of the symbol
 # ---------------------------------------------------------------------------
 
-def _line_coefficients(F, v):
-    """Coefficients of ``s -> (FT F)(s + i v)`` as a trigonometric polynomial."""
-    d = F.indices.astype(float)
-    return F.values * F.params.qpow(d * v), d
-
-
 def _line_sup(F, v):
     """Sup of ``|FT F|`` on the horizontal line ``Im z = v``.
 
     Returns ``(value, n)`` where ``n`` is the grid resolution, four times
     the kernel span rounded up to a power of two, within ``[1024, 2^14]``.
-    The grid maximum is refined by two Newton steps on the stationarity
-    equation of ``|symbol|^2`` at every local maximum, so the reported
-    value is always an attained (hence certified) value of ``|FT F|``.
+    All local maxima of the grid take two Newton steps at once on the
+    stationarity equation of ``|symbol|^2``, each clamped to one cell.  The
+    derivatives ``m'``, ``m''`` are the symbols of the coefficients times
+    ``w = -i d log q`` and ``w^2``, so they share ``m``'s phase matrix.  The
+    reported value is always an attained (hence certified) value of ``|FT F|``.
     """
     span = max(abs(F.offset), abs(F.offset + F.values.size - 1), 1)
-    n = min(max(1024, 4 * _next_pow2(span)), 1 << 14)
-    coeffs, dvals = _line_coefficients(F, v)
-    tau = F.params.period
+    n = min(max(1024, 4 << (span - 1).bit_length()), 1 << 14)
+    log_q = F.params.log_q
+    d = F.indices.astype(float)
+    coeffs = F.values * F.params.qpow(d * v)
     grid = torus_grid(F.params, n)
-    mag = np.abs(_eval_symbol(coeffs, dvals, grid, F.params.log_q))
+    mag = np.abs(_eval_symbol(coeffs, d, grid, log_q))
     best = float(mag.max())
     # local maxima on the circular grid
-    left = np.roll(mag, 1)
-    right = np.roll(mag, -1)
-    locs = np.flatnonzero((mag >= left) & (mag >= right))
-    h = tau / n
-    log_q = F.params.log_q
-    for i in locs:
-        s = grid[i]
-        for _ in range(2):
-            s = _newton_step(coeffs, dvals, s, log_q, h)
-        val = float(abs(_eval_symbol(coeffs, dvals, np.array([s]), log_q)[0]))
-        if val > best:
-            best = val
-    return best, n
-
-
-def _newton_step(coeffs, dvals, s, log_q, h):
-    """One Newton step on ``g'(s) = 0`` for ``g = |symbol|^2``, clamped to one cell."""
-    e = np.exp(-1j * dvals * (s * log_q))
-    m = np.sum(coeffs * e)
-    m1 = np.sum(coeffs * (-1j * dvals * log_q) * e)
-    m2 = np.sum(coeffs * (-(dvals * log_q) ** 2) * e)
-    g1 = 2.0 * (m1 * np.conj(m)).real
-    g2 = 2.0 * ((abs(m1)) ** 2 + (m2 * np.conj(m)).real)
-    if g2 >= 0.0 or not np.isfinite(g2):
-        return s
-    step = -g1 / g2
-    return s + float(np.clip(step, -h, h))
-
-
-def _next_pow2(n):
-    return 1 << max(int(n) - 1, 0).bit_length()
+    s = grid[(mag >= np.roll(mag, 1)) & (mag >= np.roll(mag, -1))]
+    w = -1j * log_q * d
+    derivs = np.stack([coeffs, coeffs * w, coeffs * w**2], axis=1)
+    h = F.params.period / n
+    for _ in range(2):
+        m, m1, m2 = _eval_symbol(derivs, d, s, log_q).T
+        g1 = 2.0 * (m1 * np.conj(m)).real
+        g2 = 2.0 * (np.abs(m1) ** 2 + (m2 * np.conj(m)).real)
+        move = (g2 < 0.0) & np.isfinite(g2)
+        s[move] += np.clip(-g1[move] / g2[move], -h, h)
+    refined = np.abs(_eval_symbol(coeffs, d, s, log_q))
+    # a NaN never wins, as in a running maximum
+    return float(refined[refined > best].max(initial=best)), n
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +244,10 @@ def convolutor_upper(F, p):
     l1 = F.l1()
     if p == 1.0 or math.isinf(p):
         return l1, "l1-exact"
+    sup, used = _line_sup(F, 0.0)
     if p == 2.0:
-        sup, used = _line_sup(F, 0.0)
         return sup, f"spectral-sup(grid={used})"
     theta = abs(2.0 / p - 1.0)
-    sup, used = _line_sup(F, 0.0)
     if l1 == 0.0:
         return 0.0, "l1-exact"
     val = l1**theta * sup ** (1.0 - theta)

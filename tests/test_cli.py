@@ -85,8 +85,51 @@ def test_non_finite_kernel_file_exits_with_two(tmp_path):
     assert main(["check", "--kernel", str(bad), "--p", "1.5", "--radius", "5"]) == 2
 
 
-def test_census_over_the_ball_budget_exits_with_two():
-    assert main(["census", "--q", "10", "--radius", "10"]) == 2
+@pytest.fixture(params=[1e307, 1e308], ids=["1e307", "1e308"])
+def huge(tmp_path, request):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"q": 2, "values": [[request.param, 0.0]] * 2}))
+    return str(path)
+
+
+def _assert_overflow_exit(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "overflow" in err and "must be finite" not in err
+
+
+@pytest.mark.parametrize("p", ["1.5", "3"])
+def test_overflowing_profile_exits_with_two_and_names_the_overflow(huge, p, capsys):
+    # warnings are errors in the suite, so this also asserts none is raised
+    _assert_overflow_exit(["check", "--kernel", huge, "--p", p], capsys)
+
+
+@pytest.mark.parametrize("p", ["1", "inf"])
+def test_overflowing_abel_shift_exits_with_two_and_names_the_overflow(tmp_path, p, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"q": 2, "values": [[1e308, 0.0], [1e308, 0.0]]}')
+    # the tree norms before the Abel shift still overflow, with a warning
+    with pytest.warns(RuntimeWarning):
+        _assert_overflow_exit(["check", "--kernel", str(path), "--p", p], capsys)
+
+
+def test_transference_over_the_ball_budget_exits_with_two():
+    assert main(["transference", "--q", "10", "--radius", "10", "--instances", "1"]) == 2
+
+
+def test_census_beyond_the_ball_budget_is_served_in_closed_form(capsys):
+    from treeharmonics.tree import census_cells
+
+    assert main(["census", "--q", "10", "--radius", "10"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    rows = [[int(x) for x in line.split(",")] for line in lines[1:]]
+    assert len(rows) == 66
+    assert np.array_equal(np.array(rows), census_cells(10, 10))
+
+
+def test_census_with_counts_beyond_int64_exits_with_two(capsys):
+    assert main(["census", "--q", "2", "--radius", "63"]) == 2
+    assert "int64" in capsys.readouterr().err
 
 
 def test_census_command_matches_library(tmp_path, capsys):
