@@ -8,6 +8,7 @@ in a bounds command), ``4`` inequality violation.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -72,6 +73,7 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="treeharm",

@@ -65,9 +65,18 @@ class RadialKernel:
         return RadialKernel(self.params, self.values[: hi + 1].copy())
 
     def l1_on_tree(self):
-        """``l^1`` norm of the radial extension: sum of ``|values|`` times sphere sizes."""
+        """``l^1`` norm of the radial extension: sum of ``|values|`` times sphere sizes.
+
+        A norm that overflows float64 raises :class:`DomainError`.
+        """
         sizes = sphere_sizes(self.params, self.radius)
-        return float(sizes @ np.abs(self.values))
+        with np.errstate(over="ignore"):
+            value = float(sizes @ np.abs(self.values))
+        if not math.isfinite(value):
+            raise DomainError(
+                "the l1 norm on the tree overflows float64: the kernel values are too large"
+            )
+        return value
 
 
 def radial_kernel(q, values):

@@ -380,6 +380,8 @@ def _scaled(g, q, p):
     return g * float(q) ** ((np.maximum(d, 1) - max(g.size - 1, 1)) / p)
 
 
+# an overflowing ratio is skipped, so its float64 overflow needs no warning
+@np.errstate(over="ignore", invalid="ignore")
 def opnorm_lower(kernel, p, radius):
     """Best certified lower bound for the ``l^p`` norm of radial convolution.
 

@@ -10,8 +10,8 @@ a trigonometric polynomial in ``z`` with period ``2*pi/log(q)`` that
 extends holomorphically to every horizontal strip.  Exact values of the
 ``l^p`` operator norm are unknown in general, so this module reports
 certified *intervals*: the upper end comes from interpolation between the
-exact ``l^1`` norm and the symbol sup, the lower end from explicit trial
-vectors whose convolution ratios are computed exactly.
+exact ``l^1`` norm and the symbol sup, the lower end from trial vectors
+whose convolution ratios are computed exactly (the boxes in closed form).
 
 The trial dictionary is versioned (:data:`DICTIONARY_VERSION`); any change
 to its contents must bump the version string, which is quoted in every
@@ -145,27 +145,43 @@ def _eval_symbol(vals, dvals, z, log_q):
     return out
 
 
+def _grid_symbol(coeffs, d, n):
+    """``sum_d coeffs_d q^{-i d s_j}`` on the ``n``-point torus grid, by one FFT.
+
+    On ``s_j = -tau/2 + tau j/n`` the phase is ``(-1)^d exp(-2 pi i d j/n)``
+    for every ``q``, so folding the coefficients at the integers ``d``
+    modulo ``n`` with the sign ``(-1)^d`` turns the symbol into a discrete
+    Fourier transform.
+    """
+    folded = np.zeros(n, dtype=complex)
+    np.add.at(folded, d % n, np.where(d % 2 == 0, coeffs, -coeffs))
+    return np.fft.fft(folded)
+
+
 def inverse_fourier_z(symbol, d, params=None):
-    """Recover kernel values from ``n`` equispaced symbol samples.
+    """Recover kernel values at the integers ``d`` from ``n`` equispaced symbol samples.
 
     ``symbol`` is either a sampled-symbol object (with ``params``,
     ``samples`` and ``grid`` attributes) or a plain array of samples on the
     standard grid, in which case ``params`` must be given.  The quadrature
     is the periodic trapezoid rule, which is exact whenever the symbol is
-    a trigonometric polynomial of degree below ``n/2``.
+    a trigonometric polynomial of degree below ``n/2``.  On the grid
+    ``s_j = -tau/2 + tau j/n`` the phase ``q^{i d s_j}`` is ``(-1)^d
+    exp(2 pi i d j/n)``, so the sum is one inverse FFT of the samples,
+    read at ``d mod n`` with the sign ``(-1)^d``.
     """
     if params is None:
         params = getattr(symbol, "params", None)
         if params is None:
             raise DomainError("plain sample arrays need an explicit params argument")
-    params = tree_params(params)
+    tree_params(params)
     samples = np.asarray(getattr(symbol, "samples", symbol), dtype=complex)
     n = check_grid(samples.size)
-    grid = torus_grid(params, n)
     d = np.asarray(d)
-    phases = np.exp(1j * params.log_q * np.multiply.outer(d.ravel().astype(float), grid))
-    out = phases @ samples / n
-    return out.reshape(d.shape) if d.shape else complex(out[0])
+    if d.dtype.kind not in "iu":
+        raise DomainError(f"kernel indices must be integers, got dtype {d.dtype}")
+    out = np.fft.ifft(samples)[d % n] * np.where(d % 2 == 0, 1.0, -1.0)
+    return out if d.shape else complex(out)
 
 
 # ---------------------------------------------------------------------------
@@ -177,20 +193,24 @@ def _line_sup(F, v):
 
     Returns ``(value, n)`` where ``n`` is the grid resolution, four times
     the kernel span rounded up to a power of two, within ``[1024, 2^14]``.
-    All local maxima of the grid take two Newton steps at once on the
-    stationarity equation of ``|symbol|^2``, each clamped to one cell.  The
-    derivatives ``m'``, ``m''`` are the symbols of the coefficients times
-    ``w = -i d log q`` and ``w^2``, so they share ``m``'s phase matrix.  The
-    reported value is always an attained (hence certified) value of ``|FT F|``.
+    The grid values are one FFT (:func:`_grid_symbol`).  All local maxima
+    of the grid then take two Newton steps at once on the stationarity
+    equation of ``|symbol|^2``, each clamped to one cell; these scattered
+    points are the only ones evaluated through phase matrices
+    (:func:`_eval_symbol`).  The derivatives ``m'``, ``m''`` are
+    the symbols of the coefficients times ``w = -i d log q`` and ``w^2``,
+    so they share ``m``'s phase matrix.  The reported value is always an
+    attained (hence certified) value of ``|FT F|``.
     """
     span = max(abs(F.offset), abs(F.offset + F.values.size - 1), 1)
     n = min(max(1024, 4 << (span - 1).bit_length()), 1 << 14)
     log_q = F.params.log_q
-    d = F.indices.astype(float)
+    d = F.indices
     coeffs = F.values * F.params.qpow(d * v)
-    grid = torus_grid(F.params, n)
-    mag = np.abs(_eval_symbol(coeffs, d, grid, log_q))
+    mag = np.abs(_grid_symbol(coeffs, d, n))
     best = float(mag.max())
+    d = d.astype(float)
+    grid = torus_grid(F.params, n)
     # local maxima on the circular grid
     s = grid[(mag >= np.roll(mag, 1)) & (mag >= np.roll(mag, -1))]
     w = -1j * log_q * d
@@ -304,6 +324,42 @@ def duality_ascent(apply, adjoint, norm, x, p, iters):
         x = phase_power(adjoint(phase_power(y, p - 1.0)), pd - 1.0)
 
 
+def _box_ratios(vals, thetas, L, p):
+    """``||f * vals||_p / ||f||_p`` for the modulated boxes ``f = e^{i theta n} 1_[0, L)``.
+
+    One ratio per entry of ``thetas``, for ``1 <= p < inf``, without forming
+    ``f`` or the convolution.  With ``w_j = vals_j e^{-i theta j}`` and
+    ``a = min(L, m)`` (``m`` the kernel length), the entries of ``f * vals``
+    have the moduli of the ``a - 1`` prefix sums of ``w``, its ``a - 1``
+    suffix sums, and, each ``max(L - m + 1, 1)`` times, its sliding
+    width-``a`` sums; ``||f||_p = L^{1/p}``.  Every sum is built by
+    additions only (the sliding sums by doubling the window), never as a
+    difference of partial sums, which would cancel.
+    """
+    m = vals.size
+    a = min(L, m)
+    w = vals * np.exp(-1j * np.multiply.outer(thetas, np.arange(m)))
+    head = np.cumsum(w[:, : a - 1], axis=1)
+    tail = np.cumsum(w[:, : m - a : -1], axis=1)
+    # sliding sums of width a: window[i] sums w[i : i + width], widths doubling
+    count = m - a + 1
+    middle, start, window, width = 0.0, 0, w, 1
+    while True:
+        if a & width:
+            middle = middle + window[:, start : start + count]
+            start += width
+        if 2 * width > a:
+            break
+        window = window[:, :-width] + window[:, width:]
+        width *= 2
+    power = (
+        np.sum(np.abs(head) ** p, axis=1)
+        + np.sum(np.abs(tail) ** p, axis=1)
+        + max(L - m + 1, 1) * np.sum(np.abs(middle) ** p, axis=1)
+    )
+    return (power ** (1.0 / p) / L ** (1.0 / p)).tolist()
+
+
 def convolutor_interval(F, p, seed=0):
     """Certified two-sided bracket for the ``l^p`` convolution norm of ``F``.
 
@@ -315,7 +371,11 @@ def convolutor_interval(F, p, seed=0):
     versioned trial dictionary: deltas, dyadic boxes, modulated boxes at
     :data:`_N_FREQUENCIES` equispaced frequencies, seeded random-sign
     vectors, and the iterates of :func:`duality_ascent`, named
-    ``power[<iterates run>]``.  A trial whose ratio overflows certifies
+    ``power[<iterates run>]``.  The delta and every box, plain or
+    modulated, is evaluated in closed form from prefix, suffix and
+    sliding-window sums of the modulated kernel (:func:`_box_ratios`),
+    with no trial vector or convolution formed; the sign trials and the
+    ascent convolve explicitly.  A trial whose ratio overflows certifies
     nothing and is skipped.
     """
     p = check_exponent(p)
@@ -342,16 +402,21 @@ def convolutor_interval(F, p, seed=0):
         if denom != 0.0:
             consider(lp_norm(np.convolve(f, vals), p) / denom, name)
 
-    trial(np.ones(1, dtype=complex), "delta")
-    for L in _BOX_LENGTHS:
-        trial(np.ones(L, dtype=complex), f"box[{L}]")
+    # entry 0 of a length's ratios is the plain box, entry 1 + k the box modulated at frequency k
     tau = F.params.period
-    log_q = F.params.log_q
+    thetas = np.concatenate(
+        [[0.0], (-tau / 2.0 + tau * np.arange(_N_FREQUENCIES) / _N_FREQUENCIES) * F.params.log_q]
+    )
+    boxes = {
+        L: _box_ratios(vals, thetas if L in _MODULATED_LENGTHS else thetas[:1], L, p)
+        for L in _BOX_LENGTHS
+    }
+    consider(boxes[1][0], "delta")
+    for L in _BOX_LENGTHS:
+        consider(boxes[L][0], f"box[{L}]")
     for k in range(_N_FREQUENCIES):
-        s0 = -tau / 2.0 + tau * k / _N_FREQUENCIES
         for L in _MODULATED_LENGTHS:
-            idx = np.arange(L)
-            trial(np.exp(1j * s0 * log_q * idx), f"modbox[{L},k={k}]")
+            consider(boxes[L][1 + k], f"modbox[{L},k={k}]")
     rng = np.random.default_rng(seed)
     for L in _SIGN_LENGTHS:
         for rep in range(_SIGNS_PER_LENGTH):

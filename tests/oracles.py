@@ -353,9 +353,84 @@ def _newton_step(coeffs, dvals, s, log_q, h):
     return s + float(np.clip(step, -h, h))
 
 
+def dense_grid_symbol(q, d, coeffs, n):
+    """``sum_d coeffs_d q^{-i d s}`` on the ``n``-point torus grid, one phase per entry."""
+    log_q = math.log(q)
+    tau = 2.0 * math.pi / log_q
+    s = -tau / 2.0 + tau * np.arange(n) / n
+    return np.exp(-1j * log_q * np.multiply.outer(s, np.asarray(d, dtype=float))) @ coeffs
+
+
+def dense_inverse_sum(q, samples, d):
+    """Periodic trapezoid sum ``(1/n) sum_j samples_j q^{i d s_j}``, one phase per entry."""
+    log_q = math.log(q)
+    tau = 2.0 * math.pi / log_q
+    n = samples.size
+    s = -tau / 2.0 + tau * np.arange(n) / n
+    return np.exp(1j * log_q * np.multiply.outer(np.asarray(d, dtype=float), s)) @ samples / n
+
+
 def fine_grid_line_sup(q, offset, values, v, n=1 << 16):
     """Unrefined maximum of the symbol's modulus on ``Im z = v`` over an ``n``-point grid."""
     values = np.asarray(values, dtype=complex)
     d = offset + np.arange(values.size)
     coeffs = values * np.exp(d * v * math.log(q))
     return float(np.abs(_fft_symbol(q, offset, coeffs, n)).max())
+
+
+# ---------------------------------------------------------------------------
+# The symbol interval's trial dictionary, one explicit vector at a time
+# ---------------------------------------------------------------------------
+
+def direct_dictionary_ratios(q, values, p, seed=0):
+    """Every trial of the ``dict-v1`` dictionary with its exact ratio, in trial order.
+
+    Builds each trial vector explicitly — the delta, the boxes of lengths
+    ``2^0 .. 2^12``, the boxes of lengths ``4^1 .. 4^6`` modulated at the
+    32 equispaced torus frequencies, 16 seeded sign vectors, and the
+    duality-map ascent from the constant vector on a window of
+    ``min(1024, 4 max(m, 16))`` entries, 50 iterates at most — and takes
+    ``||f * values||_p / ||f||_p`` by dense ``np.convolve``.  The ascent is
+    one entry ``power[<iterates run>]`` holding its best ratio.  Returns a
+    list of ``(name, ratio)`` pairs.
+    """
+    values = np.asarray(values, dtype=complex)
+    log_q = math.log(q)
+    tau = 2.0 * math.pi / log_q
+    trials = [("delta", np.ones(1, dtype=complex))]
+    trials += [(f"box[{L}]", np.ones(L, dtype=complex)) for L in (2**e for e in range(13))]
+    for k in range(32):
+        s0 = -tau / 2.0 + tau * k / 32
+        for L in (4**e for e in range(1, 7)):
+            trials.append((f"modbox[{L},k={k}]", np.exp(1j * s0 * log_q * np.arange(L))))
+    rng = np.random.default_rng(seed)
+    for L in (16, 64, 256, 1024):
+        for rep in range(4):
+            trials.append((f"sign[{L},#{rep}]", rng.integers(0, 2, size=L) * 2.0 - 1.0))
+    out = [
+        (name, _lp_norm(np.convolve(f, values), p) / _lp_norm(f, p)) for name, f in trials
+    ]
+
+    window = min(1024, 4 * max(values.size, 16))
+    lag = values.size - 1
+    rev = np.conj(values[::-1])
+    pd = p / (p - 1.0)
+    x = np.ones(window, dtype=complex)
+    best, used, prev = 0.0, 0, -1.0
+    for it in range(1, 51):
+        nx = _lp_norm(x, p)
+        if nx == 0.0:
+            break
+        x = x / nx
+        y = np.convolve(x, values)
+        est = _lp_norm(y, p)
+        if not math.isfinite(est):
+            break
+        best, used = max(best, est), it
+        if prev >= 0.0 and abs(est - prev) <= 1e-10 * max(est, 1e-300):
+            break
+        prev = est
+        back = np.convolve(_phase_power(y, p - 1.0), rev)[lag : lag + window]
+        x = _phase_power(back, pd - 1.0)
+    out.append((f"power[{used}]", best))
+    return out

@@ -4,13 +4,21 @@ import math
 
 import numpy as np
 import pytest
-from oracles import fine_grid_line_sup, scalar_line_sup
+from oracles import (
+    dense_grid_symbol,
+    dense_inverse_sum,
+    direct_dictionary_ratios,
+    fine_grid_line_sup,
+    scalar_line_sup,
+)
 
 from treeharmonics.params import DomainError, dual_exponent, tree_params
 from treeharmonics.zline import (
     DICTIONARY_VERSION,
     StripDomain,
     ZKernel,
+    _box_ratios,
+    _grid_symbol,
     _line_sup,
     convolutor_interval,
     convolutor_upper,
@@ -72,6 +80,38 @@ def test_fourier_roundtrip_on_integers():
         for d in range(F.offset - 1, F.offset + F.values.size + 1):
             got = inverse_fourier_z(samples, d, params=F.params)
             assert abs(got - F.at(d)) <= 1e-12
+
+
+def test_inverse_fourier_z_matches_the_dense_trapezoid_sum():
+    rng = np.random.default_rng(47)
+    for q, n in ((2, 64), (3, 512), (5, 4096), (2, 4096)):
+        params = tree_params(q)
+        samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+        # the ends of the window [-n/2, n/2], and indices that wrap around the grid
+        ends = np.arange(-8, 9)
+        wrapped = rng.integers(-3 * n, 3 * n, size=64)
+        d = np.concatenate([ends - n // 2, ends, ends + n // 2, wrapped])
+        got = inverse_fourier_z(samples, d, params)
+        # every value is at most ||samples||_1 / n in modulus
+        scale = np.abs(samples).sum() / n
+        assert np.abs(got - dense_inverse_sum(q, samples, d)).max() <= 1e-13 * scale
+        assert inverse_fourier_z(samples, int(d[3]), params) == got[3]
+    with pytest.raises(DomainError):
+        inverse_fourier_z(np.ones(64), 0.5, params)
+
+
+def test_grid_symbol_matches_the_dense_phase_sum():
+    rng = np.random.default_rng(79)
+    for i in range(40):
+        q = (2, 3, 5)[i % 3]
+        length = int(rng.integers(1, 301))
+        d = int(rng.integers(-60, 61)) + np.arange(length)
+        coeffs = rng.normal(size=length) + 1j * rng.normal(size=length)
+        # n = 64 folds kernels longer than the grid onto it
+        n = 64 if i % 4 == 0 else 1024
+        got = _grid_symbol(coeffs, d, n)
+        want = dense_grid_symbol(q, d, coeffs, n)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(coeffs).sum()
 
 
 def test_lp_norm_edge_cases():
@@ -152,6 +192,49 @@ def test_convolutor_interval_seeded_and_deterministic():
     a = convolutor_interval(F, 1.5, seed=5)
     b = convolutor_interval(F, 1.5, seed=5)
     assert (a.lower, a.upper, a.lower_method) == (b.lower, b.upper, b.lower_method)
+
+
+def dictionary_cases():
+    """Seeded real and complex kernels of lengths 1-300, many longer than the short boxes."""
+    rng = np.random.default_rng(137)
+    for i in range(24):
+        q = (2, 3, 5)[i % 3]
+        length = int(rng.integers(100, 301)) if i % 6 == 0 else int(rng.integers(1, 41))
+        vals = rng.normal(size=length)
+        if i % 2:
+            vals = vals + 1j * rng.normal(size=length)
+        yield ZKernel(tree_params(q), int(rng.integers(-20, 21)), vals)
+
+
+def test_box_trials_and_the_winner_match_the_dense_dictionary():
+    for i, F in enumerate(dictionary_cases()):
+        tau, log_q = F.params.period, F.params.log_q
+        thetas = np.concatenate([[0.0], (-tau / 2.0 + tau * np.arange(32) / 32) * log_q])
+        rounding = 1e-12 * F.l1()
+        for p in (1.1, 1.5, 2.5, 4.0):
+            direct = direct_dictionary_ratios(F.params.q, F.values, p, seed=i)
+            ratios = dict(direct)
+            for L in (2**e for e in range(13)):
+                closed = _box_ratios(F.values, thetas, L, p)
+                assert abs(closed[0] - ratios[f"box[{L}]"]) <= rounding
+                if L == 1:
+                    assert abs(closed[0] - ratios["delta"]) <= rounding
+                if L in (4, 16, 64, 256, 1024, 4096):
+                    for k in range(32):
+                        assert abs(closed[1 + k] - ratios[f"modbox[{L},k={k}]"]) <= rounding
+
+            iv = convolutor_interval(F, p, seed=i)
+            name = iv.lower_method.removeprefix("trial:").removesuffix(f"({DICTIONARY_VERSION})")
+            best_name, best = direct[0]
+            for trial, ratio in direct[1:]:
+                if ratio > best:
+                    best_name, best = trial, ratio
+            assert abs(iv.lower - min(best, iv.upper)) <= rounding
+            # the first strictly greatest ratio wins; trials tied to within
+            # rounding may fall either way
+            assert ratios[name] >= best - rounding
+            if best - max(r for t, r in direct if t != best_name) > rounding:
+                assert name == best_name
 
 
 def test_interval_values_are_plain_floats():
