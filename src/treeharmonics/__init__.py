@@ -65,7 +65,6 @@ _EXPORTS = {
     "fourier_z": ".zline",
     "inverse_fourier_z": ".zline",
     "NormInterval": ".zline",
-    "StripDomain": ".zline",
     "convolutor_upper": ".zline",
     "convolutor_interval": ".zline",
     "hinf_strip_norm": ".zline",
@@ -84,9 +83,6 @@ _EXPORTS = {
     "tree_norm_upper": ".engine",
     "tree_norm_lower": ".engine",
     "symbol_norm_report": ".engine",
-    "HorocyclicKernel": ".engine",
-    "split_kernel": ".engine",
-    "haar_identity_check": ".engine",
     "transference_check": ".engine",
     "BoundsReport": ".engine",
     "bounds_report": ".engine",

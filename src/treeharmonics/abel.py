@@ -84,21 +84,25 @@ def abel_forward(kernel):
     *same* expression in ``|j|``, which is how evenness enters.  The
     returned sequence stores bit-identical mirror halves; the independent
     census route (:func:`abel_bruteforce`) validates the collapse.
+    Coefficients that overflow float64 raise
+    :class:`~treeharmonics.params.DomainError`.
     """
     kernel = kernel.trimmed()
     q = kernel.params.q
     D = kernel.radius
     kv = kernel.values
     reduced = np.empty(D + 1, dtype=complex)
-    for t in range(D + 1):
-        acc = kv[t]
-        weight = 1.0
-        for i in range(1, (D - t) // 2 + 1):
-            weight = weight * q if i > 1 else (q - 1.0)
-            acc += weight * kv[t + 2 * i]
-        reduced[t] = acc
-    scale = kernel.params.qpow(np.arange(D + 1) / 2.0)
-    half = reduced * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(D + 1):
+            acc = kv[t]
+            weight = 1.0
+            for i in range(1, (D - t) // 2 + 1):
+                weight = weight * q if i > 1 else (q - 1.0)
+                acc += weight * kv[t + 2 * i]
+            reduced[t] = acc
+        half = reduced * kernel.params.qpow(np.arange(D + 1) / 2.0)
+    if not np.isfinite(half).all():
+        raise DomainError("the Abel coefficients overflow float64")
     values = np.concatenate([half[:0:-1], half])
     return AbelSequence(kernel.params, values)
 

@@ -35,9 +35,6 @@ def _radius(help_text="ball radius", **kwargs):
 _JSON_KERNEL = _kernel("RadialKernel JSON file")
 _Q = "--q", {"type": _positive_int, "default": 2,
              "help": "tree branching degree (q+1 neighbours per vertex)"}
-_GRID = "--grid", {"type": _positive_int, "default": 512,
-                   "help": "frequency grid size (power of two, >= 64)"}
-_SEED = "--seed", {"type": int, "default": 0, "help": "random seed"}
 
 #: Flags of every subcommand, listed after its own.
 _COMMON = (
@@ -52,19 +49,21 @@ _COMMON = (
 #: Subcommands: name, help text and argument specs, in help order.
 _COMMANDS = (
     ("transform", "spherical transform of a radial kernel, written as a symbol CSV",
-     (_JSON_KERNEL, _GRID)),
+     (_JSON_KERNEL, ("--grid", {"type": _positive_int, "default": 512,
+                                "help": "frequency grid size (power of two, >= 64)"}))),
     ("invert", "inverse spherical transform of a symbol CSV, written as kernel JSON",
      (_kernel("TorusSymbol CSV file"), _Q, _radius("reconstruction radius", required=True))),
     ("abel", "Abel transform of a radial kernel, written as a sequence CSV",
      (_JSON_KERNEL,)),
     ("norms", "certified norm interval for the shifted symbol coefficients",
-     (_JSON_KERNEL, _p(required=True), _SEED)),
+     (_JSON_KERNEL, _p(required=True))),
     ("check", "two-sided bounds report with the soundness sandwich",
-     (_JSON_KERNEL, _p(required=True), _radius(), _GRID, _SEED)),
+     (_JSON_KERNEL, _p(required=True), _radius())),
     ("census", "horocyclic census of a ball, written as CSV",
      (_Q, _radius(required=True))),
     ("transference", "randomized layered-convolution inequality suite",
-     (_Q, _p(default=1.5), _radius(default=8), _SEED,
+     (_Q, _p(default=1.5), _radius(default=8),
+      ("--seed", {"type": int, "default": 0, "help": "seed of the random instances"}),
       ("--instances", {"type": _positive_int, "default": 100,
                        "help": "number of random instances"}))),
     ("hilbert", "growth of the p=2 lower bound for truncated reciprocal kernels",
@@ -143,7 +142,7 @@ def _cmd_norms(args):
     from .engine import symbol_norm_report
 
     kernel = serialize.read_kernel(args.kernel)
-    interval, weyl = symbol_norm_report(kernel, args.p, seed=args.seed)
+    interval, weyl = symbol_norm_report(kernel, args.p)
     _emit(serialize.interval_to_json(interval), args.out)
     if args.out is not None:
         print(f"weyl_residual {weyl!r}")
@@ -155,9 +154,7 @@ def _cmd_check(args):
     from .engine import bounds_report
 
     kernel = serialize.read_kernel(args.kernel)
-    report = bounds_report(
-        kernel, args.p, radius=args.radius, seed=args.seed, n=args.grid
-    )
+    report = bounds_report(kernel, args.p, radius=args.radius)
     _emit(serialize.report_to_json(report), args.out)
     if args.out is not None:
         print(

@@ -25,7 +25,6 @@ from .params import (
     DomainError,
     ScopeError,
     check_exponent,
-    check_grid,
     dual_exponent,
     strip_halfwidth,
     torus_grid,
@@ -34,7 +33,6 @@ from .spherical import (
     RadialKernel,
     c_inverse_line_sup,
     c_inverse_shifted,
-    sphere_sizes,
 )
 from .abel import AbelSequence, abel_forward
 from .tree import opnorm_lower, shell_masses
@@ -60,7 +58,21 @@ _SCOPE_MESSAGE = (
 )
 
 
-def line_profile(kernel, p, n=512):
+#: Trapezoid grid bounds of :func:`line_profile`; at the cap one q=2 report
+#: takes about 1.5 s and 200 MB.
+_MIN_GRID, _MAX_GRID = 512, 1 << 20
+
+
+def _profile_grid(kernel, p):
+    """Half-width ``L`` and trapezoid grid size ``n`` of :func:`line_profile`."""
+    L = kernel.radius + math.ceil(40.0 / (2.0 * strip_halfwidth(p) * kernel.params.log_q))
+    n = max(_MIN_GRID, 1 << (2 * L + 1).bit_length())
+    if n > _MAX_GRID:
+        raise DomainError(f"p={p:g} is too close to 2: the line profile needs {n} > 2^20 points")
+    return L, n
+
+
+def line_profile(kernel, p):
     """Contour-shifted reconstruction profile ``phi`` on the integers.
 
     For ``p in [1, 2)`` the shifted symbol is evaluated *algebraically* —
@@ -73,8 +85,10 @@ def line_profile(kernel, p, n=512):
     ``0 <= d <= D``, vanishes for ``D < d <= L``, and decays like
     ``q^{2 delta(p) l}`` into negative indices.  The half-width ``L`` is
     the kernel radius plus a 40-e-folding tail, so the discarded tail is
-    below ``1e-12`` of the sup bound.  A profile that overflows float64
-    raises :class:`~treeharmonics.params.DomainError`.
+    below ``1e-12`` of the sup bound.  ``n`` is the least power of two
+    ``>= 2 L + 2`` (so periodic aliasing is below double precision) and at
+    least 512.  ``n > 2^20``, or a profile that overflows float64, raises
+    :class:`~treeharmonics.params.DomainError`.
 
     Parameters
     ----------
@@ -83,9 +97,6 @@ def line_profile(kernel, p, n=512):
     p : float
         Exponent in ``[1, 2)``; larger values are rejected (reach them
         through duality in the bound assembly).
-    n : int
-        Trapezoid grid size, a power of two, at least ``2 L + 2`` so that
-        periodic aliasing of the profile window is below double precision.
     """
     kernel = kernel.trimmed()
     params = kernel.params
@@ -96,13 +107,7 @@ def line_profile(kernel, p, n=512):
             "handle p > 2 by duality before calling"
         )
     delta = strip_halfwidth(p)
-    L = kernel.radius + math.ceil(40.0 / (2.0 * delta * params.log_q))
-    n = check_grid(n)
-    if n < 2 * L + 2:
-        raise DomainError(
-            f"grid n={n} too small for half-width L={L}: need n >= 2L+2 = {2 * L + 2} "
-            "to push aliasing below double precision (raise the grid)"
-        )
+    L, n = _profile_grid(kernel, p)
     shifted = abel_forward(kernel).to_zkernel(delta)
     s = torus_grid(params, n)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -139,7 +144,7 @@ def profile_strip_constant(kernel, p):
     return 2.0 * params.plancherel_const * params.period * coeff_l1 * line_sup
 
 
-def negative_height_bound(kernel, p, n=512):
+def negative_height_bound(kernel, p):
     """Certified bound for the negative-relative-height half of the kernel.
 
     Shell ``m`` of the horocyclic decomposition contributes the convolutor
@@ -164,7 +169,7 @@ def negative_height_bound(kernel, p, n=512):
     q = params.q
     delta = strip_halfwidth(p)
     eps = 2.0 * delta
-    phi = line_profile(kernel, p, n=n)
+    phi = line_profile(kernel, p)
     upper, _ = convolutor_upper(phi, p)
     strip_sup = profile_strip_constant(kernel, p)
     tail_const = 1.0 / (q ** eps - 1.0)
@@ -203,7 +208,7 @@ def spectral_sup(kernel):
     return value
 
 
-def tree_norm_upper(kernel, p, n=512):
+def tree_norm_upper(kernel, p):
     """Certified upper bound for the ``L^p`` convolutor norm on the tree.
 
     Returns ``(total, step1, step2)``.  At ``p = 1`` (and ``p = inf``) the
@@ -211,7 +216,8 @@ def tree_norm_upper(kernel, p, n=512):
     for ``p in (1, 2)`` it is the two-part height splitting
     :func:`negative_height_bound` + :func:`nonnegative_height_bound`; for
     ``p > 2`` everything is computed at the dual exponent, which carries
-    the same norm.  ``p = 2`` is out of scope.
+    the same norm.  ``p = 2`` is out of scope.  A bound that overflows
+    float64 raises :class:`~treeharmonics.params.DomainError`.
     """
     p = check_exponent(p)
     if p == 2.0:
@@ -219,8 +225,10 @@ def tree_norm_upper(kernel, p, n=512):
     if p == 1.0 or math.isinf(p):
         return kernel.l1_on_tree(), None, None
     pe = p if p < 2.0 else dual_exponent(p)
-    step1 = negative_height_bound(kernel, pe, n=n)
+    step1 = negative_height_bound(kernel, pe)
     step2 = nonnegative_height_bound(kernel, pe)
+    if not math.isfinite(step1 + step2):
+        raise DomainError("the height-split bound overflows float64")
     return step1 + step2, step1, step2
 
 
@@ -249,7 +257,7 @@ def tree_norm_lower(kernel, p, radius=None):
     return opnorm_lower(kernel, p, radius)
 
 
-def symbol_norm_report(kernel, p, seed=0):
+def symbol_norm_report(kernel, p):
     """Two-sided norm interval for the shifted symbol's coefficients on ℤ.
 
     Builds the kernel ``(a_j q^{j delta(p)})_j`` from the Abel
@@ -264,84 +272,8 @@ def symbol_norm_report(kernel, p, seed=0):
     if p == 2.0:
         raise ScopeError(_SCOPE_MESSAGE)
     seq = abel_forward(kernel)
-    interval = convolutor_interval(seq.to_zkernel(strip_halfwidth(p)), p, seed=seed)
+    interval = convolutor_interval(seq.to_zkernel(strip_halfwidth(p)), p)
     return interval, seq.weyl_residual
-
-
-# ---------------------------------------------------------------------------
-# Horocyclic splitting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HorocyclicKernel:
-    """One height-sign half of a radial kernel in horocyclic coordinates.
-
-    Shell ``m`` (mass ``mu_m``) carries the row ``j -> k(max(2m - j, j))``
-    masked to ``j >= 0`` (``sign = +1``) or ``j <= -1`` (``sign = -1``);
-    :meth:`row` returns the unweighted masked row as a kernel on the
-    integers.  The negative half is empty beyond shell ``(D - 1) / 2``.
-    """
-
-    params: object
-    kernel: RadialKernel
-    sign: int
-    p: float
-
-    @property
-    def max_shell(self):
-        D = self.kernel.radius
-        return D if self.sign > 0 else max((D - 1) // 2, -1)
-
-    def row(self, m):
-        m = int(m)
-        if m < 0:
-            raise DomainError(f"shell index must be >= 0, got {m}")
-        k = self.kernel
-        D = k.radius
-        if self.sign > 0:
-            j = np.arange(0, D + 1)
-            d = np.maximum(2 * m - j, j)
-            vals = np.where(d <= D, k.values[np.minimum(d, D)], 0.0)
-            return ZKernel(self.params, 0, vals.astype(complex))
-        lo = 2 * m - D
-        if lo > -1:
-            return ZKernel(self.params, 0, np.zeros(1, dtype=complex))
-        j = np.arange(lo, 0)
-        return ZKernel(self.params, lo, k.values[2 * m - j].astype(complex))
-
-
-def split_kernel(kernel, p):
-    """Split a radial kernel into its height-sign halves, ``p in [1, 2)``."""
-    kernel = kernel.trimmed()
-    p = check_exponent(p)
-    if p >= 2.0:
-        raise DomainError(f"height splitting is performed for p in [1, 2), got p={p:g}")
-    plus = HorocyclicKernel(kernel.params, kernel, 1, p)
-    minus = HorocyclicKernel(kernel.params, kernel, -1, p)
-    return plus, minus
-
-
-def haar_identity_check(plus, minus):
-    """Residual of the shell reassembly against the whole-tree sum.
-
-    Reassembling both halves with the counting weights ``mu_m q^{-j}``
-    must reproduce ``sum_x k(|x|)`` exactly; the absolute difference is
-    returned and should be at rounding level.
-    """
-    if plus.kernel is not minus.kernel or plus.sign <= 0 or minus.sign > 0:
-        raise DomainError("expected the two halves of one split kernel, (plus, minus)")
-    k = plus.kernel
-    params = k.params
-    D = k.radius
-    masses = shell_masses(params.q, D)
-    total = 0.0 + 0.0j
-    for m in range(D + 1):
-        for half in (plus, minus):
-            row = half.row(m)
-            j = row.indices
-            total += masses[m] * np.sum(row.values * params.qpow(-j.astype(float)))
-    direct = complex(np.sum(k.values * sphere_sizes(params, D)))
-    return abs(total - direct)
 
 
 # ---------------------------------------------------------------------------
@@ -440,15 +372,15 @@ class BoundsReport:
         return asdict(self)
 
 
-def bounds_report(kernel, p, radius=None, seed=0, n=512):
+def bounds_report(kernel, p, radius=None):
     """Run both sides of the bounds pipeline and assert the sandwich.
 
     Assembles the height-splitting upper bound, the ball-compression
     lower bound at the given radius (default ``D + 3``), and the shifted
-    symbol's norm interval into a :class:`BoundsReport`.  ``seed`` feeds
-    only the symbol's trial dictionary; the compression is deterministic.
-    A certified lower bound exceeding the certified upper bound (beyond
-    rounding slack), or either side being NaN, raises
+    symbol's norm interval into a :class:`BoundsReport`.  ``grid_N`` is
+    the grid :func:`line_profile` derived, or 512 where no profile is
+    built.  A certified lower bound exceeding the certified upper bound
+    (beyond rounding slack), or either side being NaN, raises
     :class:`SoundnessError`.
     """
     kernel = kernel.trimmed()
@@ -458,14 +390,16 @@ def bounds_report(kernel, p, radius=None, seed=0, n=512):
     if radius is None:
         radius = kernel.radius + 3
     radius = int(radius)
-    total, step1, step2 = tree_norm_upper(kernel, p, n=n)
+    total, step1, step2 = tree_norm_upper(kernel, p)
     lower, _ = tree_norm_lower(kernel, p, radius=radius)
-    interval, weyl = symbol_norm_report(kernel, p, seed=seed)
+    interval, weyl = symbol_norm_report(kernel, p)
     if not lower <= total + 1e-10 * max(1.0, total):
         raise SoundnessError(
             f"certified lower bound {lower!r} exceeds certified upper bound "
             f"{total!r} at q={kernel.params.q}, p={p:g}, R={radius}"
         )
+    # no profile is built at p in {1, inf} or for a kernel of radius 0
+    grid_n = _MIN_GRID if step1 is None or kernel.radius == 0 else _profile_grid(kernel, p)[1]
     return BoundsReport(
         q=kernel.params.q,
         p=p,
@@ -477,6 +411,6 @@ def bounds_report(kernel, p, radius=None, seed=0, n=512):
         symbol_lower=interval.lower,
         symbol_upper=interval.upper,
         weyl_residual=weyl,
-        grid_N=n,
+        grid_N=grid_n,
         dictionary_version=DICTIONARY_VERSION,
     )

@@ -34,27 +34,14 @@ from .params import (
 
 #: Version tag of the lower-bound trial dictionary.  Bump when the trial
 #: set changes, so stored reports remain attributable.
-DICTIONARY_VERSION = "dict-v1"
+DICTIONARY_VERSION = "dict-v2"
 
 _BOX_LENGTHS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 _MODULATED_LENGTHS = (4, 16, 64, 256, 1024, 4096)
 _N_FREQUENCIES = 32
-_SIGN_LENGTHS = (16, 64, 256, 1024)
-_SIGNS_PER_LENGTH = 4
 _POWER_ITERATES = 50
 _POWER_WINDOW = 1024
 _EVAL_CHUNK = 2048  # frequencies per phase matrix in _eval_symbol
-
-
-@dataclass(frozen=True)
-class StripDomain:
-    """Open horizontal strip ``-eps < Im z < 0`` below the real frequency axis."""
-
-    eps: float
-
-    def __post_init__(self):
-        if not (self.eps > 0.0) or not math.isfinite(self.eps):
-            raise DomainError(f"strip width must be positive and finite, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -214,7 +201,9 @@ def _line_sup(F, v):
     # local maxima on the circular grid
     s = grid[(mag >= np.roll(mag, 1)) & (mag >= np.roll(mag, -1))]
     w = -1j * log_q * d
+    # an exact power-of-two scale keeps |m'|^2 finite and the steps' bytes unchanged
     derivs = np.stack([coeffs, coeffs * w, coeffs * w**2], axis=1)
+    derivs *= math.ldexp(1.0, -max(math.frexp(best)[1], 0))
     h = F.params.period / n
     for _ in range(2):
         m, m1, m2 = _eval_symbol(derivs, d, s, log_q).T
@@ -287,7 +276,14 @@ def phase_power(y, expo):
     mag = np.abs(y)
     out = np.zeros_like(y, dtype=complex)
     nz = mag > 0.0
-    out[nz] = (y[nz] / mag[nz]) * mag[nz] ** expo
+    num, den = y[nz], mag[nz]
+    power = den**expo
+    # dividing by a subnormal modulus gives NaN; scaling by 2**600 is exact
+    small = den < 2.0**-1022
+    if small.any():
+        num[small] *= 2.0**600
+        den[small] = np.abs(num[small])
+    out[nz] = (num / den) * power
     return out
 
 
@@ -324,63 +320,74 @@ def duality_ascent(apply, adjoint, norm, x, p, iters):
         x = phase_power(adjoint(phase_power(y, p - 1.0)), pd - 1.0)
 
 
-def _box_ratios(vals, thetas, L, p):
+def _box_ratios(vals, thetas, lengths, p):
     """``||f * vals||_p / ||f||_p`` for the modulated boxes ``f = e^{i theta n} 1_[0, L)``.
 
-    One ratio per entry of ``thetas``, for ``1 <= p < inf``, without forming
-    ``f`` or the convolution.  With ``w_j = vals_j e^{-i theta j}`` and
-    ``a = min(L, m)`` (``m`` the kernel length), the entries of ``f * vals``
-    have the moduli of the ``a - 1`` prefix sums of ``w``, its ``a - 1``
-    suffix sums, and, each ``max(L - m + 1, 1)`` times, its sliding
-    width-``a`` sums; ``||f||_p = L^{1/p}``.  Every sum is built by
-    additions only (the sliding sums by doubling the window), never as a
-    difference of partial sums, which would cancel.
+    Returns ``{L: ratios}``, one ratio per entry of ``thetas``, for
+    ``1 <= p < inf``, without forming ``f`` or the convolution.  With
+    ``w_j = vals_j e^{-i theta j}`` and ``a = min(L, m)`` (``m`` the kernel
+    length), the entries of ``f * vals`` have the moduli of the ``a - 1``
+    prefix sums of ``w``, its ``a - 1`` suffix sums, and, each
+    ``max(L - m + 1, 1)`` times, its sliding width-``a`` sums;
+    ``||f||_p = L^{1/p}``.  The sums depend on ``L`` only through ``a``, so
+    every ``L >= m`` shares one set.  Every sum is built by additions only
+    (the sliding sums by doubling the window), never as a difference of
+    partial sums, which would cancel.
     """
     m = vals.size
-    a = min(L, m)
     w = vals * np.exp(-1j * np.multiply.outer(thetas, np.arange(m)))
-    head = np.cumsum(w[:, : a - 1], axis=1)
-    tail = np.cumsum(w[:, : m - a : -1], axis=1)
-    # sliding sums of width a: window[i] sums w[i : i + width], widths doubling
-    count = m - a + 1
-    middle, start, window, width = 0.0, 0, w, 1
-    while True:
-        if a & width:
-            middle = middle + window[:, start : start + count]
-            start += width
-        if 2 * width > a:
-            break
-        window = window[:, :-width] + window[:, width:]
-        width *= 2
-    power = (
-        np.sum(np.abs(head) ** p, axis=1)
-        + np.sum(np.abs(tail) ** p, axis=1)
-        + max(L - m + 1, 1) * np.sum(np.abs(middle) ** p, axis=1)
-    )
-    return (power ** (1.0 / p) / L ** (1.0 / p)).tolist()
+    sums = {}
+    out = {}
+    for L in lengths:
+        a = min(L, m)
+        if a not in sums:
+            head = np.cumsum(w[:, : a - 1], axis=1)
+            tail = np.cumsum(w[:, : m - a : -1], axis=1)
+            # sliding sums of width a: window[i] sums w[i : i + width], widths doubling
+            count = m - a + 1
+            middle, start, window, width = 0.0, 0, w, 1
+            while True:
+                if a & width:
+                    middle = middle + window[:, start : start + count]
+                    start += width
+                if 2 * width > a:
+                    break
+                window = window[:, :-width] + window[:, width:]
+                width *= 2
+            sums[a] = (
+                np.sum(np.abs(head) ** p, axis=1) + np.sum(np.abs(tail) ** p, axis=1),
+                np.sum(np.abs(middle) ** p, axis=1),
+            )
+        edges, middle = sums[a]
+        power = edges + max(L - m + 1, 1) * middle
+        out[L] = (power ** (1.0 / p) / L ** (1.0 / p)).tolist()
+    return out
 
 
-def convolutor_interval(F, p, seed=0):
+def convolutor_interval(F, p):
     """Certified two-sided bracket for the ``l^p`` convolution norm of ``F``.
 
-    The upper end is :func:`convolutor_upper`.  For ``p`` in ``{1, inf}``
-    the interval collapses to the exact ``l^1`` norm (the delta trial and
-    a matched-sign trial attain it), and at ``p == 2`` both ends are the
-    refined grid supremum of the symbol.  At every other exponent the
-    lower end is the best finite exact convolution ratio over the
-    versioned trial dictionary: deltas, dyadic boxes, modulated boxes at
-    :data:`_N_FREQUENCIES` equispaced frequencies, seeded random-sign
-    vectors, and the iterates of :func:`duality_ascent`, named
-    ``power[<iterates run>]``.  The delta and every box, plain or
-    modulated, is evaluated in closed form from prefix, suffix and
-    sliding-window sums of the modulated kernel (:func:`_box_ratios`),
-    with no trial vector or convolution formed; the sign trials and the
-    ascent convolve explicitly.  A trial whose ratio overflows certifies
-    nothing and is skipped.
+    A kernel with one nonzero entry ``c`` is a scaled shift: both ends are
+    ``|c|``, named ``exact``.  Otherwise the upper end is
+    :func:`convolutor_upper`.  For ``p`` in ``{1, inf}`` the interval
+    collapses to the exact ``l^1`` norm (the delta trial and a matched-sign
+    trial attain it), and at ``p == 2`` both ends are the refined grid
+    supremum of the symbol.  At every other exponent the lower end is the
+    best finite exact convolution ratio over the versioned trial
+    dictionary: the delta, dyadic boxes, modulated boxes at
+    :data:`_N_FREQUENCIES` equispaced frequencies, and the iterates of
+    :func:`duality_ascent`, named ``power[<iterates run>]``.  The delta and
+    every box, plain or modulated, is evaluated in closed form from prefix,
+    suffix and sliding-window sums of the modulated kernel
+    (:func:`_box_ratios`), with no trial vector or convolution formed.  A
+    trial whose ratio overflows certifies nothing and is skipped.
     """
     p = check_exponent(p)
     F = F.trimmed()
     vals = F.values
+    if vals.size == 1:
+        norm = F.l1()
+        return NormInterval(norm, norm, "exact", "exact")
     upper, upper_method = convolutor_upper(F, p)
     if p == 2.0:
         return NormInterval(upper, upper, upper_method, upper_method)
@@ -397,43 +404,34 @@ def convolutor_interval(F, p, seed=0):
             best = ratio
             best_name = name
 
-    def trial(f, name):
-        denom = lp_norm(f, p)
-        if denom != 0.0:
-            consider(lp_norm(np.convolve(f, vals), p) / denom, name)
-
     # entry 0 of a length's ratios is the plain box, entry 1 + k the box modulated at frequency k
     tau = F.params.period
     thetas = np.concatenate(
         [[0.0], (-tau / 2.0 + tau * np.arange(_N_FREQUENCIES) / _N_FREQUENCIES) * F.params.log_q]
     )
-    boxes = {
-        L: _box_ratios(vals, thetas if L in _MODULATED_LENGTHS else thetas[:1], L, p)
-        for L in _BOX_LENGTHS
-    }
-    consider(boxes[1][0], "delta")
-    for L in _BOX_LENGTHS:
-        consider(boxes[L][0], f"box[{L}]")
-    for k in range(_N_FREQUENCIES):
-        for L in _MODULATED_LENGTHS:
-            consider(boxes[L][1 + k], f"modbox[{L},k={k}]")
-    rng = np.random.default_rng(seed)
-    for L in _SIGN_LENGTHS:
-        for rep in range(_SIGNS_PER_LENGTH):
-            trial(rng.integers(0, 2, size=L) * 2.0 - 1.0, f"sign[{L},#{rep}]")
     window = min(_POWER_WINDOW, 4 * max(vals.size, 16))
     lag = vals.size - 1
     rev = np.conj(vals[::-1])
     used, ratio = 0, 0.0
-    for used, value in duality_ascent(
-        lambda x: np.convolve(x, vals),
-        lambda w: np.convolve(w, rev)[lag : lag + window],
-        lambda x: lp_norm(x, p),
-        np.ones(window, dtype=complex),
-        p,
-        _POWER_ITERATES,
-    ):
-        ratio = max(ratio, value)
+    # power sums and iterates may overflow at large p or near the float64 limit;
+    # consider() skips a ratio that is not finite, and the ascent stops before one
+    with np.errstate(over="ignore", invalid="ignore"):
+        boxes = _box_ratios(vals, thetas, _BOX_LENGTHS, p)
+        for used, value in duality_ascent(
+            lambda x: np.convolve(x, vals),
+            lambda w: np.convolve(w, rev)[lag : lag + window],
+            lambda x: lp_norm(x, p),
+            np.ones(window, dtype=complex),
+            p,
+            _POWER_ITERATES,
+        ):
+            ratio = max(ratio, value)
+    consider(boxes[1][0], "delta")
+    for L in _BOX_LENGTHS[1:]:  # the box of length 1 is the delta
+        consider(boxes[L][0], f"box[{L}]")
+    for k in range(_N_FREQUENCIES):
+        for L in _MODULATED_LENGTHS:
+            consider(boxes[L][1 + k], f"modbox[{L},k={k}]")
     consider(ratio, f"power[{used}]")
     best = min(best, upper)  # guard against last-ulp overshoot of the exact bound
     return NormInterval(
@@ -452,7 +450,8 @@ def hinf_strip_norm(F, eps):
     the maximum principle the strip sup is the larger of the sups on the
     two boundary lines; each line sup is computed on a refined grid.
     """
-    StripDomain(eps)
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"strip width must be positive and finite, got {eps}")
     top, _ = _line_sup(F, 0.0)
     bottom, _ = _line_sup(F, -float(eps))
     return max(top, bottom)

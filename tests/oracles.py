@@ -3,16 +3,24 @@
 Everything here is deliberately naive: explicit adjacency lists, per-source
 breadth-first searches, dense O(n^2) convolution, high-precision mpmath
 evaluations, and exact Fraction cell sums.  None of it shares code paths
-with the package, so agreement is evidence rather than tautology; the one
-exception, :func:`ball_opnorm_lower`, runs on the package's explicit ball
-(checked here against the dense oracles) to check the radial quotient.
+with the package, so agreement is evidence rather than tautology.  Two
+exceptions build on package types: :func:`ball_opnorm_lower` runs on the
+package's explicit ball (checked here against the dense oracles) to check
+the radial quotient, and the horocyclic splitting at the end, which only
+tests use, cross-checks the line profile and the Haar measure.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+
+from treeharmonics.params import DomainError, check_exponent
+from treeharmonics.spherical import sphere_sizes
+from treeharmonics.tree import shell_masses
+from treeharmonics.zline import ZKernel
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +390,14 @@ def fine_grid_line_sup(q, offset, values, v, n=1 << 16):
 # The symbol interval's trial dictionary, one explicit vector at a time
 # ---------------------------------------------------------------------------
 
-def direct_dictionary_ratios(q, values, p, seed=0):
-    """Every trial of the ``dict-v1`` dictionary with its exact ratio, in trial order.
+def direct_dictionary_ratios(q, values, p):
+    """Every trial of the ``dict-v2`` dictionary with its exact ratio, in trial order.
 
     Builds each trial vector explicitly — the delta, the boxes of lengths
-    ``2^0 .. 2^12``, the boxes of lengths ``4^1 .. 4^6`` modulated at the
-    32 equispaced torus frequencies, 16 seeded sign vectors, and the
-    duality-map ascent from the constant vector on a window of
-    ``min(1024, 4 max(m, 16))`` entries, 50 iterates at most — and takes
+    ``2^1 .. 2^12``, the boxes of lengths ``4^1 .. 4^6`` modulated at the
+    32 equispaced torus frequencies, and the duality-map ascent from the
+    constant vector on a window of ``min(1024, 4 max(m, 16))`` entries, 50
+    iterates at most — and takes
     ``||f * values||_p / ||f||_p`` by dense ``np.convolve``.  The ascent is
     one entry ``power[<iterates run>]`` holding its best ratio.  Returns a
     list of ``(name, ratio)`` pairs.
@@ -398,15 +406,11 @@ def direct_dictionary_ratios(q, values, p, seed=0):
     log_q = math.log(q)
     tau = 2.0 * math.pi / log_q
     trials = [("delta", np.ones(1, dtype=complex))]
-    trials += [(f"box[{L}]", np.ones(L, dtype=complex)) for L in (2**e for e in range(13))]
+    trials += [(f"box[{L}]", np.ones(L, dtype=complex)) for L in (2**e for e in range(1, 13))]
     for k in range(32):
         s0 = -tau / 2.0 + tau * k / 32
         for L in (4**e for e in range(1, 7)):
             trials.append((f"modbox[{L},k={k}]", np.exp(1j * s0 * log_q * np.arange(L))))
-    rng = np.random.default_rng(seed)
-    for L in (16, 64, 256, 1024):
-        for rep in range(4):
-            trials.append((f"sign[{L},#{rep}]", rng.integers(0, 2, size=L) * 2.0 - 1.0))
     out = [
         (name, _lp_norm(np.convolve(f, values), p) / _lp_norm(f, p)) for name, f in trials
     ]
@@ -434,3 +438,79 @@ def direct_dictionary_ratios(q, values, p, seed=0):
         x = _phase_power(back, pd - 1.0)
     out.append((f"power[{used}]", best))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Horocyclic splitting
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class HorocyclicKernel:
+    """One height-sign half of a radial kernel in horocyclic coordinates.
+
+    Shell ``m`` (mass ``mu_m``) carries the row ``j -> k(max(2m - j, j))``
+    masked to ``j >= 0`` (``sign = +1``) or ``j <= -1`` (``sign = -1``);
+    :meth:`row` returns the unweighted masked row as a kernel on the
+    integers.  The negative half is empty beyond shell ``(D - 1) / 2``.
+    """
+
+    params: object
+    kernel: object
+    sign: int
+    p: float
+
+    @property
+    def max_shell(self):
+        D = self.kernel.radius
+        return D if self.sign > 0 else max((D - 1) // 2, -1)
+
+    def row(self, m):
+        m = int(m)
+        if m < 0:
+            raise DomainError(f"shell index must be >= 0, got {m}")
+        k = self.kernel
+        D = k.radius
+        if self.sign > 0:
+            j = np.arange(0, D + 1)
+            d = np.maximum(2 * m - j, j)
+            vals = np.where(d <= D, k.values[np.minimum(d, D)], 0.0)
+            return ZKernel(self.params, 0, vals.astype(complex))
+        lo = 2 * m - D
+        if lo > -1:
+            return ZKernel(self.params, 0, np.zeros(1, dtype=complex))
+        j = np.arange(lo, 0)
+        return ZKernel(self.params, lo, k.values[2 * m - j].astype(complex))
+
+
+def split_kernel(kernel, p):
+    """Split a radial kernel into its height-sign halves, ``p in [1, 2)``."""
+    kernel = kernel.trimmed()
+    p = check_exponent(p)
+    if p >= 2.0:
+        raise DomainError(f"height splitting is performed for p in [1, 2), got p={p:g}")
+    plus = HorocyclicKernel(kernel.params, kernel, 1, p)
+    minus = HorocyclicKernel(kernel.params, kernel, -1, p)
+    return plus, minus
+
+
+def haar_identity_check(plus, minus):
+    """Residual of the shell reassembly against the whole-tree sum.
+
+    Reassembling both halves with the counting weights ``mu_m q^{-j}``
+    must reproduce ``sum_x k(|x|)`` exactly; the absolute difference is
+    returned and should be at rounding level.
+    """
+    if plus.kernel is not minus.kernel or plus.sign <= 0 or minus.sign > 0:
+        raise DomainError("expected the two halves of one split kernel, (plus, minus)")
+    k = plus.kernel
+    params = k.params
+    D = k.radius
+    masses = shell_masses(params.q, D)
+    total = 0.0 + 0.0j
+    for m in range(D + 1):
+        for half in (plus, minus):
+            row = half.row(m)
+            j = row.indices
+            total += masses[m] * np.sum(row.values * params.qpow(-j.astype(float)))
+    direct = complex(np.sum(k.values * sphere_sizes(params, D)))
+    return abs(total - direct)

@@ -65,6 +65,13 @@ def test_forward_is_exactly_even():
             assert seq.is_even
 
 
+def test_abel_coefficients_that_overflow_are_refused():
+    # the weights (q - 1) and q^{|j|/2} carry 9e307 past the float64 limit
+    for values in ([0.0, 0.0, 9e307], [9e307, 0.0, 9e307]):
+        with pytest.raises(DomainError, match="overflow"):
+            abel_forward(radial_kernel(2, values))
+
+
 def test_sequence_container_basics():
     seq = AbelSequence(tree_params(2), [2.0, 1.0, 2.0])
     assert seq.support_radius == 1

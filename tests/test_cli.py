@@ -72,6 +72,12 @@ def test_check_command_scope_exit_code_at_p_two(ball1):
     assert main(["norms", "--kernel", ball1, "--p", "2.0"]) == 3
 
 
+def test_exponent_past_the_profile_grid_cap_exits_with_two(ball1, capsys):
+    # p = 1.9999 needs a 2^22-point profile grid; the cap is 2^20
+    assert main(["check", "--kernel", ball1, "--p", "1.9999"]) == 2
+    assert "too close to 2" in capsys.readouterr().err
+
+
 def test_io_errors_exit_with_two(tmp_path):
     missing = str(tmp_path / "missing.json")
     assert main(["transform", "--kernel", missing]) == 2
@@ -192,8 +198,7 @@ def test_deterministic_runs_are_byte_identical(tmp_path):
     write_kernel(radial_kernel(2, [1.0, -0.5, 0.25]), kpath)
     r1 = tmp_path / "r1.json"
     r2 = tmp_path / "r2.json"
-    argv = ["check", "--kernel", str(kpath), "--p", "1.5", "--radius", "6",
-            "--seed", "11", "--deterministic"]
+    argv = ["check", "--kernel", str(kpath), "--p", "1.5", "--radius", "6", "--deterministic"]
     assert main(argv + ["--out", str(r1)]) == 0
     assert main(argv + ["--out", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()

@@ -5,21 +5,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import mp_moment
+from oracles import haar_identity_check, mp_moment, split_kernel
 from treeharmonics.abel import abel_forward
 from treeharmonics.engine import (
     BoundsReport,
-    HorocyclicKernel,
     SoundnessError,
     bounds_report,
-    haar_identity_check,
     line_profile,
     negative_height_bound,
     nonnegative_height_bound,
     profile_strip_constant,
     spectral_sup,
-    split_kernel,
     symbol_norm_report,
     transference_check,
     tree_norm_lower,
@@ -78,8 +77,6 @@ def test_line_profile_rejects_out_of_scope_exponents():
     for p in (2.0, 3.0, 0.5):
         with pytest.raises(DomainError):
             line_profile(k, p)
-    with pytest.raises(DomainError):
-        line_profile(k, 1.5, n=64)  # grid cannot hold the window
 
 
 def test_profile_strip_constant_is_homogeneous():
@@ -117,27 +114,26 @@ def test_negative_height_bound_needs_open_interval():
 def test_negative_height_bound_is_the_shell_series_in_closed_form():
     # alpha * M_0 + H * M_1, with the horocyclic moments M_l summed term by
     # term in high precision, alpha the l = 0 truncation bound and H the
-    # strip constant.  The p = 1.9 profile needs a grid of 4096 at q = 2 and
-    # 2048 at q = 3.
+    # strip constant.  The p = 1.9 profile derives a grid of 4096 at q = 2
+    # and 2048 at q = 3.
     rng = np.random.default_rng(131)
     for q in (2, 3):
         kernels = (ball_kernel(q, 2), sphere_kernel(q, 3), random_kernel(rng, q, 3))
         for p in (1.1, 4.0 / 3.0, 1.5, 1.9):
-            n = {2: 4096, 3: 2048}[q] if p == 1.9 else 512
             eps = 2.0 * strip_halfwidth(p)
             for k in kernels:
                 H = profile_strip_constant(k, p)
-                upper, _ = convolutor_upper(line_profile(k, p, n=n), p)
+                upper, _ = convolutor_upper(line_profile(k, p), p)
                 alpha = upper + (1.0 / (q**eps - 1.0) + 1.0) * H
                 want = alpha * mp_moment(q, p, 0) + H * mp_moment(q, p, 1)
-                assert negative_height_bound(k, p, n=n) == pytest.approx(want, rel=1e-12)
+                assert negative_height_bound(k, p) == pytest.approx(want, rel=1e-12)
 
 
 def test_line_profile_builds_no_dense_phase_matrix():
     # L = 1099 at q = 2, p = 1.9: a (2L + 1) x n complex phase matrix alone is 144 MB
     tracemalloc.start()
     try:
-        line_profile(ball_kernel(2, 2), 1.9, n=4096)
+        line_profile(ball_kernel(2, 2), 1.9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -188,6 +184,13 @@ def test_tree_norm_upper_duality_is_bit_identical():
         a = tree_norm_upper(k, p)
         b = tree_norm_upper(k, pdual)
         assert a == b
+
+
+def test_tree_norm_upper_that_overflows_is_refused():
+    # the negative-height bound of this kernel overflows to inf at p = 3311979
+    k = radial_kernel(2, [0.0, 4.177591815557297e300])
+    with pytest.raises(DomainError, match="overflows float64"):
+        tree_norm_upper(k, 3311979.0)
 
 
 def test_tree_norm_upper_splits_add_up():
@@ -411,6 +414,25 @@ def test_bounds_report_numeric_fields_are_plain_floats():
         assert type(getattr(rep, name)) is float, name
 
 
+def test_bounds_report_derives_the_profile_grid():
+    # a 512-point grid once refused q=2, p=1.9, whose profile has L = 1099;
+    # no profile is built for a radius-0 kernel or at p in {1, inf}
+    cases = (
+        (ball_kernel(2, 2), 1.9, 4096),
+        (ball_kernel(2, 2), 1.9 / 0.9, 4096),
+        (ball_kernel(3, 2), 1.9, 2048),
+        (ball_kernel(2, 2), 1.5, 512),
+        (delta_kernel(2), 1.9, 512),
+        (ball_kernel(2, 2), 1.0, 512),
+        (ball_kernel(2, 2), math.inf, 512),
+    )
+    for k, p, grid in cases:
+        rep = bounds_report(k, p)
+        assert rep.grid_N == grid, (k.params.q, p)
+        # the delta kernel's compression rounds one ulp above its exact norm 1
+        assert 0.0 < rep.compression_lower <= rep.total_upper * (1.0 + 1e-15) < math.inf
+
+
 def test_bounds_report_refuses_p_two():
     with pytest.raises(ScopeError):
         bounds_report(ball_kernel(2, 1), 2.0)
@@ -439,7 +461,7 @@ def test_necessity_ratio_guards():
         symbol_upper=0.0,
         weyl_residual=0.0,
         grid_N=512,
-        dictionary_version="dict-v1",
+        dictionary_version="dict-v2",
     )
     assert degenerate.necessity_ratio == 0.0
 
@@ -464,7 +486,7 @@ def test_soundness_error_is_a_runtime_error():
 def test_nan_upper_bound_fails_the_sandwich(monkeypatch):
     import treeharmonics.engine as engine
 
-    monkeypatch.setattr(engine, "tree_norm_upper", lambda kernel, p, n: (math.nan, None, None))
+    monkeypatch.setattr(engine, "tree_norm_upper", lambda kernel, p: (math.nan, None, None))
     with pytest.raises(SoundnessError):
         bounds_report(ball_kernel(2, 1), 1.5, radius=5)
 
@@ -475,6 +497,26 @@ def test_non_finite_kernels_are_rejected():
             radial_kernel(2, [1.0, bad])
         with pytest.raises(DomainError, match="finite"):
             ZKernel(tree_params(2), -1, [1.0, bad])
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    q=st.sampled_from((2, 3)),
+    values=st.lists(
+        st.complex_numbers(max_magnitude=1e308, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=4,
+    ),
+    p=st.floats(min_value=1.0),
+)
+def test_every_kernel_and_exponent_give_a_sound_report_or_a_documented_error(q, values, p):
+    # warnings are errors in the suite, so no example may emit one either
+    try:
+        rep = bounds_report(radial_kernel(q, values), p)
+    except (DomainError, ScopeError):
+        return
+    assert math.isfinite(rep.total_upper)
+    assert 0.0 <= rep.compression_lower <= rep.total_upper + 1e-10 * max(1.0, rep.total_upper)
 
 
 def test_compression_at_large_radius_stays_finite_and_sound():
