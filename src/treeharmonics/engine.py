@@ -208,6 +208,13 @@ def spectral_sup(kernel):
     return value
 
 
+def _split_exponent(p):
+    """Exponent in ``(1, 2)`` of :func:`tree_norm_upper`'s height split, ``None`` at 1 and inf."""
+    if p == 1.0 or math.isinf(p):
+        return None
+    return p if p < 2.0 else dual_exponent(p)
+
+
 def tree_norm_upper(kernel, p):
     """Certified upper bound for the ``L^p`` convolutor norm on the tree.
 
@@ -222,9 +229,9 @@ def tree_norm_upper(kernel, p):
     p = check_exponent(p)
     if p == 2.0:
         raise ScopeError(_SCOPE_MESSAGE)
-    if p == 1.0 or math.isinf(p):
+    pe = _split_exponent(p)
+    if pe is None:
         return kernel.l1_on_tree(), None, None
-    pe = p if p < 2.0 else dual_exponent(p)
     step1 = negative_height_bound(kernel, pe)
     step2 = nonnegative_height_bound(kernel, pe)
     if not math.isfinite(step1 + step2):
@@ -398,8 +405,10 @@ def bounds_report(kernel, p, radius=None):
             f"certified lower bound {lower!r} exceeds certified upper bound "
             f"{total!r} at q={kernel.params.q}, p={p:g}, R={radius}"
         )
-    # no profile is built at p in {1, inf} or for a kernel of radius 0
-    grid_n = _MIN_GRID if step1 is None or kernel.radius == 0 else _profile_grid(kernel, p)[1]
+    # the height split builds its profile at the split exponent, and none
+    # at p in {1, inf} or for a kernel of radius 0 (negative_height_bound)
+    pe = _split_exponent(p)
+    grid_n = _MIN_GRID if pe is None or kernel.radius == 0 else _profile_grid(kernel, pe)[1]
     return BoundsReport(
         q=kernel.params.q,
         p=p,

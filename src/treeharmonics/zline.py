@@ -367,9 +367,7 @@ def _box_ratios(vals, thetas, lengths, p):
 def convolutor_interval(F, p):
     """Certified two-sided bracket for the ``l^p`` convolution norm of ``F``.
 
-    A kernel with one nonzero entry ``c`` is a scaled shift: both ends are
-    ``|c|``, named ``exact``.  Otherwise the upper end is
-    :func:`convolutor_upper`.  For ``p`` in ``{1, inf}`` the interval
+    The upper end is :func:`convolutor_upper`.  For ``p`` in ``{1, inf}`` the interval
     collapses to the exact ``l^1`` norm (the delta trial and a matched-sign
     trial attain it), and at ``p == 2`` both ends are the refined grid
     supremum of the symbol.  At every other exponent the lower end is the
@@ -385,9 +383,6 @@ def convolutor_interval(F, p):
     p = check_exponent(p)
     F = F.trimmed()
     vals = F.values
-    if vals.size == 1:
-        norm = F.l1()
-        return NormInterval(norm, norm, "exact", "exact")
     upper, upper_method = convolutor_upper(F, p)
     if p == 2.0:
         return NormInterval(upper, upper, upper_method, upper_method)

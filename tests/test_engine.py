@@ -24,7 +24,7 @@ from treeharmonics.engine import (
     tree_norm_lower,
     tree_norm_upper,
 )
-from treeharmonics.params import DomainError, ScopeError, strip_halfwidth, tree_params
+from treeharmonics.params import DomainError, ScopeError, dual_exponent, strip_halfwidth, tree_params
 from treeharmonics.spherical import ball_kernel, delta_kernel, radial_kernel, sphere_kernel
 from treeharmonics.tree import ball_geometry
 from treeharmonics.zline import ZKernel, convolutor_upper
@@ -429,6 +429,10 @@ def test_bounds_report_derives_the_profile_grid():
     for k, p, grid in cases:
         rep = bounds_report(k, p)
         assert rep.grid_N == grid, (k.params.q, p)
+        if rep.step1_upper is not None and k.radius > 0:
+            # the grid of the profile built at the split exponent, L = (size - 1) / 2
+            size = line_profile(k, p if p < 2.0 else dual_exponent(p)).values.size
+            assert rep.grid_N == max(512, 1 << size.bit_length())
         # the delta kernel's compression rounds one ulp above its exact norm 1
         assert 0.0 < rep.compression_lower <= rep.total_upper * (1.0 + 1e-15) < math.inf
 
