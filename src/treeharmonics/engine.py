@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .params import (
+    POLE_GUARD,
     DomainError,
     ScopeError,
     check_exponent,
@@ -113,7 +114,7 @@ def line_profile(kernel, p):
     with np.errstate(over="ignore", invalid="ignore"):
         g = fourier_z(shifted, s) * c_inverse_shifted(params, s, delta)
         ell = np.arange(-L, L + 1)
-        vals = 2.0 * params.plancherel_const * params.period * inverse_fourier_z(g, ell, params)
+        vals = 2.0 * params.plancherel_const * params.period * inverse_fourier_z(g, ell)
     if not np.isfinite(vals).all():
         raise DomainError("the line profile overflows float64: the kernel values are too large")
     return ZKernel(params, -L, vals)
@@ -209,10 +210,23 @@ def spectral_sup(kernel):
 
 
 def _split_exponent(p):
-    """Exponent in ``(1, 2)`` of :func:`tree_norm_upper`'s height split, ``None`` at 1 and inf."""
+    """Exponent in ``(1, 2)`` of :func:`tree_norm_upper`'s height split, ``None`` at 1 and inf.
+
+    The split shifts its contour to ``Im z = -delta``; an exponent whose
+    ``delta`` comes within :data:`~treeharmonics.params.POLE_GUARD` of
+    ``1/2`` (``p`` or its dual next to 1) raises
+    :class:`~treeharmonics.params.DomainError`.
+    """
     if p == 1.0 or math.isinf(p):
         return None
-    return p if p < 2.0 else dual_exponent(p)
+    pe = p if p < 2.0 else dual_exponent(p)
+    delta = strip_halfwidth(pe)
+    if delta > 0.5 - POLE_GUARD:
+        raise DomainError(
+            f"p={p!r} lies too close to 1 or to infinity for the height-split bound: "
+            f"its contour shift {delta!r} comes within the pole guard of 1/2"
+        )
+    return pe
 
 
 def tree_norm_upper(kernel, p):

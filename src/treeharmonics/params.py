@@ -77,15 +77,15 @@ def tree_params(q):
     return TreeParams(q)
 
 
-def check_exponent(p, low=1.0, high=math.inf, name="p"):
-    """Validate a Lebesgue exponent ``p`` against a closed range.
+def check_exponent(p):
+    """Validate a Lebesgue exponent ``p`` in ``[1, inf]``.
 
-    ``math.inf`` is accepted when ``high`` is infinite.  Returns ``p`` as a
-    float so downstream arithmetic never sees an integer surprise.
+    ``math.inf`` is accepted.  Returns ``p`` as a float so downstream
+    arithmetic never sees an integer surprise.
     """
     p = float(p)
-    if math.isnan(p) or p < low or p > high:
-        raise DomainError(f"{name} must lie in [{low}, {high}], got {p}")
+    if math.isnan(p) or p < 1.0:
+        raise DomainError(f"p must lie in [1.0, inf], got {p}")
     return p
 
 

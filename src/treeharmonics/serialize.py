@@ -16,7 +16,6 @@ import numpy as np
 from .params import DomainError, check_grid, torus_grid, tree_params
 from .spherical import RadialKernel, TorusSymbol
 from .abel import AbelSequence
-from .zline import ZKernel
 
 
 def _fmt(x):
@@ -132,22 +131,6 @@ def read_abel(q, path):
         raise DomainError(f"{path}: index column must run -J..J contiguously")
     vals = np.array([complex(r[1], r[2]) for r in rows])
     return AbelSequence(q, vals)
-
-
-def zkernel_to_csv(F):
-    lines = ["d,re,im"]
-    for d, v in zip(F.indices, F.values):
-        lines.append(f"{int(d)},{_fmt(v.real)},{_fmt(v.imag)}")
-    return "\n".join(lines) + "\n"
-
-
-def read_zkernel(q, path):
-    rows = _read_rows(path, ("d", "re", "im"))
-    dcol = [int(r[0]) for r in rows]
-    if dcol != list(range(dcol[0], dcol[0] + len(dcol))):
-        raise DomainError(f"{path}: index column must be contiguous and ascending")
-    vals = np.array([complex(r[1], r[2]) for r in rows])
-    return ZKernel(q, dcol[0], vals)
 
 
 # ---------------------------------------------------------------------------

@@ -120,15 +120,10 @@ def sphere_sizes(params, dmax):
 
 @dataclass(frozen=True)
 class TorusSymbol:
-    """Symbol samples on the standard power-of-two grid of the frequency torus.
-
-    ``v`` tags the horizontal line ``Im z = v`` the samples were taken on;
-    plain transforms live on the real line ``v = 0``.
-    """
+    """Symbol samples on the standard power-of-two grid of the frequency torus."""
 
     params: object
     samples: np.ndarray
-    v: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "params", tree_params(self.params))
@@ -137,7 +132,6 @@ class TorusSymbol:
             raise DomainError("symbol samples must form a 1-d array")
         check_grid(samp.size)
         object.__setattr__(self, "samples", samp)
-        object.__setattr__(self, "v", float(self.v))
 
     @property
     def grid(self):
@@ -217,8 +211,13 @@ def c_inverse_line_sup(params, v):
     with ``A = q^{2v} + q^{-2v}``, ``B = q^{1+2v} + q^{-1-2v}`` and
     ``c = 2 cos(2 s log q)`` sweeping ``[-2, 2]``; the ratio is monotone in
     ``c`` with direction given by the sign of ``A - B``, so the sup is
-    attained at an endpoint and evaluates in closed form.  At ``v = 0``
-    this recovers the value ``2 = 1/c(tau/4)``.
+    attained at an endpoint.  With ``a = v log q`` and ``b = (1/2 + v) log q``
+    the endpoint values factor exactly as ``A + 2 = 4 cosh(a)^2``,
+    ``A - 2 = 4 sinh(a)^2`` and likewise for ``B`` with ``b``, so the sup is
+    ``(q+1)/sqrt(q)`` times ``cosh(a)/cosh(b)`` when ``|a| <= |b|`` and
+    ``|sinh(a)/sinh(b)|`` otherwise.  This form has no cancellation, also
+    next to the pole guard where ``B - 2`` would round away.  At ``v = 0``
+    it recovers the value ``2 = 1/c(tau/4)``.
     """
     params = tree_params(params)
     v = float(v)
@@ -227,10 +226,10 @@ def c_inverse_line_sup(params, v):
             f"contour shift must lie in (-1/2, 1/2], safely above -1/2; got {v}"
         )
     q = params.q
-    A = q ** (2.0 * v) + q ** (-2.0 * v)
-    B = q ** (1.0 + 2.0 * v) + q ** (-1.0 - 2.0 * v)
-    ratio = (A + 2.0) / (B + 2.0) if A <= B else (A - 2.0) / (B - 2.0)
-    return (q + 1.0) / math.sqrt(q) * math.sqrt(ratio)
+    a = v * params.log_q
+    b = (0.5 + v) * params.log_q
+    ratio = math.cosh(a) / math.cosh(b) if abs(a) <= abs(b) else abs(math.sinh(a) / math.sinh(b))
+    return (q + 1.0) / math.sqrt(q) * ratio
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +344,8 @@ def inverse_spherical_transform(symbol, radius):
     radius = int(radius)
     if radius < 0:
         raise DomainError(f"radius must be >= 0, got {radius}")
-    if symbol.v != 0.0:
-        raise DomainError("inversion needs samples on the real line (symbol.v == 0)")
     weights = symbol.samples * c_inverse(params, -symbol.grid)
     d = np.arange(radius + 1)
-    vals = 2.0 * params.plancherel_const * params.period * inverse_fourier_z(weights, d, params)
+    vals = 2.0 * params.plancherel_const * params.period * inverse_fourier_z(weights, d)
     vals *= params.qpow(-d.astype(float) / 2.0)
     return RadialKernel(params, vals)

@@ -145,24 +145,18 @@ def _grid_symbol(coeffs, d, n):
     return np.fft.fft(folded)
 
 
-def inverse_fourier_z(symbol, d, params=None):
+def inverse_fourier_z(samples, d):
     """Recover kernel values at the integers ``d`` from ``n`` equispaced symbol samples.
 
-    ``symbol`` is either a sampled-symbol object (with ``params``,
-    ``samples`` and ``grid`` attributes) or a plain array of samples on the
-    standard grid, in which case ``params`` must be given.  The quadrature
-    is the periodic trapezoid rule, which is exact whenever the symbol is
-    a trigonometric polynomial of degree below ``n/2``.  On the grid
-    ``s_j = -tau/2 + tau j/n`` the phase ``q^{i d s_j}`` is ``(-1)^d
-    exp(2 pi i d j/n)``, so the sum is one inverse FFT of the samples,
-    read at ``d mod n`` with the sign ``(-1)^d``.
+    ``samples`` are taken on the standard ``n``-point torus grid.  The
+    quadrature is the periodic trapezoid rule, which is exact whenever the
+    symbol is a trigonometric polynomial of degree below ``n/2``.  On the
+    grid ``s_j = -tau/2 + tau j/n`` the phase ``q^{i d s_j}`` is ``(-1)^d
+    exp(2 pi i d j/n)`` for every ``q``, so the sum is one inverse FFT of
+    the samples, read at ``d mod n`` with the sign ``(-1)^d``; the result
+    does not depend on ``q``.
     """
-    if params is None:
-        params = getattr(symbol, "params", None)
-        if params is None:
-            raise DomainError("plain sample arrays need an explicit params argument")
-    tree_params(params)
-    samples = np.asarray(getattr(symbol, "samples", symbol), dtype=complex)
+    samples = np.asarray(samples, dtype=complex)
     n = check_grid(samples.size)
     d = np.asarray(d)
     if d.dtype.kind not in "iu":

@@ -252,6 +252,25 @@ def mp_c_function(q, z, dps=40):
         return complex(val)
 
 
+def mp_line_sup(q, v, dps=50):
+    """Sup over real ``s`` of ``|1/c(-s - i v)|`` in ``dps``-digit arithmetic.
+
+    On the line, ``|1/c|`` depends on ``s`` only through ``cos(2 s log q)``
+    and monotonically so, hence the sup is the larger of the values at
+    ``s = 0`` and ``s = tau/4``; each is taken straight from the w-form.
+    """
+    with mp.workdps(dps):
+        lq = mp.log(q)
+        rq = mp.sqrt(q)
+        v = mp.mpf(v)
+
+        def modulus(s):
+            w = mp.exp(1j * (-s - 1j * v) * lq)
+            return abs(((q + 1) / rq) * (w - 1 / w) / (rq * w - (1 / rq) / w))
+
+        return max(modulus(mp.mpf(0)), modulus(mp.pi / (2 * lq)))
+
+
 def recurrence_spherical(q, z, dmax):
     """Spherical function values ``phi_z(0..dmax)`` from the eigenfunction recurrence.
 

@@ -7,13 +7,17 @@ imported from the library so the gate cannot drift with refactors.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import treeharmonics
 from treeharmonics.abel import abel_forward, horocycle_slice_sum
-from treeharmonics.cli import main
 from treeharmonics.engine import (
     bounds_report,
     line_profile,
@@ -225,10 +229,17 @@ def test_criterion_09_unbounded_truncation_witness():
 def test_criterion_10_deterministic_reports(tmp_path):
     kpath = tmp_path / "k.json"
     write_kernel(ball_kernel(2, 2), kpath)
-    argv = ["check", "--kernel", str(kpath), "--p", "1.5", "--radius", "7", "--deterministic"]
-    out1 = tmp_path / "r1.json"
-    out2 = tmp_path / "r2.json"
-    assert main(argv + ["--out", str(out1)]) == 0
-    assert main(argv + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    print("criterion 10: PASS — deterministic runs produce byte-identical reports")
+    argv = ["check", "--kernel", str(kpath), "--p", "1.5", "--radius", "7"]
+    src = str(pathlib.Path(treeharmonics.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        # a fresh process, so the thread-pool size is read when numpy loads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "treeharmonics.cli"] + argv,
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    print("criterion 10: PASS — reports are byte-identical at 1 and 2 BLAS threads")

@@ -78,6 +78,21 @@ def test_exponent_past_the_profile_grid_cap_exits_with_two(ball1, capsys):
     assert "too close to 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["1.000000001", "1e15", "1e16", "1e300"])
+def test_exponent_at_the_pole_guard_exits_with_two_and_names_p(ball1, p, capsys):
+    assert main(["check", "--kernel", ball1, "--p", p]) == 2
+    assert f"p={float(p)!r} lies too close to 1 or to infinity" in capsys.readouterr().err
+
+
+def test_huge_exponent_next_to_the_pole_guard_reports(tmp_path, capsys):
+    # p = 1e8 splits at delta = 1/2 - 1e-8, on the near side of the guard
+    path = tmp_path / "ball2.json"
+    write_kernel(ball_kernel(2, 2), path)
+    assert main(["check", "--kernel", str(path), "--p", "1e8"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert 0.0 < report["compression_lower"] <= report["total_upper"] < math.inf
+
+
 def test_io_errors_exit_with_two(tmp_path):
     missing = str(tmp_path / "missing.json")
     assert main(["transform", "--kernel", missing]) == 2
@@ -198,7 +213,7 @@ def test_deterministic_runs_are_byte_identical(tmp_path):
     write_kernel(radial_kernel(2, [1.0, -0.5, 0.25]), kpath)
     r1 = tmp_path / "r1.json"
     r2 = tmp_path / "r2.json"
-    argv = ["check", "--kernel", str(kpath), "--p", "1.5", "--radius", "6", "--deterministic"]
+    argv = ["check", "--kernel", str(kpath), "--p", "1.5", "--radius", "6"]
     assert main(argv + ["--out", str(r1)]) == 0
     assert main(argv + ["--out", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
@@ -209,3 +224,8 @@ def test_bad_flag_values_are_rejected():
         main(["transform"])  # --kernel is required
     with pytest.raises(SystemExit):
         main(["census", "--q", "0", "--radius", "2"])
+    # no thread-pool flags: output does not depend on the pool size
+    for flag in (["--deterministic"], ["--threads", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--q", "2", "--radius", "2"] + flag)
+        assert exc.value.code == 2

@@ -1,6 +1,7 @@
 """Certified bounds engine: profiles, height splitting, reports, transference."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -187,8 +188,9 @@ def test_tree_norm_upper_duality_is_bit_identical():
 
 
 def test_tree_norm_upper_that_overflows_is_refused():
-    # the negative-height bound of this kernel overflows to inf at p = 3311979
-    k = radial_kernel(2, [0.0, 4.177591815557297e300])
+    # at p = 3311979 the negative-height bound is about 3.6e7 times the
+    # kernel value, so it overflows to inf for this kernel
+    k = radial_kernel(2, [0.0, 1e301])
     with pytest.raises(DomainError, match="overflows float64"):
         tree_norm_upper(k, 3311979.0)
 
@@ -440,6 +442,13 @@ def test_bounds_report_derives_the_profile_grid():
 def test_bounds_report_refuses_p_two():
     with pytest.raises(ScopeError):
         bounds_report(ball_kernel(2, 1), 2.0)
+
+
+@pytest.mark.parametrize("p", [1.0 + 1e-9, 1e15, 1e16, 1e300])
+def test_bounds_report_refuses_exponents_whose_split_reaches_the_pole_guard(p):
+    message = re.escape(f"p={p!r} lies too close to 1 or to infinity")
+    with pytest.raises(DomainError, match=message):
+        bounds_report(ball_kernel(2, 2), p)
 
 
 def test_bounds_report_duality_matches():

@@ -17,15 +17,12 @@ from treeharmonics.serialize import (
     read_abel,
     read_kernel,
     read_symbol,
-    read_zkernel,
     report_to_json,
     symbol_to_csv,
     write_kernel,
-    zkernel_to_csv,
 )
 from treeharmonics.spherical import ball_kernel, radial_kernel, spherical_transform
 from treeharmonics.tree import ball_geometry
-from treeharmonics.zline import zkernel
 
 
 def test_kernel_json_roundtrip_is_lossless(tmp_path):
@@ -70,7 +67,6 @@ def test_symbol_csv_roundtrip(tmp_path):
     path.write_text(symbol_to_csv(sym))
     back = read_symbol(2, path)
     assert np.array_equal(back.samples, sym.samples)
-    assert back.v == 0.0
 
 
 def test_symbol_csv_rejects_wrong_grid(tmp_path):
@@ -104,23 +100,6 @@ def test_abel_csv_rejects_gappy_indices(tmp_path):
     path.write_text("j,re,im\n-1,1.0,0.0\n1,1.0,0.0\n")
     with pytest.raises(DomainError):
         read_abel(2, path)
-
-
-def test_zkernel_csv_roundtrip(tmp_path):
-    F = zkernel(2, [1.5, -2.25, 3.125], offset=-4)
-    path = tmp_path / "F.csv"
-    path.write_text(zkernel_to_csv(F))
-    back = read_zkernel(2, path)
-    assert back.offset == -4
-    assert np.array_equal(back.values, F.values)
-    assert zkernel_to_csv(F).splitlines()[1] == "-4,1.5,0.0"
-
-
-def test_zkernel_csv_rejects_unsorted_indices(tmp_path):
-    path = tmp_path / "F.csv"
-    path.write_text("d,re,im\n1,1.0,0.0\n0,1.0,0.0\n")
-    with pytest.raises(DomainError):
-        read_zkernel(2, path)
 
 
 def test_census_csv_layout():

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import grid_line_sup, mp_c_function, recurrence_spherical
-from treeharmonics.params import DomainError, torus_grid, tree_params
+from oracles import grid_line_sup, mp_c_function, mp_line_sup, recurrence_spherical
+from treeharmonics.params import DomainError, strip_halfwidth, torus_grid, tree_params
 from treeharmonics.spherical import (
     RadialKernel,
     TorusSymbol,
@@ -108,6 +108,19 @@ def test_c_inverse_line_sup_matches_dense_grid():
             # and the dense grid gets within refinement error of it
             assert closed >= grid - 1e-9 * closed
             assert closed <= grid * (1.0 + 1e-5)
+
+
+def test_c_inverse_line_sup_matches_mpmath_next_to_the_pole_guard():
+    # the lines Im z = -+delta(p) of the height split, and lines within
+    # 1e-7 of the pole line Im z = -1/2 where B - 2 cancels in the A/B form
+    shifts = [-0.5 + 1e-8, -0.5 + 2e-8, -0.5 + 5e-8, -0.5 + 1e-7, -0.25, 0.0, 0.25, 0.5]
+    for p in np.linspace(1.0000001, 1.99, 25):
+        shifts += [strip_halfwidth(p), -strip_halfwidth(p)]
+    for q in (2, 3, 5, 7):
+        params = tree_params(q)
+        for v in shifts:
+            exact = mp_line_sup(q, v)
+            assert abs(c_inverse_line_sup(params, v) - exact) <= 1e-14 * exact, (q, v)
 
 
 def test_c_inverse_line_sup_center_value_is_two():
@@ -252,14 +265,6 @@ def test_transform_at_matches_grid_sampling():
     direct = spherical_transform_at(k, grid)
     sym = spherical_transform(k, 64)
     assert np.abs(direct - sym.samples).max() == 0.0
-
-
-def test_inverse_rejects_shifted_symbols():
-    k = ball_kernel(2, 1)
-    sym = spherical_transform(k, 64)
-    shifted = TorusSymbol(sym.params, sym.samples, v=0.25)
-    with pytest.raises(DomainError):
-        inverse_spherical_transform(shifted, 1)
 
 
 def test_torus_symbol_validates_grid_size():

@@ -78,26 +78,25 @@ def test_fourier_roundtrip_on_integers():
         F = random_zkernel(rng)
         samples = fourier_z(F, torus_grid(F.params, 128))
         for d in range(F.offset - 1, F.offset + F.values.size + 1):
-            got = inverse_fourier_z(samples, d, params=F.params)
+            got = inverse_fourier_z(samples, d)
             assert abs(got - F.at(d)) <= 1e-12
 
 
 def test_inverse_fourier_z_matches_the_dense_trapezoid_sum():
     rng = np.random.default_rng(47)
     for q, n in ((2, 64), (3, 512), (5, 4096), (2, 4096)):
-        params = tree_params(q)
         samples = rng.normal(size=n) + 1j * rng.normal(size=n)
         # the ends of the window [-n/2, n/2], and indices that wrap around the grid
         ends = np.arange(-8, 9)
         wrapped = rng.integers(-3 * n, 3 * n, size=64)
         d = np.concatenate([ends - n // 2, ends, ends + n // 2, wrapped])
-        got = inverse_fourier_z(samples, d, params)
+        got = inverse_fourier_z(samples, d)
         # every value is at most ||samples||_1 / n in modulus
         scale = np.abs(samples).sum() / n
         assert np.abs(got - dense_inverse_sum(q, samples, d)).max() <= 1e-13 * scale
-        assert inverse_fourier_z(samples, int(d[3]), params) == got[3]
+        assert inverse_fourier_z(samples, int(d[3])) == got[3]
     with pytest.raises(DomainError):
-        inverse_fourier_z(np.ones(64), 0.5, params)
+        inverse_fourier_z(np.ones(64), 0.5)
 
 
 def test_grid_symbol_matches_the_dense_phase_sum():
