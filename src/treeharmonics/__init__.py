@@ -20,6 +20,7 @@ _EXPORTS = {
     "tree_params": ".params",
     "DomainError": ".params",
     "ScopeError": ".params",
+    "SoundnessError": ".params",
     "check_exponent": ".params",
     "dual_exponent": ".params",
     "strip_halfwidth": ".params",
@@ -74,7 +75,6 @@ _EXPORTS = {
     "lp_norm": ".zline",
     "DICTIONARY_VERSION": ".zline",
     # engine
-    "SoundnessError": ".engine",
     "line_profile": ".engine",
     "profile_strip_constant": ".engine",
     "negative_height_bound": ".engine",

@@ -214,8 +214,7 @@ _HANDLERS = {
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    from .params import DomainError, ScopeError
-    from .engine import SoundnessError
+    from .params import DomainError, ScopeError, SoundnessError
 
     try:
         return _HANDLERS[args.command](args)

@@ -25,6 +25,7 @@ from .params import (
     POLE_GUARD,
     DomainError,
     ScopeError,
+    SoundnessError,
     check_exponent,
     dual_exponent,
     strip_halfwidth,
@@ -46,10 +47,6 @@ from .zline import (
     inverse_fourier_z,
     lp_norm,
 )
-
-
-class SoundnessError(RuntimeError):
-    """A certified lower bound exceeded a certified upper bound."""
 
 
 _SCOPE_MESSAGE = (

@@ -31,6 +31,10 @@ class ScopeError(ValueError):
     """The request is outside the certified scope (for example ``p == 2``)."""
 
 
+class SoundnessError(RuntimeError):
+    """A certified lower bound exceeded a certified upper bound."""
+
+
 @dataclass(frozen=True)
 class TreeParams:
     """Degree parameter of a homogeneous tree.

@@ -15,7 +15,6 @@ import numpy as np
 
 from .params import DomainError, check_grid, torus_grid, tree_params
 from .spherical import RadialKernel, TorusSymbol
-from .abel import AbelSequence
 
 
 def _fmt(x):
@@ -121,16 +120,6 @@ def abel_to_csv(seq):
         v = seq.values[i]
         lines.append(f"{j},{_fmt(v.real)},{_fmt(v.imag)}")
     return "\n".join(lines) + "\n"
-
-
-def read_abel(q, path):
-    rows = _read_rows(path, ("j", "re", "im"))
-    jcol = [int(r[0]) for r in rows]
-    J = (len(rows) - 1) // 2
-    if jcol != list(range(-J, J + 1)):
-        raise DomainError(f"{path}: index column must run -J..J contiguously")
-    vals = np.array([complex(r[1], r[2]) for r in rows])
-    return AbelSequence(q, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Vertices of the closed ball of radius ``R`` are indexed breadth-first
 from the base vertex, so each sphere occupies a contiguous index block
 and the children of every vertex occupy a contiguous block of the next
-sphere.  A distinguished doubly infinite geodesic through the base vertex
+sphere: ``q + 1`` for the base vertex and ``q`` for every other vertex,
+in parent order.  The level offsets alone therefore fix every parent and
+child.  A distinguished doubly infinite geodesic through the base vertex
 (the first-child chain upward, the second-child-then-first-children chain
 downward) induces horocyclic coordinates: each vertex carries a *merge
 height* ``m`` (depth of its deepest ancestor on the upward ray) and a
@@ -40,60 +42,28 @@ from .zline import duality_ascent, phase_power
 class TreeBall:
     """Closed ball of radius ``R`` in breadth-first vertex order.
 
-    Arrays (all length ``size`` unless noted):
+    The base vertex has ``q + 1`` children and every other vertex ``q``,
+    listed in parent order, so the level offsets fix every parent and
+    child: vertex ``i >= 1`` has the ``q`` children that start at
+    ``level_start[2] + q * (i - 1)``.
 
-    - ``parent``: parent index, ``-1`` at the base vertex;
-    - ``depth``: hop distance to the base vertex;
-    - ``cstart``/``cend``: children of ``i`` are indices ``cstart[i]:cend[i]``;
-    - ``merge``: depth of the deepest upward-ray ancestor;
-    - ``height``: horocycle index ``2 * merge - depth``;
     - ``level_start``: length ``R + 2``, sphere ``d`` is
       ``level_start[d]:level_start[d + 1]``;
-    - ``ray_up``/``ray_down``: indices of the reference geodesic at times
-      ``0 .. R`` and ``0 .. -R``.
+    - ``depth``: hop distance to the base vertex;
+    - ``merge``: depth of the deepest upward-ray ancestor;
+    - ``height``: horocycle index ``2 * merge - depth``.
     """
 
     params: object
     radius: int
     level_start: np.ndarray
-    parent: np.ndarray
     depth: np.ndarray
-    cstart: np.ndarray
-    cend: np.ndarray
     merge: np.ndarray
     height: np.ndarray
-    ray_up: np.ndarray
-    ray_down: np.ndarray
 
     @property
     def size(self):
         return int(self.level_start[-1])
-
-    def sphere_slice(self, d):
-        """Index slice of the sphere of radius ``d``."""
-        d = int(d)
-        if not 0 <= d <= self.radius:
-            raise DomainError(f"sphere radius {d} outside ball of radius {self.radius}")
-        return slice(int(self.level_start[d]), int(self.level_start[d + 1]))
-
-    def distance(self, i, j):
-        """Hop distance between two vertices, by climbing to the common ancestor."""
-        i, j = int(i), int(j)
-        di, dj = int(self.depth[i]), int(self.depth[j])
-        steps = 0
-        while di > dj:
-            i = int(self.parent[i])
-            di -= 1
-            steps += 1
-        while dj > di:
-            j = int(self.parent[j])
-            dj -= 1
-            steps += 1
-        while i != j:
-            i = int(self.parent[i])
-            j = int(self.parent[j])
-            steps += 2
-        return steps
 
     def census(self):
         """Occupied ``(height, depth, merge, count)`` cells, sorted by height then depth.
@@ -113,15 +83,23 @@ class TreeBall:
         """Sum of ``f`` over the neighbours of each vertex, within the ball.
 
         Exact nearest-neighbour sum except at the boundary sphere, whose
-        outside children are treated as zero.
+        outside children are treated as zero.  Each vertex adds its own
+        neighbours, block by block along the level offsets.
         """
         f = np.asarray(f)
         if f.shape != (self.size,):
             raise DomainError(f"expected a vector of length {self.size}, got {f.shape}")
-        out = np.zeros(self.size, dtype=complex)
-        out[1:] = f[self.parent[1:]]
-        cs = np.concatenate([[0.0 + 0.0j], np.cumsum(f.astype(complex))])
-        out += cs[self.cend] - cs[self.cstart]
+        q = self.params.q
+        first = int(self.level_start[min(2, self.radius + 1)])  # first vertex of sphere 2
+        inner = int(self.level_start[self.radius])  # vertices 1 .. inner - 1 have children
+        out = np.empty(self.size, dtype=complex)
+        out[0] = f[1:first].sum()
+        out[1:first] = f[0]
+        out[first:].reshape(-1, q)[:] = f[1:inner, None]
+        children = f[first:].reshape(-1, q)
+        acc = out[1:inner]
+        for j in range(q):
+            acc += children[:, j]
         return out
 
     def convolve(self, kernel, f):
@@ -158,8 +136,8 @@ def _sphere_sum_convolve(kv, f, adjacency, q):
     return out
 
 
-#: Largest explicit ball :func:`ball_geometry` builds, in vertices: six
-#: 8-byte index arrays make that about 200 MB.  q=3, R=10 has about 118k.
+#: Largest explicit ball :func:`ball_geometry` builds, in vertices: three
+#: 8-byte arrays, about 100 MB.  q=3, R=10 has about 118k.
 MAX_BALL_VERTICES = 2**22
 
 
@@ -186,52 +164,24 @@ def ball_geometry(q, radius):
         )
     counts = sphere_sizes(params, radius).astype(np.int64)
     level_start = np.concatenate([[0], np.cumsum(counts)])
-    n = int(level_start[-1])
-
-    parent = np.full(n, -1, dtype=np.int64)
     depth = np.repeat(np.arange(radius + 1), counts)
+
+    # each sphere repeats its parents' merge depths, except the first-child
+    # chain, which is the upward reference ray
+    spheres = [np.zeros(1, dtype=np.int64)]
     for d in range(1, radius + 1):
-        lo, hi = level_start[d], level_start[d + 1]
-        if d == 1:
-            parent[lo:hi] = 0
-        else:
-            parent[lo:hi] = level_start[d - 1] + np.arange(hi - lo) // q
-
-    cstart = np.full(n, n, dtype=np.int64)
-    cend = np.full(n, n, dtype=np.int64)
-    for d in range(0, radius):
-        lo, hi = level_start[d], level_start[d + 1]
-        nxt = level_start[d + 1]
-        width = (q + 1) if d == 0 else q
-        cstart[lo:hi] = nxt + np.arange(hi - lo) * width
-        cend[lo:hi] = cstart[lo:hi] + width
-
-    merge = np.zeros(n, dtype=np.int64)
-    for d in range(1, radius + 1):
-        lo, hi = level_start[d], level_start[d + 1]
-        merge[lo:hi] = merge[parent[lo:hi]]
-        merge[lo] = d  # first child chain: the upward reference ray
-    height = 2 * merge - depth
-
-    ray_up = level_start[: radius + 1].copy()
-    ray_down = np.zeros(radius + 1, dtype=np.int64)
-    if radius >= 1:
-        ray_down[1] = level_start[1] + 1  # second child of the base vertex
-        for t in range(2, radius + 1):
-            ray_down[t] = cstart[ray_down[t - 1]]
+        sphere = np.repeat(spheres[-1], (q + 1) if d == 1 else q)
+        sphere[0] = d
+        spheres.append(sphere)
+    merge = np.concatenate(spheres)
 
     return TreeBall(
         params=params,
         radius=radius,
         level_start=level_start,
-        parent=parent,
         depth=depth,
-        cstart=cstart,
-        cend=cend,
         merge=merge,
-        height=height,
-        ray_up=ray_up,
-        ray_down=ray_down,
+        height=2 * merge - depth,
     )
 
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .params import (
     DomainError,
+    SoundnessError,
     check_exponent,
     check_grid,
     dual_exponent,
@@ -220,7 +221,11 @@ class NormInterval:
 
     ``lower_method``/``upper_method`` record how each end was produced
     (trial-vector name with dictionary version, interpolation exponents,
-    grid resolutions) so the numbers remain auditable.
+    grid resolutions) so the numbers remain auditable.  A lower end above
+    the upper by at most a relative ``1e-12`` is last-ulp rounding of an
+    attained exact bound and is clamped to the upper end; beyond that
+    slack the bracket is a fault and raises
+    :class:`~treeharmonics.params.SoundnessError`.
     """
 
     lower: float
@@ -230,9 +235,10 @@ class NormInterval:
 
     def __post_init__(self):
         if self.lower > self.upper * (1.0 + 1e-12) + 1e-300:
-            raise RuntimeError(
+            raise SoundnessError(
                 f"inconsistent interval: lower {self.lower} exceeds upper {self.upper}"
             )
+        object.__setattr__(self, "lower", min(self.lower, self.upper))
 
 
 def convolutor_upper(F, p):
@@ -422,7 +428,6 @@ def convolutor_interval(F, p):
         for L in _MODULATED_LENGTHS:
             consider(boxes[L][1 + k], f"modbox[{L},k={k}]")
     consider(ratio, f"power[{used}]")
-    best = min(best, upper)  # guard against last-ulp overshoot of the exact bound
     return NormInterval(
         best, upper, f"trial:{best_name}({DICTIONARY_VERSION})", upper_method
     )

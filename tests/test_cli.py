@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from treeharmonics.cli import main
-from treeharmonics.serialize import read_abel, read_kernel, read_symbol, write_kernel
+from treeharmonics.abel import abel_forward
+from treeharmonics.serialize import abel_to_csv, read_kernel, read_symbol, write_kernel
 from treeharmonics.spherical import ball_kernel, radial_kernel
 
 
@@ -39,9 +40,7 @@ def test_abel_command_writes_sequence_csv(tmp_path, ball1):
     out = tmp_path / "seq.csv"
     rc = main(["abel", "--kernel", ball1, "--out", str(out)])
     assert rc == 0
-    seq = read_abel(2, out)
-    assert seq.support_radius == 1
-    assert seq.at(1) == pytest.approx(2.0**0.5, rel=1e-15)
+    assert out.read_text() == abel_to_csv(abel_forward(ball_kernel(2, 1)))
 
 
 def test_norms_command_emits_interval_json(tmp_path, ball1, capsys):
@@ -70,6 +69,19 @@ def test_check_command_reports_sandwich(tmp_path, ball1, capsys):
 def test_check_command_scope_exit_code_at_p_two(ball1):
     assert main(["check", "--kernel", ball1, "--p", "2.0"]) == 3
     assert main(["norms", "--kernel", ball1, "--p", "2.0"]) == 3
+
+
+def test_norms_command_exits_with_four_on_a_soundness_fault(ball1, monkeypatch, capsys):
+    # a planted fault: the line sup at half its value
+    import treeharmonics.engine as engine
+    import treeharmonics.params as params
+    import treeharmonics.zline as zline
+
+    assert engine.SoundnessError is params.SoundnessError
+    real = zline._line_sup
+    monkeypatch.setattr(zline, "_line_sup", lambda F, v: (0.5 * real(F, v)[0], real(F, v)[1]))
+    assert main(["norms", "--kernel", ball1, "--p", "1.5"]) == 4
+    assert "soundness:" in capsys.readouterr().err
 
 
 def test_exponent_past_the_profile_grid_cap_exits_with_two(ball1, capsys):

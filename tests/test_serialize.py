@@ -5,16 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from treeharmonics.abel import AbelSequence, abel_forward
+from treeharmonics.abel import abel_forward
 from treeharmonics.engine import bounds_report, symbol_norm_report
-from treeharmonics.params import DomainError, tree_params
+from treeharmonics.params import DomainError
 from treeharmonics.serialize import (
     abel_to_csv,
     census_to_csv,
     interval_to_json,
     kernel_from_json,
     kernel_to_json,
-    read_abel,
     read_kernel,
     read_symbol,
     report_to_json,
@@ -85,21 +84,10 @@ def test_symbol_csv_rejects_bad_header(tmp_path):
         read_symbol(2, path)
 
 
-def test_abel_csv_roundtrip(tmp_path):
+def test_abel_csv_roundtrip():
     seq = abel_forward(ball_kernel(2, 2))
-    path = tmp_path / "seq.csv"
-    path.write_text(abel_to_csv(seq))
-    back = read_abel(2, path)
-    assert np.array_equal(back.values, seq.values)
     text = abel_to_csv(seq)
     assert text.splitlines()[0] == "j,re,im"
-
-
-def test_abel_csv_rejects_gappy_indices(tmp_path):
-    path = tmp_path / "seq.csv"
-    path.write_text("j,re,im\n-1,1.0,0.0\n1,1.0,0.0\n")
-    with pytest.raises(DomainError):
-        read_abel(2, path)
 
 
 def test_census_csv_layout():
@@ -143,7 +131,7 @@ def test_empty_csv_is_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
     with pytest.raises(DomainError):
-        read_abel(2, path)
-    path.write_text("j,re,im\n")
+        read_symbol(2, path)
+    path.write_text("s,re,im\n")
     with pytest.raises(DomainError):
-        read_abel(2, path)
+        read_symbol(2, path)

@@ -13,7 +13,7 @@ from oracles import (
     scalar_line_sup,
 )
 
-from treeharmonics.params import DomainError, dual_exponent, tree_params
+from treeharmonics.params import DomainError, SoundnessError, dual_exponent, tree_params
 from treeharmonics.zline import (
     DICTIONARY_VERSION,
     ZKernel,
@@ -175,6 +175,18 @@ def test_convolutor_interval_collapses_at_exact_exponents():
     for p in (1.0, 2.0, math.inf):
         iv = convolutor_interval(F, p)
         assert iv.lower == iv.upper
+
+
+def test_convolutor_interval_raises_when_a_trial_passes_the_upper_end(monkeypatch):
+    # a planted fault: the line sup at half its value gives the upper end
+    # 1.808 while a trial attains 2.665.  Only rounding slack is clamped,
+    # so the fault cannot pass as a certified bracket.
+    import treeharmonics.zline as zline
+
+    real = zline._line_sup
+    monkeypatch.setattr(zline, "_line_sup", lambda F, v: (0.5 * real(F, v)[0], real(F, v)[1]))
+    with pytest.raises(SoundnessError, match="exceeds upper"):
+        convolutor_interval(zkernel(2, [1.0, 2.0, -0.5]), 1.5)
 
 
 def test_convolutor_interval_is_translation_invariant():
