@@ -1,9 +1,10 @@
 """Layered-convolution transference and the unbounded-truncation witness.
 
-Runs a seeded batch of transference inequalities (layer-restricted ball
-convolution against the iterated row-norm majorant) and then tabulates the
-growth of the p = 2 lower bound for truncated reciprocal kernels, whose
-divergence shows one-sided truncation is not uniformly bounded.
+Runs a seeded batch of transference inequalities (ball convolution by
+height residue class against the iterated row-norm majorant) and then
+tabulates the growth of the p = 2 lower bound for truncated reciprocal
+kernels, whose divergence shows one-sided truncation is not uniformly
+bounded.
 """
 
 import numpy as np
@@ -30,6 +31,6 @@ print(f"transference: {passed}/20 instances satisfied; tightest lhs/rhs ratio {w
 
 print("\ntruncated reciprocal kernel (1/d on [1, N]): spectral lower bound vs log N")
 print("     N      lower       log N")
-for n in (64, 256, 1024):
+for n in (64, 256, 1024, 4096):
     lower, log_n = hilbert_witness(2, n)
     print(f"   {n:5d}   {lower:.6f}   {log_n:.6f}")

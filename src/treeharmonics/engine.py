@@ -302,14 +302,19 @@ def transference_check(kernel, ball, f, p):
     """Verify the layered-convolution inequality on an explicit ball.
 
     ``lhs`` applies the negative-height half of the kernel to ``f`` —
-    ``u(x) = sum_y f(y) k(d(x, y)) 1[h(y) > h(x)]`` computed exactly,
-    height layer by height layer, through the ball's sphere-sum
-    convolution — and takes its ``l^p`` norm.  ``rhs`` is the shell-series
-    bound ``||f||_p sum_m mu_m q^{-2m/p} ||row_m||`` with
+    ``u(x) = sum_y f(y) k(d(x, y)) 1[h(y) > h(x)]`` computed exactly —
+    and takes its ``l^p`` norm.  The height changes by exactly 1 along
+    every edge, so every contributing pair has ``|h(y) - h(x)| <= d(x, y)
+    <= D``; within that window of width ``2D + 1`` the residue of ``h(y)``
+    modulo ``2D + 1`` fixes ``h(y) - h(x)``.  One sphere-sum convolution
+    of ``f 1[h = r mod 2D + 1]`` per residue ``r`` therefore suffices:
+    ``x`` adds the classes ``r`` with ``(r - h(x)) mod (2D + 1)`` in
+    ``[1, D]``, which is ``2D + 1`` convolutions in all.  ``rhs`` is the
+    shell-series bound ``||f||_p sum_m mu_m q^{-2m/p} ||row_m||`` with
     ``row_m(u) = q^{u/p} k(u)`` supported on ``u >= 2m + 1`` and the row
     norms certified by :func:`~treeharmonics.zline.convolutor_upper`.
     Requires ``f`` to vanish outside the interior window ``B_{R-D}`` so
-    every layer convolution is exact on the ball.
+    every class convolution is exact on the ball.
 
     Returns ``{"lhs": ..., "rhs": ..., "ok": ...}`` with
     ``ok = lhs <= rhs + 1e-12 max(1, rhs)``.
@@ -335,14 +340,14 @@ def transference_check(kernel, ball, f, p):
             f"support violation: f must vanish outside the interior window "
             f"of radius {window}"
         )
-    h = ball.height
+    width = 2 * D + 1
+    residue = ball.height % width
     u = np.zeros(ball.size, dtype=complex)
-    for t in np.unique(h):
-        layer = f * (h > t)
-        if not np.any(layer):
-            continue
-        mask = h == t
-        u[mask] = ball.convolve(kernel, layer)[mask]
+    for r in range(width):
+        # a contributing y in class r has h(y) = h(x) + step, as |h(y) - h(x)| <= D
+        step = (r - residue) % width
+        above = (step >= 1) & (step <= D)
+        u[above] += ball.convolve(kernel, f * (residue == r))[above]
     lhs = lp_norm(u, p)
 
     max_shell = (D - 1) // 2

@@ -175,14 +175,19 @@ def _line_sup(F, v):
 
     Returns ``(value, n)`` where ``n`` is the grid resolution, four times
     the kernel span rounded up to a power of two, within ``[1024, 2^14]``.
-    The grid values are one FFT (:func:`_grid_symbol`).  All local maxima
-    of the grid then take two Newton steps at once on the stationarity
-    equation of ``|symbol|^2``, each clamped to one cell; these scattered
-    points are the only ones evaluated through phase matrices
-    (:func:`_eval_symbol`).  The derivatives ``m'``, ``m''`` are
-    the symbols of the coefficients times ``w = -i d log q`` and ``w^2``,
-    so they share ``m``'s phase matrix.  The reported value is always an
-    attained (hence certified) value of ``|FT F|``.
+    The grid values are one FFT (:func:`_grid_symbol`).  The local maxima
+    of the grid that can still win then take two Newton steps at once on
+    the stationarity equation of ``|symbol|^2``, each clamped to one cell
+    of width ``h``; these scattered points are the only ones evaluated
+    through phase matrices (:func:`_eval_symbol`).  The derivatives
+    ``m'``, ``m''`` are the symbols of the coefficients ``c_d`` times
+    ``w_d = -i d log q`` and ``w_d^2``, so they share ``m``'s phase matrix.
+    A maximum is dropped when its grid value plus ``2h sum |c_d w_d|``
+    (and a rounding allowance proportional to ``sum |c_d|``) does not
+    exceed the best grid value: its steps move it at most ``2h`` and
+    ``|m'| <= sum |c_d w_d|``, so it cannot refine above the best.  The
+    reported value is always an attained (hence certified) value of
+    ``|FT F|``.
     """
     span = max(abs(F.offset), abs(F.offset + F.values.size - 1), 1)
     n = min(max(1024, 4 << (span - 1).bit_length()), 1 << 14)
@@ -192,14 +197,17 @@ def _line_sup(F, v):
     mag = np.abs(_grid_symbol(coeffs, d, n))
     best = float(mag.max())
     d = d.astype(float)
-    grid = torus_grid(F.params, n)
-    # local maxima on the circular grid
-    s = grid[(mag >= np.roll(mag, 1)) & (mag >= np.roll(mag, -1))]
     w = -1j * log_q * d
+    h = F.params.period / n
+    # the second term covers the rounding of the FFT and of a d.size-term sum
+    reach = 2.0 * h * float(np.abs(coeffs * w).sum())
+    reach += (d.size + n) * 2.0**-52 * float(np.abs(coeffs).sum())
+    # local maxima on the circular grid that can still refine above the best
+    peak = (mag >= np.roll(mag, 1)) & (mag >= np.roll(mag, -1))
+    s = torus_grid(F.params, n)[peak & ~(mag + reach <= best)]
     # an exact power-of-two scale keeps |m'|^2 finite and the steps' bytes unchanged
     derivs = np.stack([coeffs, coeffs * w, coeffs * w**2], axis=1)
     derivs *= math.ldexp(1.0, -max(math.frexp(best)[1], 0))
-    h = F.params.period / n
     for _ in range(2):
         m, m1, m2 = _eval_symbol(derivs, d, s, log_q).T
         g1 = 2.0 * (m1 * np.conj(m)).real

@@ -3,11 +3,14 @@
 Everything here is deliberately naive: explicit adjacency lists, per-source
 breadth-first searches, dense O(n^2) convolution, high-precision mpmath
 evaluations, and exact Fraction cell sums.  None of it shares code paths
-with the package, so agreement is evidence rather than tautology.  Two
+with the package, so agreement is evidence rather than tautology.  Some
 exceptions build on package types: :func:`ball_opnorm_lower` runs on the
 package's explicit ball (checked here against the dense oracles) to check
-the radial quotient, and the horocyclic splitting at the end, which only
-tests use, cross-checks the line profile and the Haar measure.
+the radial quotient; :func:`layered_transference_lhs` and
+:func:`unpruned_line_sup` keep the package's earlier, slower forms of the
+transference sum and the line sup to pin the faster ones; and the
+horocyclic splitting at the end, which only tests use, cross-checks the
+line profile and the Haar measure.
 """
 
 import math
@@ -17,10 +20,10 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from treeharmonics.params import DomainError, check_exponent
+from treeharmonics.params import DomainError, check_exponent, torus_grid
 from treeharmonics.spherical import sphere_sizes
 from treeharmonics.tree import shell_masses
-from treeharmonics.zline import ZKernel
+from treeharmonics.zline import ZKernel, _eval_symbol, _grid_symbol, lp_norm
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +106,23 @@ def dense_convolve(neighbors, kernel_values, f):
         dist = bfs_distances(neighbors, x)
         out[x] = sum(kv[dist[y]] * f[y] for y in range(n))
     return out
+
+
+def layered_transference_lhs(kernel, ball, f, p):
+    """``lhs`` of the transference check, one ball convolution per occupied height.
+
+    ``u(x) = sum_y f(y) k(d(x, y)) 1[h(y) > h(x)]`` is read, on each height
+    ``t``, from the convolution of ``f 1[h > t]``; returns ``||u||_p``.
+    """
+    h = ball.height
+    u = np.zeros(ball.size, dtype=complex)
+    for t in np.unique(h):
+        layer = f * (h > t)
+        if not np.any(layer):
+            continue
+        mask = h == t
+        u[mask] = ball.convolve(kernel, layer)[mask]
+    return lp_norm(u, p)
 
 
 def _lp_norm(x, p):
@@ -364,6 +384,37 @@ def scalar_line_sup(q, offset, values, v):
         if val > best:
             best = val
     return best, n
+
+
+def unpruned_line_sup(F, v):
+    """Line sup of ``|FT F|`` on ``Im z = v`` that refines every grid maximum.
+
+    The package's array pass before it dropped the maxima that cannot win:
+    all local maxima of the FFT grid take two clamped Newton steps through
+    phase matrices.  Returns ``(value, n)``.
+    """
+    span = max(abs(F.offset), abs(F.offset + F.values.size - 1), 1)
+    n = min(max(1024, 4 << (span - 1).bit_length()), 1 << 14)
+    log_q = F.params.log_q
+    d = F.indices
+    coeffs = F.values * F.params.qpow(d * v)
+    mag = np.abs(_grid_symbol(coeffs, d, n))
+    best = float(mag.max())
+    d = d.astype(float)
+    grid = torus_grid(F.params, n)
+    s = grid[(mag >= np.roll(mag, 1)) & (mag >= np.roll(mag, -1))]
+    w = -1j * log_q * d
+    derivs = np.stack([coeffs, coeffs * w, coeffs * w**2], axis=1)
+    derivs *= math.ldexp(1.0, -max(math.frexp(best)[1], 0))
+    h = F.params.period / n
+    for _ in range(2):
+        m, m1, m2 = _eval_symbol(derivs, d, s, log_q).T
+        g1 = 2.0 * (m1 * np.conj(m)).real
+        g2 = 2.0 * (np.abs(m1) ** 2 + (m2 * np.conj(m)).real)
+        move = (g2 < 0.0) & np.isfinite(g2)
+        s[move] += np.clip(-g1[move] / g2[move], -h, h)
+    refined = np.abs(_eval_symbol(coeffs, d, s, log_q))
+    return float(refined[refined > best].max(initial=best)), n
 
 
 def _newton_step(coeffs, dvals, s, log_q, h):

@@ -208,7 +208,7 @@ def test_transference_command_all_pass(tmp_path, capsys):
 
 def test_hilbert_command_growth_table(tmp_path):
     out = tmp_path / "hil.csv"
-    rc = main(["hilbert", "--grid", "64", "256", "--out", str(out)])
+    rc = main(["hilbert", "--grid", "64", "256", "4096", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "N,lower,log_N"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import haar_identity_check, mp_moment, split_kernel
+from oracles import haar_identity_check, layered_transference_lhs, mp_moment, split_kernel
 from treeharmonics.abel import abel_forward
 from treeharmonics.engine import (
     BoundsReport,
@@ -348,6 +348,24 @@ def test_transference_check_passes_on_seeded_instances():
         assert rec["ok"]
         assert rec["lhs"] <= rec["rhs"] + 1e-12 * max(1.0, rec["rhs"])
         assert type(rec["lhs"]) is float and type(rec["rhs"]) is float
+
+
+def test_transference_check_matches_the_per_height_loop():
+    rng = np.random.default_rng(181)
+    for q in (2, 3, 5):
+        for D in range(5):
+            # q = 5 stops at R = 7 (117k vertices); R = 9 has 2.9M and costs seconds per instance
+            for R in range(D, min(D + 5, 7 if q == 5 else D + 5) + 1):
+                ball = ball_geometry(q, R)
+                for imag in (0.0, 1.0):
+                    kernel = random_kernel(rng, q, D)
+                    f = rng.normal(size=ball.size) + imag * 1j * rng.normal(size=ball.size)
+                    f[ball.depth > R - D] = 0.0
+                    rec = transference_check(kernel, ball, f, 1.5)
+                    want = layered_transference_lhs(kernel, ball, f, 1.5)
+                    assert rec["lhs"] == pytest.approx(want, rel=1e-14, abs=0.0), (q, D, R, imag)
+                    rhs = rec["rhs"]
+                    assert rec["ok"] is bool(want <= rhs + 1e-12 * max(1.0, rhs))
 
 
 def test_transference_check_rejects_unsupported_input():

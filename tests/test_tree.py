@@ -56,6 +56,18 @@ def test_distance_recovered_from_horocyclic_coordinates():
         assert np.array_equal(want, ball.depth)
 
 
+def test_height_steps_by_one_from_every_parent():
+    # the transference check's height residue classes rest on this
+    for q in (2, 3, 5):
+        for R in (0, 1, 2, 6):
+            ball = ball_geometry(q, R)
+            first = int(ball.level_start[min(2, R + 1)])
+            child = np.arange(1, ball.size)
+            parent = np.where(child < first, 0, 1 + (child - first) // q)
+            step = ball.height[child] - ball.height[parent]
+            assert np.array_equal(np.abs(step), np.ones(ball.size - 1)), (q, R)
+
+
 # ---------------------------------------------------------------------------
 # Census
 # ---------------------------------------------------------------------------
