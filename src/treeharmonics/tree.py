@@ -21,10 +21,13 @@ because every missing sphere sum vanishes identically.
 The certified compression lower bound :func:`opnorm_lower` never builds a
 ball.  Ball convolution maps radial functions to radial functions, so it
 runs the same recurrence on the radial quotient: ``R + 1`` per-sphere
-values, rescaled so that no sphere size is formed at any radius.  The
-explicit :class:`TreeBall` (at most :data:`MAX_BALL_VERTICES` vertices)
-serves the transference check and the tests; the census command uses the
-closed form :func:`census_cells`.
+values, rescaled so that no sphere size is formed at any radius.  It
+runs that recurrence once per operator, on one comb per residue class
+modulo ``2D + 1``, to build the quotient operator as a band of ``2D + 1``
+diagonals; every trial and ascent iterate is then one ``O(R * D)`` band
+product.  The explicit :class:`TreeBall` (at most
+:data:`MAX_BALL_VERTICES` vertices) serves the transference check and the
+tests; the census command uses the closed form :func:`census_cells`.
 """
 
 import math
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .params import DomainError, check_exponent, dual_exponent, tree_params
 from .spherical import sphere_sizes
@@ -330,6 +334,54 @@ def _scaled(g, q, p):
     return g * float(q) ** ((np.maximum(d, 1) - max(g.size - 1, 1)) / p)
 
 
+def _radial_band(kv, q, p, radius, columns, rows):
+    """Diagonals of the radial ball convolution by ``kv``, built by residue class.
+
+    Returns the ``(rows, 2D + 1)`` array ``band[i, k] = M[i, i - D + k]``,
+    where ``M`` is :func:`_radial_convolve` on ``radius + 1`` scaled sphere
+    values restricted to its first ``rows`` rows and ``columns`` columns;
+    entries whose column falls outside ``0 .. columns - 1`` are 0.
+    Convolution by a kernel of radius ``D`` moves sphere ``j`` to spheres
+    ``j - D .. j + D``, so the columns of one residue class modulo
+    ``2D + 1`` have disjoint images, and one recurrence on the comb
+    ``comb[j, j mod (2D + 1)] = 1`` yields every entry.  Each entry is the
+    bytes of ``M``'s own: the other columns of its class add exact zeros.
+    Costs ``O(radius * D)`` time and memory; the comb and its image are
+    freed on return.
+    """
+    D = kv.size - 1
+    width = 2 * D + 1
+    j = np.arange(columns)
+    comb = np.zeros((radius + 1, width), dtype=complex)
+    comb[j, j % width] = 1.0
+    image = _radial_convolve(kv, comb, q, p)[:rows]
+    diag = np.arange(rows)[:, None] - D + np.arange(width)
+    return np.take_along_axis(image, diag % width, axis=1)
+
+
+def _band_product(band, scale):
+    """``x -> out`` with ``out[i] = scale * sum_k band[i, k] x[i - D + k]``, ``x`` zero-padded.
+
+    Each product writes ``x`` into one preallocated zero-padded buffer and
+    runs one ``einsum`` over its sliding windows: ``O(rows * D)``, and no
+    BLAS call, so its bytes do not depend on the thread count.
+    """
+    rows, width = band.shape
+    D = width // 2
+    buf = np.zeros(rows + width - 1, dtype=complex)
+    windows = sliding_window_view(buf, width)
+
+    def product(x):
+        buf[D : D + x.size] = x
+        buf[D + x.size :] = 0.0
+        out = np.einsum("ij,ij->i", band, windows)
+        if scale != 1.0:
+            out *= scale
+        return out
+
+    return product
+
+
 # an overflowing ratio is skipped, so its float64 overflow needs no warning
 @np.errstate(over="ignore", invalid="ignore")
 def opnorm_lower(kernel, p, radius):
@@ -337,10 +389,15 @@ def opnorm_lower(kernel, p, radius):
 
     Works on the radial quotient of the ball of the given radius: a
     radial function is its ``radius + 1`` sphere values, and the ball
-    convolution of a radial function is again radial, so every
-    convolution costs ``O(radius * D)`` (``D`` the kernel radius) instead
-    of the ``O(q^radius * D)`` of an explicit :class:`TreeBall`.  Every
-    candidate ``f`` is supported in the ball of radius ``radius - D``,
+    convolution of a radial function is again radial.  That convolution
+    is built once, as its ``2D + 1`` diagonals (``D`` the kernel radius)
+    by residue class (:func:`_radial_band`), so every product costs
+    ``O(radius * D)`` time instead of the ``O(q^radius * D)`` of an
+    explicit :class:`TreeBall`.  The band and its adjoint's take
+    ``O(radius * D)`` memory, and the comb and image each is built from
+    are freed once it is built: no ``(radius + 1)``-square matrix is ever
+    formed.  Every candidate ``f`` is supported in the ball of radius
+    ``radius - D``,
     where the ball convolution is exact, so every ratio
     ``||k * f||_p / ||f||_p`` is a true lower bound for the operator norm
     on the whole tree.  Candidates, all radial: the point mass at the
@@ -366,6 +423,12 @@ def opnorm_lower(kernel, p, radius):
             "no support window is left for trial functions"
         )
     nw = window + 1
+    # The bands hold kv / scale for a power of two scale >= 1, which is
+    # exact, so that near the float64 limit no band entry overflows where
+    # the product does not: an infinite entry times a zero of a trial
+    # vector would give NaN.
+    scale = 2.0 ** max(0, math.frexp(float(np.abs(kv).max()))[1] - 1)
+    forward = _band_product(_radial_band(kv / scale, q, p, radius, nw, radius + 1), scale)
 
     best = 0.0
     best_name = "none"
@@ -376,15 +439,10 @@ def opnorm_lower(kernel, p, radius):
             best = ratio
             best_name = name
 
-    def padded(hw):
-        h = np.zeros(radius + 1, dtype=complex)
-        h[: hw.size] = hw
-        return h
-
     def trial(hw, name):
         denom = _radial_norm(hw, q, p)
         if denom != 0.0:
-            consider(_radial_norm(_radial_convolve(kv, padded(hw), q, p), q, p) / denom, name)
+            consider(_radial_norm(forward(hw), q, p) / denom, name)
 
     trial(np.ones(1, dtype=complex), "delta")
     r = 1
@@ -406,13 +464,13 @@ def opnorm_lower(kernel, p, radius):
     if 1.0 < p < math.inf:
         # In scaled coordinates the adjoint of convolution by k is
         # convolution by conj(k) at the dual exponent.
-        pd = dual_exponent(p)
-        conj_kv = np.conj(kv)
+        conj_band = _radial_band(np.conj(kv) / scale, q, dual_exponent(p), radius, radius + 1, nw)
+        adjoint = _band_product(conj_band, scale)
         for k, value in duality_ascent(
-            lambda x: _radial_convolve(kv, x, q, p),
-            lambda w: padded(_radial_convolve(conj_kv, w, q, pd)[:nw]),
+            forward,
+            adjoint,
             lambda x: _radial_norm(x, q, p),
-            padded(_scaled(np.ones(nw, dtype=complex), q, p)),
+            _scaled(np.ones(nw, dtype=complex), q, p),
             p,
             _TREE_POWER_ITERATES,
         ):

@@ -282,6 +282,9 @@ def lp_norm(x, p):
 def phase_power(y, expo):
     """``phase(y) * |y|**expo`` entrywise, with 0 mapped to 0."""
     mag = np.abs(y)
+    if mag.size and mag.min() >= 2.0**-1022:
+        # no zero or subnormal modulus, so the masks below would select every entry
+        return ((y / mag) * mag**expo).astype(complex, copy=False)
     out = np.zeros_like(y, dtype=complex)
     nz = mag > 0.0
     num, den = y[nz], mag[nz]

@@ -8,7 +8,9 @@ exceptions build on package types: :func:`ball_opnorm_lower` runs on the
 package's explicit ball (checked here against the dense oracles) to check
 the radial quotient; :func:`layered_transference_lhs` and
 :func:`unpruned_line_sup` keep the package's earlier, slower forms of the
-transference sum and the line sup to pin the faster ones; and the
+transference sum and the line sup, :func:`recurrence_opnorm_lower` the
+recurrence-driven compression, and :func:`masked_phase_power` the
+all-masked phase power, to pin the faster ones; and the
 horocyclic splitting at the end, which only tests use, cross-checks the
 line profile and the Haar measure.
 """
@@ -20,10 +22,16 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from treeharmonics.params import DomainError, check_exponent, torus_grid
+from treeharmonics.params import DomainError, check_exponent, dual_exponent, torus_grid
 from treeharmonics.spherical import sphere_sizes
-from treeharmonics.tree import shell_masses
-from treeharmonics.zline import ZKernel, _eval_symbol, _grid_symbol, lp_norm
+from treeharmonics.tree import (
+    _TREE_POWER_ITERATES,
+    _radial_convolve,
+    _radial_norm,
+    _scaled,
+    shell_masses,
+)
+from treeharmonics.zline import ZKernel, _eval_symbol, _grid_symbol, duality_ascent, lp_norm
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +225,86 @@ def ball_opnorm_lower(ball, kernel, p, seed=0, iters=200):
                 break
             x /= nx
     return best, best_name
+
+
+def recurrence_opnorm_lower(kernel, p, radius):
+    """The radial-quotient compression with one sphere-sum recurrence per product.
+
+    The earlier form of ``tree.opnorm_lower``: the same trials, run in the
+    same order, but every convolution (each trial, and both products of
+    each ascent iterate) is the recurrence ``tree._radial_convolve`` on
+    ``radius + 1`` zero-padded sphere values instead of a product with a
+    prebuilt band.  Returns ``(bound, method)``.
+    """
+    p = check_exponent(p)
+    kernel = kernel.trimmed()
+    q = kernel.params.q
+    kv = kernel.values
+    D = kernel.radius
+    window = int(radius) - D
+    if window < 0:
+        raise ValueError("no support window")
+    nw = window + 1
+    best, best_name = 0.0, "none"
+
+    def consider(ratio, name):
+        nonlocal best, best_name
+        if best < ratio < math.inf:
+            best, best_name = ratio, name
+
+    def padded(hw):
+        h = np.zeros(int(radius) + 1, dtype=complex)
+        h[: hw.size] = hw
+        return h
+
+    def trial(hw, name):
+        denom = _radial_norm(hw, q, p)
+        if denom != 0.0:
+            consider(_radial_norm(_radial_convolve(kv, padded(hw), q, p), q, p) / denom, name)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        trial(np.ones(1, dtype=complex), "delta")
+        radii = []
+        r = 1
+        while r < window:
+            radii.append(r)
+            r *= 2
+        if window >= 1:
+            radii.append(window)
+        for r in radii:
+            trial(_scaled(np.ones(r + 1, dtype=complex), q, p), f"ball[{r}]")
+        expo = 1.0 / (p - 1.0) if 1.0 < p < math.inf else 0.0
+        matched = masked_phase_power(np.conj(kv[: min(D, window) + 1]), expo)
+        trial(_scaled(matched, q, p), "matched-row")
+
+        if 1.0 < p < math.inf:
+            pd = dual_exponent(p)
+            conj_kv = np.conj(kv)
+            for k, value in duality_ascent(
+                lambda x: _radial_convolve(kv, x, q, p),
+                lambda w: padded(_radial_convolve(conj_kv, w, q, pd)[:nw]),
+                lambda x: _radial_norm(x, q, p),
+                padded(_scaled(np.ones(nw, dtype=complex), q, p)),
+                p,
+                _TREE_POWER_ITERATES,
+            ):
+                consider(value, f"power[{k}]")
+    return best, best_name
+
+
+def masked_phase_power(y, expo):
+    """The earlier form of ``zline.phase_power``: every entry through the zero and subnormal masks."""
+    mag = np.abs(y)
+    out = np.zeros_like(y, dtype=complex)
+    nz = mag > 0.0
+    num, den = y[nz], mag[nz]
+    power = den**expo
+    small = den < 2.0**-1022
+    if small.any():
+        num[small] *= 2.0**600
+        den[small] = np.abs(num[small])
+    out[nz] = (num / den) * power
+    return out
 
 
 def census_counter(q, radius):

@@ -1,5 +1,6 @@
 """Ball geometry, census, exact Haar decomposition, convolution, lower bounds."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -13,8 +14,10 @@ from oracles import (
     census_counter,
     dense_convolve,
     ray_heights,
+    recurrence_opnorm_lower,
 )
-from treeharmonics.params import DomainError
+from treeharmonics import tree
+from treeharmonics.params import DomainError, dual_exponent
 from treeharmonics.spherical import (
     ball_kernel,
     delta_kernel,
@@ -24,6 +27,8 @@ from treeharmonics.spherical import (
 )
 from treeharmonics.tree import (
     MAX_BALL_VERTICES,
+    _radial_band,
+    _radial_convolve,
     ball_geometry,
     census_cells,
     haar_residual,
@@ -247,3 +252,112 @@ def test_opnorm_lower_matches_explicit_ball_oracle():
 def test_opnorm_lower_needs_a_support_window():
     with pytest.raises(DomainError):
         opnorm_lower(ball_kernel(2, 2), 2.0, 1)
+
+
+def test_radial_band_is_the_dense_image_byte_for_byte():
+    rng = np.random.default_rng(3)
+    for q, D in itertools.product((2, 3, 5), (0, 1, 3)):
+        kernels = [
+            rng.normal(size=D + 1) + 1j * rng.normal(size=D + 1),
+            (1.0 - 2.0j) * sphere_kernel(q, D).values,  # leading zeros
+        ]
+        # R = D + 1 and D + 3 leave windows of nw < 2D + 1 columns
+        for kv, R, p in itertools.product(kernels, (D + 1, D + 3, 3 * D + 20), (1.0, 1.5, math.inf)):
+            nw = R - D + 1
+            # the forward band on the window columns, the adjoint band on the window rows
+            bands = [(kv, p, nw, R + 1)]
+            if 1.0 < p < math.inf:
+                bands.append((np.conj(kv), dual_exponent(p), R + 1, nw))
+            for k, pk, columns, rows in bands:
+                dense = _radial_convolve(k, np.eye(R + 1), q, pk)
+                row, col = np.indices(dense.shape)
+                assert not dense[np.abs(row - col) > D].any(), (q, D, R, p)
+                band = _radial_band(k, q, pk, R, columns, rows)
+                assert band.shape == (rows, 2 * D + 1)
+                for i, c in itertools.product(range(rows), range(2 * D + 1)):
+                    j = i - D + c
+                    if 0 <= j < columns:
+                        assert band[i, c].tobytes() == dense[i, j].tobytes(), (q, D, R, p, i, j)
+                    else:
+                        assert band[i, c] == 0.0
+
+
+def test_opnorm_lower_matches_the_recurrence_form():
+    rng = np.random.default_rng(0)
+    complex3 = radial_kernel(3, rng.normal(size=4) + 1j * rng.normal(size=4))
+    # the report-deep cases, then two large radii
+    cases = [
+        (sphere_kernel(3, 3), 1.5, 9),
+        (sphere_kernel(3, 2), 4.0 / 3.0, 9),
+        (ball_kernel(3, 2), 3.0, 10),
+        (complex3, 1.5, 9),
+        (sphere_kernel(2, 3), 1.5, 12),
+        (sphere_kernel(2, 3), 3.0, 13),
+        (ball_kernel(2, 2), 1.5, 14),
+        (ball_kernel(2, 2), 1.5, 160),
+        (ball_kernel(2, 2), 1.5, 1000),
+    ]
+    for kernel, p, R in cases:
+        bound, method = opnorm_lower(kernel, p, R)
+        expected, expected_method = recurrence_opnorm_lower(kernel, p, R)
+        assert bound == pytest.approx(expected, rel=1e-14, abs=0.0), (kernel.values, p, R)
+        assert method == expected_method
+
+
+def test_opnorm_lower_matches_the_recurrence_form_on_a_seeded_sweep():
+    rng = np.random.default_rng(11)
+    for case in range(60):
+        q = int(rng.choice([2, 3, 5]))
+        D = int(rng.integers(0, 5))
+        vals = rng.normal(size=D + 1)
+        if case % 2:
+            vals = vals + 1j * rng.normal(size=D + 1)
+        kernel = radial_kernel(q, vals)
+        R = int(rng.integers(D + 1, 3 * D + 21))
+        for p in (1.0, 1.1, 4.0 / 3.0, 1.5, 3.0, math.inf):
+            bound, method = opnorm_lower(kernel, p, R)
+            expected, expected_method = recurrence_opnorm_lower(kernel, p, R)
+            assert bound == pytest.approx(expected, rel=1e-14, abs=0.0), (vals, p, R)
+            # a different winner only between trials that tie exactly
+            if method != expected_method:
+                assert bound == pytest.approx(expected, rel=1e-15, abs=0.0), (vals, p, R)
+
+
+def test_opnorm_lower_builds_one_band_per_operator(monkeypatch):
+    calls = []
+
+    def counted(kv, h, q, p):
+        calls.append(h.shape)
+        return _radial_convolve(kv, h, q, p)
+
+    monkeypatch.setattr(tree, "_radial_convolve", counted)
+    for p, expected in ((1.0, 1), (1.5, 2), (3.0, 2), (math.inf, 1)):
+        calls.clear()
+        opnorm_lower(sphere_kernel(3, 3), p, 12)
+        # one recurrence per band, on the (R + 1) x (2D + 1) comb
+        assert calls == [(13, 7)] * expected, p
+
+
+def test_opnorm_lower_at_a_large_radius_keeps_a_band_not_a_matrix():
+    # a dense (R + 1) x nw operator at R = 4000 alone holds 256 MB
+    tracemalloc.start()
+    try:
+        bound, _ = opnorm_lower(sphere_kernel(3, 3), 4.0 / 3.0, 4000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(bound) and bound > 0.0
+    assert peak < 16 << 20
+
+
+def test_opnorm_lower_near_the_float64_limit_matches_the_recurrence_form():
+    # an overflowing band entry times a zero of a trial vector would be NaN
+    for vals in ([1e308, 1e308], [1e308, 0.0, 1e308], [5e307, 1e308j, 3e307], [1.0, 1e308]):
+        for q in (2, 3):
+            kernel = radial_kernel(q, vals)
+            for p in (1.0, 1.5, math.inf):
+                R = kernel.radius + 3
+                bound, method = opnorm_lower(kernel, p, R)
+                expected, expected_method = recurrence_opnorm_lower(kernel, p, R)
+                assert bound == pytest.approx(expected, rel=1e-14, abs=0.0), (vals, q, p)
+                assert method == expected_method

@@ -11,6 +11,7 @@ from oracles import (
     dense_inverse_sum,
     direct_dictionary_ratios,
     fine_grid_line_sup,
+    masked_phase_power,
     scalar_line_sup,
     unpruned_line_sup,
 )
@@ -320,6 +321,33 @@ def test_phase_power_of_subnormal_entries():
     # entries of normal modulus keep their bytes
     for i in (2, 4):
         assert out[i] == (y[i] / mag[i]) * mag[i] ** 0.5
+
+
+def test_phase_power_equals_the_masked_form_byte_for_byte():
+    rng = np.random.default_rng(5)
+    cases = [np.zeros(0, dtype=complex), np.array([2.5, -1.0, 3.0])]
+    for n in (1, 3, 12, 64):
+        for scale in (1.0, 1e-310, 1e307):
+            y = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            cases.append(y)
+            with_zeros = y.copy()
+            with_zeros[rng.integers(0, n, size=max(1, n // 4))] = 0.0
+            cases.append(with_zeros)
+            mixed = y.copy()
+            mixed[0] = 3e-320 - 1e-321j  # one subnormal modulus among normal ones
+            cases.append(mixed)
+            huge = y.copy()
+            huge[-1] = 1e308 - 1e308j  # a modulus near the float64 limit
+            cases.append(huge)
+    for y in cases:
+        for expo in (0.0, 0.1, 0.5, 1.0 / 3.0, 2.0, 10.0):
+            # large moduli overflow in both forms alike
+            with np.errstate(over="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                out = phase_power(y, expo)
+                expected = masked_phase_power(y, expo)
+            assert out.dtype == expected.dtype and out.shape == expected.shape
+            assert out.tobytes() == expected.tobytes(), (y, expo)
 
 
 def test_ascent_into_subnormal_iterates_emits_no_warning():
