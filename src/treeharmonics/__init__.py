@@ -39,7 +39,6 @@ _EXPORTS = {
     "c_function": ".spherical",
     "c_inverse": ".spherical",
     "c_inverse_shifted": ".spherical",
-    "c_inverse_line_sup": ".spherical",
     "spherical_function": ".spherical",
     "spectral_eigenvalue": ".spherical",
     "spherical_transform": ".spherical",
@@ -76,7 +75,6 @@ _EXPORTS = {
     "DICTIONARY_VERSION": ".zline",
     # engine
     "line_profile": ".engine",
-    "profile_strip_constant": ".engine",
     "negative_height_bound": ".engine",
     "nonnegative_height_bound": ".engine",
     "spectral_sup": ".engine",

@@ -1,15 +1,15 @@
 """Certified two-sided bounds for radial convolutors on the tree.
 
 The upper bound splits a radial kernel by the sign of the relative height
-in horocyclic coordinates.  The negative-height half is controlled shell
-by shell through a contour-shifted reconstruction profile on the integers
-(:func:`line_profile`) and the truncation machinery of :mod:`.zline`; the
-nonnegative-height half by a weighted Abel sum.  The lower bound
-compresses the convolutor to a finite ball and certifies attained
-Rayleigh quotients.  :func:`bounds_report` assembles both sides and
-*asserts* the sandwich ``compression_lower <= total_upper`` — a violation
-is a soundness bug, not a data condition, and raises
-:class:`SoundnessError`.
+in horocyclic coordinates.  The negative-height half is the finite shell
+series of :func:`negative_height_bound`, whose rows the reconstruction
+identity gives exactly; the nonnegative-height half is a weighted Abel
+sum.  The lower bound compresses the convolutor to a finite ball and
+certifies attained Rayleigh quotients.  :func:`bounds_report` assembles
+both sides and *asserts* the sandwich ``compression_lower <= total_upper``
+— a violation is a soundness bug, not a data condition, and raises
+:class:`SoundnessError`.  :func:`line_profile` computes the
+reconstruction profile itself on a trapezoid grid, off the report path.
 
 ``p = 2`` is excluded throughout the pipeline: there the transform theory
 gives the exact operator norm directly, exposed separately as
@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .params import (
-    POLE_GUARD,
     DomainError,
     ScopeError,
     SoundnessError,
@@ -31,12 +30,8 @@ from .params import (
     strip_halfwidth,
     torus_grid,
 )
-from .spherical import (
-    RadialKernel,
-    c_inverse_line_sup,
-    c_inverse_shifted,
-)
-from .abel import AbelSequence, abel_forward
+from .spherical import RadialKernel, c_inverse_shifted
+from .abel import abel_forward
 from .tree import opnorm_lower, shell_masses
 from .zline import (
     DICTIONARY_VERSION,
@@ -56,7 +51,7 @@ _SCOPE_MESSAGE = (
 )
 
 
-#: Trapezoid grid bounds of :func:`line_profile`; at the cap one q=2 report
+#: Trapezoid grid bounds of :func:`line_profile`; at the cap one q=2 profile
 #: takes about 1.5 s and 200 MB.
 _MIN_GRID, _MAX_GRID = 512, 1 << 20
 
@@ -117,65 +112,41 @@ def line_profile(kernel, p):
     return ZKernel(params, -L, vals)
 
 
-def profile_strip_constant(kernel, p):
-    """Certified sup of the profile's symbol over the analysis strip.
+def negative_height_bound(kernel, p):
+    """Step 1 of the height split: the shell series of the negative-height half.
 
-    The profile's symbol is ``2 c_G tau`` times the shifted symbol times
-    the regularized reciprocal c-function, analytic between the boundary
-    lines ``Im z = +-delta(p)`` of the original variable.  Its sup over
-    the strip is bounded — exactly, with no grid — by the coefficient
-    ``l1`` of the shifted Abel coefficients times the closed-form line sup
-    :func:`~treeharmonics.spherical.c_inverse_line_sup`, maximized over
-    the two boundary lines.  Every kernel coefficient obeys
-    ``|phi(l)| <= H`` and the negative tail ``|phi(l)| <= H q^{2 delta l}``
-    with this constant ``H``.
+    Shell ``m`` of the horocyclic decomposition contributes, weighted by
+    ``mu_m q^{-2m/p}``, the convolutor norm on the integers of the
+    reconstruction profile truncated to ``[2m+1, oo)``.  For a kernel of
+    radius ``D`` the reconstruction identity gives that truncation
+    exactly: ``row_m(u) = q^{u/p} k(u)`` for ``2m+1 <= u <= D`` and zero
+    beyond, so the series is the finite sum over ``m <= (D-1)/2`` of
+    ``mu_m q^{-2m/p} ||row_m||``, each row norm certified by
+    :func:`~treeharmonics.zline.convolutor_upper`.  The same series per
+    unit ``||f||_p`` is the ``rhs`` of :func:`transference_check`.
+
+    Kernels supported at the origin only have an identically vanishing
+    negative half, reported as exactly ``0.0``.  A row that overflows
+    float64 makes the series infinite.
     """
     kernel = kernel.trimmed()
     p = check_exponent(p)
     if p >= 2.0:
-        raise DomainError(f"strip constant is defined for p in [1, 2), got p={p:g}")
+        raise DomainError(f"negative-height bound requires p in [1, 2), got p={p:g}")
     params = kernel.params
-    delta = strip_halfwidth(p)
-    # magnitudes first, |a_j| q^{j delta}: the rounding order of the stated bound
-    coeff_l1 = AbelSequence(params, np.abs(abel_forward(kernel).values)).to_zkernel(delta).l1()
-    line_sup = max(c_inverse_line_sup(params, delta), c_inverse_line_sup(params, -delta))
-    return 2.0 * params.plancherel_const * params.period * coeff_l1 * line_sup
-
-
-def negative_height_bound(kernel, p):
-    """Certified bound for the negative-relative-height half of the kernel.
-
-    Shell ``m`` of the horocyclic decomposition contributes the convolutor
-    norm on the integers of the profile truncated to ``[2m+1, oo)``,
-    weighted by ``mu_m q^{-2m/p}``.  Each truncation is bounded by
-    ``U + (1/(q^{2 delta} - 1) + 2m + 1) H`` with ``U`` the full-profile
-    convolutor bound and ``H`` the strip constant of
-    :func:`profile_strip_constant`; since that is affine in ``m``, the
-    shell series collapses to an exact geometric closed form (no
-    truncation of the series itself).
-
-    Kernels supported at the origin only have an identically vanishing
-    negative half, reported as exactly ``0.0``.
-    """
-    kernel = kernel.trimmed()
-    p = check_exponent(p)
-    if not 1.0 < p < 2.0:
-        raise DomainError(f"negative-height bound requires p in (1, 2), got p={p:g}")
-    if kernel.radius == 0:
-        return 0.0
-    params = kernel.params
-    q = params.q
-    delta = strip_halfwidth(p)
-    eps = 2.0 * delta
-    phi = line_profile(kernel, p)
-    upper, _ = convolutor_upper(phi, p)
-    strip_sup = profile_strip_constant(kernel, p)
-    tail_const = 1.0 / (q ** eps - 1.0)
-    alpha = upper + (tail_const + 1.0) * strip_sup
-    x = q ** (1.0 - 2.0 / p)
-    return alpha + (1.0 - 1.0 / q) * (
-        alpha * x / (1.0 - x) + 2.0 * strip_sup * x / (1.0 - x) ** 2
-    )
+    D = kernel.radius
+    max_shell = (D - 1) // 2
+    masses = shell_masses(params.q, max(max_shell, 0))
+    series = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(max_shell + 1):
+            uvals = np.arange(2 * m + 1, D + 1)
+            vals = kernel.values[uvals] * params.qpow(uvals / p)
+            if not np.isfinite(vals).all():
+                return math.inf
+            row_norm, _ = convolutor_upper(ZKernel(params, 2 * m + 1, vals), p)
+            series += masses[m] * params.qpow(-2.0 * m / p) * row_norm
+    return float(series)
 
 
 def nonnegative_height_bound(kernel, p):
@@ -184,7 +155,8 @@ def nonnegative_height_bound(kernel, p):
     Returns ``sum_{j >= 0} q^{-j delta(p)} (Abel |k|)(j)``, the horocycle
     masses of the absolute kernel discounted by the height weight; finite
     for every finitely supported kernel and nondecreasing in ``p`` on
-    ``(1, 2)`` for fixed nonnegative ``k``.
+    ``(1, 2)`` for fixed nonnegative ``k``.  A sum that overflows float64
+    is ``inf``.
     """
     kernel = kernel.trimmed()
     p = check_exponent(p)
@@ -197,7 +169,10 @@ def nonnegative_height_bound(kernel, p):
     terms = [
         params.qpow(-j * delta) * seq.at(j).real for j in range(seq.support_radius + 1)
     ]
-    return math.fsum(terms)
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf  # the terms are nonnegative, so the sum overflows to +inf
 
 
 def spectral_sup(kernel):
@@ -206,42 +181,25 @@ def spectral_sup(kernel):
     return value
 
 
-def _split_exponent(p):
-    """Exponent in ``(1, 2)`` of :func:`tree_norm_upper`'s height split, ``None`` at 1 and inf.
-
-    The split shifts its contour to ``Im z = -delta``; an exponent whose
-    ``delta`` comes within :data:`~treeharmonics.params.POLE_GUARD` of
-    ``1/2`` (``p`` or its dual next to 1) raises
-    :class:`~treeharmonics.params.DomainError`.
-    """
-    if p == 1.0 or math.isinf(p):
-        return None
-    pe = p if p < 2.0 else dual_exponent(p)
-    delta = strip_halfwidth(pe)
-    if delta > 0.5 - POLE_GUARD:
-        raise DomainError(
-            f"p={p!r} lies too close to 1 or to infinity for the height-split bound: "
-            f"its contour shift {delta!r} comes within the pole guard of 1/2"
-        )
-    return pe
-
-
 def tree_norm_upper(kernel, p):
     """Certified upper bound for the ``L^p`` convolutor norm on the tree.
 
-    Returns ``(total, step1, step2)``.  At ``p = 1`` (and ``p = inf``) the
-    bound is the exact tree ``l1`` norm and the step fields are ``None``;
-    for ``p in (1, 2)`` it is the two-part height splitting
-    :func:`negative_height_bound` + :func:`nonnegative_height_bound`; for
-    ``p > 2`` everything is computed at the dual exponent, which carries
-    the same norm.  ``p = 2`` is out of scope.  A bound that overflows
-    float64 raises :class:`~treeharmonics.params.DomainError`.
+    Returns ``(total, step1, step2)``.  The bound is the two-part height
+    splitting :func:`negative_height_bound` +
+    :func:`nonnegative_height_bound` at the split exponent: ``p`` itself
+    below 2, and above 2 the dual exponent, which carries the same norm.
+    For ``k >= 0`` the total is Herz's exact norm ``|FT k(i delta(p))|``
+    up to rounding.  Where the split exponent is 1 — ``p`` in
+    ``{1, inf}``, or a ``p`` whose dual rounds to 1 — the bound is the
+    exact tree ``l1`` norm and the step fields are ``None``.  ``p = 2`` is
+    out of scope.  A bound that overflows float64 raises
+    :class:`~treeharmonics.params.DomainError`.
     """
     p = check_exponent(p)
     if p == 2.0:
         raise ScopeError(_SCOPE_MESSAGE)
-    pe = _split_exponent(p)
-    if pe is None:
+    pe = p if p < 2.0 else dual_exponent(p)
+    if pe == 1.0:
         return kernel.l1_on_tree(), None, None
     step1 = negative_height_bound(kernel, pe)
     step2 = nonnegative_height_bound(kernel, pe)
@@ -256,10 +214,12 @@ def tree_norm_lower(kernel, p, radius=None):
     Every reported value is an attained Rayleigh quotient of the exact
     ball convolution of a radial trial function, computed on the radial
     quotient of the ball by :func:`~treeharmonics.tree.opnorm_lower`,
-    hence a true lower bound for the convolutor norm.  Returns
-    ``(value, method)``.  The ball must strictly contain the kernel
-    support (``radius >= D + 1`` so the central column is complete); the
-    default ``D + 3`` leaves room for window trials.
+    hence a true lower bound for the convolutor norm.  The value is
+    clamped to the tree ``l1`` norm, which bounds every ``L^p`` norm, so
+    that rounding never lifts it above the exact norm at ``p = 1``.
+    Returns ``(value, method)``.  The ball must strictly contain the
+    kernel support (``radius >= D + 1`` so the central column is
+    complete); the default ``D + 3`` leaves room for window trials.
     """
     kernel = kernel.trimmed()
     p = check_exponent(p)
@@ -272,7 +232,12 @@ def tree_norm_lower(kernel, p, radius=None):
             f"compression radius {radius} must be at least D+1 = {D + 1} "
             "so the central column is complete"
         )
-    return opnorm_lower(kernel, p, radius)
+    value, method = opnorm_lower(kernel, p, radius)
+    try:
+        value = min(value, kernel.l1_on_tree())
+    except DomainError:
+        pass  # an l1 norm that overflows clamps nothing
+    return value, method
 
 
 def symbol_norm_report(kernel, p):
@@ -309,10 +274,8 @@ def transference_check(kernel, ball, f, p):
     modulo ``2D + 1`` fixes ``h(y) - h(x)``.  One sphere-sum convolution
     of ``f 1[h = r mod 2D + 1]`` per residue ``r`` therefore suffices:
     ``x`` adds the classes ``r`` with ``(r - h(x)) mod (2D + 1)`` in
-    ``[1, D]``, which is ``2D + 1`` convolutions in all.  ``rhs`` is the
-    shell-series bound ``||f||_p sum_m mu_m q^{-2m/p} ||row_m||`` with
-    ``row_m(u) = q^{u/p} k(u)`` supported on ``u >= 2m + 1`` and the row
-    norms certified by :func:`~treeharmonics.zline.convolutor_upper`.
+    ``[1, D]``, which is ``2D + 1`` convolutions in all.  ``rhs`` is
+    ``||f||_p`` times the shell series :func:`negative_height_bound`.
     Requires ``f`` to vanish outside the interior window ``B_{R-D}`` so
     every class convolution is exact on the ball.
 
@@ -350,15 +313,7 @@ def transference_check(kernel, ball, f, p):
         u[above] += ball.convolve(kernel, f * (residue == r))[above]
     lhs = lp_norm(u, p)
 
-    max_shell = (D - 1) // 2
-    masses = shell_masses(params.q, max(max_shell, 0))
-    series = 0.0
-    for m in range(max_shell + 1):
-        uvals = np.arange(2 * m + 1, D + 1)
-        row = ZKernel(params, 2 * m + 1, kernel.values[uvals] * params.qpow(uvals / p))
-        row_norm, _ = convolutor_upper(row, p)
-        series += masses[m] * params.qpow(-2.0 * m / p) * row_norm
-    rhs = float(lp_norm(f, p) * series)
+    rhs = float(lp_norm(f, p) * negative_height_bound(kernel, p))
     ok = bool(lhs <= rhs + 1e-12 * max(1.0, rhs))
     return {"lhs": lhs, "rhs": rhs, "ok": ok}
 
@@ -381,7 +336,6 @@ class BoundsReport:
     symbol_lower: float
     symbol_upper: float
     weyl_residual: float
-    grid_N: int
     dictionary_version: str
 
     @property
@@ -400,11 +354,9 @@ def bounds_report(kernel, p, radius=None):
 
     Assembles the height-splitting upper bound, the ball-compression
     lower bound at the given radius (default ``D + 3``), and the shifted
-    symbol's norm interval into a :class:`BoundsReport`.  ``grid_N`` is
-    the grid :func:`line_profile` derived, or 512 where no profile is
-    built.  A certified lower bound exceeding the certified upper bound
-    (beyond rounding slack), or either side being NaN, raises
-    :class:`SoundnessError`.
+    symbol's norm interval into a :class:`BoundsReport`.  A certified
+    lower bound exceeding the certified upper bound (beyond rounding
+    slack), or either side being NaN, raises :class:`SoundnessError`.
     """
     kernel = kernel.trimmed()
     p = check_exponent(p)
@@ -421,10 +373,6 @@ def bounds_report(kernel, p, radius=None):
             f"certified lower bound {lower!r} exceeds certified upper bound "
             f"{total!r} at q={kernel.params.q}, p={p:g}, R={radius}"
         )
-    # the height split builds its profile at the split exponent, and none
-    # at p in {1, inf} or for a kernel of radius 0 (negative_height_bound)
-    pe = _split_exponent(p)
-    grid_n = _MIN_GRID if pe is None or kernel.radius == 0 else _profile_grid(kernel, pe)[1]
     return BoundsReport(
         q=kernel.params.q,
         p=p,
@@ -436,6 +384,5 @@ def bounds_report(kernel, p, radius=None):
         symbol_lower=interval.lower,
         symbol_upper=interval.upper,
         weyl_residual=weyl,
-        grid_N=grid_n,
         dictionary_version=DICTIONARY_VERSION,
     )

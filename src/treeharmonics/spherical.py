@@ -204,34 +204,6 @@ def c_inverse_shifted(params, s, v):
     return c_inverse(params, -s - 1j * v)
 
 
-def c_inverse_line_sup(params, v):
-    """Exact sup of ``|c_inverse_shifted(s, v)|`` over real ``s``.
-
-    On the line the modulus squared is ``((q+1)^2/q) (A - c)/(B - c)``
-    with ``A = q^{2v} + q^{-2v}``, ``B = q^{1+2v} + q^{-1-2v}`` and
-    ``c = 2 cos(2 s log q)`` sweeping ``[-2, 2]``; the ratio is monotone in
-    ``c`` with direction given by the sign of ``A - B``, so the sup is
-    attained at an endpoint.  With ``a = v log q`` and ``b = (1/2 + v) log q``
-    the endpoint values factor exactly as ``A + 2 = 4 cosh(a)^2``,
-    ``A - 2 = 4 sinh(a)^2`` and likewise for ``B`` with ``b``, so the sup is
-    ``(q+1)/sqrt(q)`` times ``cosh(a)/cosh(b)`` when ``|a| <= |b|`` and
-    ``|sinh(a)/sinh(b)|`` otherwise.  This form has no cancellation, also
-    next to the pole guard where ``B - 2`` would round away.  At ``v = 0``
-    it recovers the value ``2 = 1/c(tau/4)``.
-    """
-    params = tree_params(params)
-    v = float(v)
-    if not (-0.5 + POLE_GUARD <= v <= 0.5):
-        raise DomainError(
-            f"contour shift must lie in (-1/2, 1/2], safely above -1/2; got {v}"
-        )
-    q = params.q
-    a = v * params.log_q
-    b = (0.5 + v) * params.log_q
-    ratio = math.cosh(a) / math.cosh(b) if abs(a) <= abs(b) else abs(math.sinh(a) / math.sinh(b))
-    return (q + 1.0) / math.sqrt(q) * ratio
-
-
 # ---------------------------------------------------------------------------
 # Spherical functions
 # ---------------------------------------------------------------------------

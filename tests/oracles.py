@@ -6,13 +6,17 @@ evaluations, and exact Fraction cell sums.  None of it shares code paths
 with the package, so agreement is evidence rather than tautology.  Some
 exceptions build on package types: :func:`ball_opnorm_lower` runs on the
 package's explicit ball (checked here against the dense oracles) to check
-the radial quotient; :func:`layered_transference_lhs` and
-:func:`unpruned_line_sup` keep the package's earlier, slower forms of the
-transference sum and the line sup, :func:`recurrence_opnorm_lower` the
-recurrence-driven compression, and :func:`masked_phase_power` the
-all-masked phase power, to pin the faster ones; and the
-horocyclic splitting at the end, which only tests use, cross-checks the
-line profile and the Haar measure.
+the radial quotient, and :func:`negative_half_opnorm_lower` runs the same
+kind of ascent on the negative-height half alone;
+:func:`layered_transference_lhs` and :func:`unpruned_line_sup` keep the
+package's earlier, slower forms of the transference sum and the line sup,
+:func:`recurrence_opnorm_lower` the recurrence-driven compression, and
+:func:`masked_phase_power` the all-masked phase power, to pin the faster
+ones; :func:`affine_negative_height_bound` keeps the earlier, looser
+step 1 of the height split, built on the package's line profile, as a
+bound the exact shell series must not exceed; and the horocyclic
+splitting at the end, which only tests use, cross-checks the line profile
+and the Haar measure.
 """
 
 import math
@@ -22,7 +26,17 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from treeharmonics.params import DomainError, check_exponent, dual_exponent, torus_grid
+from treeharmonics.abel import AbelSequence, abel_forward
+from treeharmonics.engine import line_profile
+from treeharmonics.params import (
+    POLE_GUARD,
+    DomainError,
+    check_exponent,
+    dual_exponent,
+    strip_halfwidth,
+    torus_grid,
+    tree_params,
+)
 from treeharmonics.spherical import sphere_sizes
 from treeharmonics.tree import (
     _TREE_POWER_ITERATES,
@@ -31,7 +45,14 @@ from treeharmonics.tree import (
     _scaled,
     shell_masses,
 )
-from treeharmonics.zline import ZKernel, _eval_symbol, _grid_symbol, duality_ascent, lp_norm
+from treeharmonics.zline import (
+    ZKernel,
+    _eval_symbol,
+    _grid_symbol,
+    convolutor_upper,
+    duality_ascent,
+    lp_norm,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -116,21 +137,28 @@ def dense_convolve(neighbors, kernel_values, f):
     return out
 
 
-def layered_transference_lhs(kernel, ball, f, p):
-    """``lhs`` of the transference check, one ball convolution per occupied height.
+def layered_apply(kernel, ball, f, above=True):
+    """The negative-height half of the kernel, one ball convolution per occupied height.
 
     ``u(x) = sum_y f(y) k(d(x, y)) 1[h(y) > h(x)]`` is read, on each height
-    ``t``, from the convolution of ``f 1[h > t]``; returns ``||u||_p``.
+    ``t``, from the convolution of ``f 1[h > t]``.  With ``above=False``
+    the indicator is ``1[h(y) < h(x)]``, which with the conjugate kernel
+    gives the adjoint.
     """
     h = ball.height
     u = np.zeros(ball.size, dtype=complex)
     for t in np.unique(h):
-        layer = f * (h > t)
+        layer = f * ((h > t) if above else (h < t))
         if not np.any(layer):
             continue
         mask = h == t
         u[mask] = ball.convolve(kernel, layer)[mask]
-    return lp_norm(u, p)
+    return u
+
+
+def layered_transference_lhs(kernel, ball, f, p):
+    """``lhs`` of the transference check: ``||u||_p`` for ``u`` of :func:`layered_apply`."""
+    return lp_norm(layered_apply(kernel, ball, f), p)
 
 
 def _lp_norm(x, p):
@@ -225,6 +253,37 @@ def ball_opnorm_lower(ball, kernel, p, seed=0, iters=200):
                 break
             x /= nx
     return best, best_name
+
+
+def negative_half_opnorm_lower(ball, kernel, p, seed=0, iters=40):
+    """Duality ascent for the negative-height half over all vertex functions of a ball.
+
+    Maximizes ``||T f||_p / ||f||_p`` for ``T`` of :func:`layered_apply`
+    over complex ``f`` on the interior window ``B_{R-D}``, from the ones
+    vector and from a seeded complex start.  Every value is an attained
+    ratio, so the best is a lower bound for the norm of ``T`` on the
+    window, which the shell series bounds from above.  ``p`` in ``(1, 2)``.
+    """
+    kernel = kernel.trimmed()
+    window = ball.radius - kernel.radius
+    nw = int(ball.level_start[window + 1])
+    pd = p / (p - 1.0)
+    conj_kernel = type(kernel)(kernel.params, np.conj(kernel.values))
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for start in (np.ones(nw), rng.normal(size=nw) + 1j * rng.normal(size=nw)):
+        x = np.zeros(ball.size, dtype=complex)
+        x[:nw] = start
+        for _ in range(iters):
+            x /= _lp_norm(x, p)
+            y = layered_apply(kernel, ball, x)
+            best = max(best, _lp_norm(y, p))
+            z = layered_apply(conj_kernel, ball, _phase_power(y, p - 1.0), above=False)
+            x = np.zeros(ball.size, dtype=complex)
+            x[:nw] = _phase_power(z[:nw], pd - 1.0)
+            if not np.any(x):
+                break
+    return best
 
 
 def recurrence_opnorm_lower(kernel, p, radius):
@@ -596,6 +655,89 @@ def direct_dictionary_ratios(q, values, p):
         x = _phase_power(back, pd - 1.0)
     out.append((f"power[{used}]", best))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The affine step 1 of the height split
+# ---------------------------------------------------------------------------
+
+def c_inverse_line_sup(params, v):
+    """Exact sup of ``|c_inverse_shifted(s, v)|`` over real ``s``.
+
+    On the line the modulus squared is ``((q+1)^2/q) (A - c)/(B - c)``
+    with ``A = q^{2v} + q^{-2v}``, ``B = q^{1+2v} + q^{-1-2v}`` and
+    ``c = 2 cos(2 s log q)`` sweeping ``[-2, 2]``; the ratio is monotone in
+    ``c`` with direction given by the sign of ``A - B``, so the sup is
+    attained at an endpoint.  With ``a = v log q`` and ``b = (1/2 + v) log q``
+    the endpoint values factor exactly as ``A + 2 = 4 cosh(a)^2``,
+    ``A - 2 = 4 sinh(a)^2`` and likewise for ``B`` with ``b``, so the sup is
+    ``(q+1)/sqrt(q)`` times ``cosh(a)/cosh(b)`` when ``|a| <= |b|`` and
+    ``|sinh(a)/sinh(b)|`` otherwise.  This form has no cancellation, also
+    next to the pole guard where ``B - 2`` would round away.  At ``v = 0``
+    it recovers the value ``2 = 1/c(tau/4)``.
+    """
+    params = tree_params(params)
+    v = float(v)
+    if not (-0.5 + POLE_GUARD <= v <= 0.5):
+        raise DomainError(
+            f"contour shift must lie in (-1/2, 1/2], safely above -1/2; got {v}"
+        )
+    q = params.q
+    a = v * params.log_q
+    b = (0.5 + v) * params.log_q
+    ratio = math.cosh(a) / math.cosh(b) if abs(a) <= abs(b) else abs(math.sinh(a) / math.sinh(b))
+    return (q + 1.0) / math.sqrt(q) * ratio
+
+
+def profile_strip_constant(kernel, p):
+    """Certified sup of the line profile's symbol over the analysis strip.
+
+    The profile's symbol is ``2 c_G tau`` times the shifted symbol times
+    the regularized reciprocal c-function, analytic between the boundary
+    lines ``Im z = +-delta(p)`` of the original variable.  Its sup over
+    the strip is bounded — exactly, with no grid — by the coefficient
+    ``l1`` of the shifted Abel coefficients times the closed-form line sup
+    :func:`c_inverse_line_sup`, maximized over the two boundary lines.
+    Every coefficient of the profile obeys ``|phi(l)| <= H`` and the
+    negative tail ``|phi(l)| <= H q^{2 delta l}`` with this constant ``H``.
+    """
+    kernel = kernel.trimmed()
+    p = check_exponent(p)
+    if p >= 2.0:
+        raise DomainError(f"strip constant is defined for p in [1, 2), got p={p:g}")
+    params = kernel.params
+    delta = strip_halfwidth(p)
+    # magnitudes first, |a_j| q^{j delta}: the rounding order of the stated bound
+    coeff_l1 = AbelSequence(params, np.abs(abel_forward(kernel).values)).to_zkernel(delta).l1()
+    line_sup = max(c_inverse_line_sup(params, delta), c_inverse_line_sup(params, -delta))
+    return 2.0 * params.plancherel_const * params.period * coeff_l1 * line_sup
+
+
+def affine_negative_height_bound(kernel, p):
+    """The shell series with every truncation bounded by the affine estimate.
+
+    Shell ``m`` contributes ``mu_m q^{-2m/p}`` times a bound for the
+    profile truncated to ``[2m+1, oo)``: ``U + (1/(q^{2 delta} - 1) + 2m +
+    1) H`` with ``U`` the full profile's convolutor bound and ``H``
+    :func:`profile_strip_constant`.  The estimate holds for multipliers of
+    infinite support too; since it is affine in ``m``, the series over all
+    shells collapses to a geometric closed form.  ``p`` in ``(1, 2)``.
+    """
+    kernel = kernel.trimmed()
+    p = check_exponent(p)
+    if not 1.0 < p < 2.0:
+        raise DomainError(f"negative-height bound requires p in (1, 2), got p={p:g}")
+    if kernel.radius == 0:
+        return 0.0
+    q = kernel.params.q
+    eps = 2.0 * strip_halfwidth(p)
+    upper, _ = convolutor_upper(line_profile(kernel, p), p)
+    strip_sup = profile_strip_constant(kernel, p)
+    alpha = upper + (1.0 / (q ** eps - 1.0) + 1.0) * strip_sup
+    x = q ** (1.0 - 2.0 / p)
+    return alpha + (1.0 - 1.0 / q) * (
+        alpha * x / (1.0 - x) + 2.0 * strip_sup * x / (1.0 - x) ** 2
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,24 @@
 """Certified bounds engine: profiles, height splitting, reports, transference."""
 
 import math
-import re
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import haar_identity_check, layered_transference_lhs, mp_moment, split_kernel
+from oracles import (
+    affine_negative_height_bound,
+    haar_identity_check,
+    layered_transference_lhs,
+    mp_moment,
+    negative_half_opnorm_lower,
+    profile_strip_constant,
+    recurrence_spherical,
+    split_kernel,
+)
 from treeharmonics.abel import abel_forward
 from treeharmonics.engine import (
     BoundsReport,
@@ -18,15 +27,21 @@ from treeharmonics.engine import (
     line_profile,
     negative_height_bound,
     nonnegative_height_bound,
-    profile_strip_constant,
     spectral_sup,
     symbol_norm_report,
     transference_check,
     tree_norm_lower,
     tree_norm_upper,
 )
-from treeharmonics.params import DomainError, ScopeError, dual_exponent, strip_halfwidth, tree_params
-from treeharmonics.spherical import ball_kernel, delta_kernel, radial_kernel, sphere_kernel
+from treeharmonics.params import DomainError, ScopeError, strip_halfwidth, tree_params
+from treeharmonics.spherical import (
+    ball_kernel,
+    delta_kernel,
+    radial_kernel,
+    sphere_kernel,
+    sphere_sizes,
+    spherical_transform_at,
+)
 from treeharmonics.tree import ball_geometry
 from treeharmonics.zline import ZKernel, convolutor_upper
 
@@ -80,6 +95,12 @@ def test_line_profile_rejects_out_of_scope_exponents():
             line_profile(k, p)
 
 
+def test_line_profile_refuses_a_grid_past_the_cap():
+    # p = 1.9999 needs a 2^22-point profile grid; the cap is 2^20
+    with pytest.raises(DomainError, match="2\\^20"):
+        line_profile(ball_kernel(2, 2), 1.9999)
+
+
 def test_profile_strip_constant_is_homogeneous():
     k = ball_kernel(3, 2)
     a = profile_strip_constant(k, 1.5)
@@ -105,14 +126,16 @@ def test_negative_height_bound_is_homogeneous():
     assert doubled == pytest.approx(2.0 * base, rel=1e-13)
 
 
-def test_negative_height_bound_needs_open_interval():
+def test_negative_height_bound_needs_p_below_two():
     k = ball_kernel(2, 1)
-    for p in (1.0, 2.0, 3.0):
+    for p in (2.0, 3.0):
         with pytest.raises(DomainError):
             negative_height_bound(k, p)
+    # at p = 1 the one row is q k(1) = 2, with its exact l1 norm
+    assert negative_height_bound(k, 1.0) == 2.0
 
 
-def test_negative_height_bound_is_the_shell_series_in_closed_form():
+def test_affine_oracle_is_the_shell_series_in_closed_form():
     # alpha * M_0 + H * M_1, with the horocyclic moments M_l summed term by
     # term in high precision, alpha the l = 0 truncation bound and H the
     # strip constant.  The p = 1.9 profile derives a grid of 4096 at q = 2
@@ -127,7 +150,54 @@ def test_negative_height_bound_is_the_shell_series_in_closed_form():
                 upper, _ = convolutor_upper(line_profile(k, p), p)
                 alpha = upper + (1.0 / (q**eps - 1.0) + 1.0) * H
                 want = alpha * mp_moment(q, p, 0) + H * mp_moment(q, p, 1)
-                assert negative_height_bound(k, p) == pytest.approx(want, rel=1e-12)
+                assert affine_negative_height_bound(k, p) == pytest.approx(want, rel=1e-12)
+
+
+def test_negative_height_bound_is_at_most_the_affine_oracle():
+    # the exact truncations can only improve on their affine estimate
+    rng = np.random.default_rng(191)
+    for q in (2, 3, 5):
+        for D in range(1, 7):
+            for p in (1.1, 4.0 / 3.0, 1.5, 1.8):
+                k = random_kernel(rng, q, D)
+                exact = negative_height_bound(k, p)
+                assert 0.0 < exact <= affine_negative_height_bound(k, p), (q, D, p)
+
+
+def test_negative_height_bound_is_the_shell_series_in_closed_form():
+    # sum_m mu_m q^{-2m/p} sum_{u > 2m} q^{u/p} k(u) in 40 digits, with
+    # mu_0 = 1 and mu_m = (q - 1) q^{m-1}; for k >= 0 each row norm is its l1 norm
+    rng = np.random.default_rng(199)
+    for q in (2, 3, 5):
+        for D in range(7):
+            for p in (1.0, 1.1, 1.5, 1.9):
+                k = rng.uniform(0.0, 1.0, size=D + 1)
+                with mp.workdps(40):
+                    pp = mp.mpf(p)
+                    want = sum(
+                        (1 if m == 0 else (q - 1) * mp.mpf(q) ** (m - 1))
+                        * mp.mpf(q) ** (-2 * m / pp)
+                        * sum(mp.mpf(q) ** (u / pp) * mp.mpf(k[u]) for u in range(2 * m + 1, D + 1))
+                        for m in range((D + 1) // 2)
+                    )
+                got = negative_height_bound(radial_kernel(q, k), p)
+                assert got == pytest.approx(float(want), rel=1e-14, abs=0.0), (q, D, p)
+
+
+def test_negative_half_ascent_never_exceeds_the_shell_series():
+    # a duality ascent over every vertex function of an explicit ball, on
+    # the negative-height half alone, comes within 12% of the series
+    rng = np.random.default_rng(193)
+    cases = (
+        (2, 10, ball_kernel(2, 2), 1.5),
+        (2, 10, random_kernel(rng, 2, 3), 4.0 / 3.0),
+        (3, 7, sphere_kernel(3, 3), 4.0 / 3.0),
+        (3, 7, radial_kernel(3, rng.uniform(0.1, 1.0, size=4)), 1.5),
+    )
+    for q, R, k, p in cases:
+        lower = negative_half_opnorm_lower(ball_geometry(q, R), k, p, iters=30)
+        series = negative_height_bound(k, p)
+        assert 0.88 * series <= lower <= series * (1.0 + 1e-12), (q, R, p)
 
 
 def test_line_profile_builds_no_dense_phase_matrix():
@@ -188,11 +258,25 @@ def test_tree_norm_upper_duality_is_bit_identical():
 
 
 def test_tree_norm_upper_that_overflows_is_refused():
-    # at p = 3311979 the negative-height bound is about 3.6e7 times the
-    # kernel value, so it overflows to inf for this kernel
-    k = radial_kernel(2, [0.0, 1e301])
+    # both halves are finite, 1.6e308 and 1.3e308, but their sum overflows
+    k = radial_kernel(2, [0.0, 1e308])
     with pytest.raises(DomainError, match="overflows float64"):
-        tree_norm_upper(k, 3311979.0)
+        tree_norm_upper(k, 1.5)
+    # here the row q^{2/p} k(2) of step 1 overflows, and the error names it
+    with pytest.raises(DomainError, match="overflow"):
+        tree_norm_upper(radial_kernel(2, [0.0, 0.0, 1e308]), 1.5)
+
+
+def test_tree_norm_upper_is_herz_norm_for_nonnegative_kernels():
+    # for k >= 0 the L^p norm is |FT k(i delta(p))| (Herz); the split attains it
+    rng = np.random.default_rng(197)
+    for q in (2, 3, 5):
+        for D in range(7):
+            for p in (1.1, 4.0 / 3.0, 1.5, 1.8, 3.0, 7.0):
+                k = radial_kernel(q, rng.uniform(0.0, 1.0, size=D + 1))
+                total, _, _ = tree_norm_upper(k, p)
+                herz = abs(spherical_transform_at(k, 1j * strip_halfwidth(p)))
+                assert total == pytest.approx(herz, rel=1e-13), (q, D, p)
 
 
 def test_tree_norm_upper_splits_add_up():
@@ -218,6 +302,17 @@ def test_tree_norm_sandwich_on_small_examples():
             lower, _ = tree_norm_lower(k, p, radius=5)
             total, _, _ = tree_norm_upper(k, p)
             assert lower <= total * (1.0 + 1e-10)
+
+
+def test_tree_norm_lower_is_clamped_to_the_l1_norm():
+    # the best trials round one ulp above the exact norm, 1.9 and 2.5
+    assert tree_norm_lower(radial_kernel(2, [1, 0.3]), 1, 9)[0] == 1.9
+    assert tree_norm_lower(radial_kernel(2, [0.1, 0.2, 0.3]), 1, 5)[0] == 2.5
+    rep = bounds_report(delta_kernel(2), 1.9)
+    assert rep.compression_lower == rep.total_upper == 1.0
+    # an l1 norm that overflows clamps nothing and raises nothing
+    value, _ = tree_norm_lower(radial_kernel(2, [0.0] * 10 + [1e306]), 1.5, 13)
+    assert 0.0 <= value < math.inf
 
 
 def test_tree_norm_equality_at_p_one():
@@ -391,13 +486,14 @@ def test_transference_check_rejects_p_out_of_range():
 def test_bounds_report_frozen_unit_ball_example():
     rep = bounds_report(ball_kernel(2, 1), 1.5, radius=6)
     assert rep.q == 2 and rep.p == 1.5 and rep.R == 6
-    assert rep.step1_upper == pytest.approx(187.12672579006488, rel=1e-12)
+    # step 1 is the one row q^{1/p} = 2^{2/3} of the single shell, step 2
+    # is 1 + 2^{1/3}, and the total is Herz's norm of the kernel
+    assert rep.step1_upper == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-14)
     assert rep.step2_upper == pytest.approx(2.259921049894873, rel=1e-13)
-    assert rep.total_upper == pytest.approx(189.38664683995975, rel=1e-12)
+    assert rep.total_upper == pytest.approx(1.0 + 2.0 ** (1.0 / 3.0) + 2.0 ** (2.0 / 3.0), rel=1e-14)
     assert rep.compression_lower == pytest.approx(3.6934726077316076, rel=1e-10)
     assert rep.symbol_lower <= rep.symbol_upper
     assert rep.weyl_residual == 0.0
-    assert rep.grid_N == 512
     assert rep.compression_lower <= rep.total_upper
 
 
@@ -415,7 +511,6 @@ def test_bounds_report_key_order_is_stable():
         "symbol_lower",
         "symbol_upper",
         "weyl_residual",
-        "grid_N",
         "dictionary_version",
     ]
 
@@ -434,27 +529,20 @@ def test_bounds_report_numeric_fields_are_plain_floats():
         assert type(getattr(rep, name)) is float, name
 
 
-def test_bounds_report_derives_the_profile_grid():
-    # a 512-point grid once refused q=2, p=1.9, whose profile has L = 1099;
-    # no profile is built for a radius-0 kernel or at p in {1, inf}
+def test_bounds_report_next_to_two_and_at_the_endpoints_is_sound():
+    # no line profile is built, so exponents next to 2 need no large grid
     cases = (
-        (ball_kernel(2, 2), 1.9, 4096),
-        (ball_kernel(2, 2), 1.9 / 0.9, 4096),
-        (ball_kernel(3, 2), 1.9, 2048),
-        (ball_kernel(2, 2), 1.5, 512),
-        (delta_kernel(2), 1.9, 512),
-        (ball_kernel(2, 2), 1.0, 512),
-        (ball_kernel(2, 2), math.inf, 512),
+        (ball_kernel(2, 2), 1.9),
+        (ball_kernel(2, 2), 1.9 / 0.9),
+        (ball_kernel(3, 2), 1.9),
+        (ball_kernel(2, 2), 1.5),
+        (delta_kernel(2), 1.9),
+        (ball_kernel(2, 2), 1.0),
+        (ball_kernel(2, 2), math.inf),
     )
-    for k, p, grid in cases:
+    for k, p in cases:
         rep = bounds_report(k, p)
-        assert rep.grid_N == grid, (k.params.q, p)
-        if rep.step1_upper is not None and k.radius > 0:
-            # the grid of the profile built at the split exponent, L = (size - 1) / 2
-            size = line_profile(k, p if p < 2.0 else dual_exponent(p)).values.size
-            assert rep.grid_N == max(512, 1 << size.bit_length())
-        # the delta kernel's compression rounds one ulp above its exact norm 1
-        assert 0.0 < rep.compression_lower <= rep.total_upper * (1.0 + 1e-15) < math.inf
+        assert 0.0 < rep.compression_lower <= rep.total_upper < math.inf, (k.params.q, p)
 
 
 def test_bounds_report_refuses_p_two():
@@ -462,11 +550,25 @@ def test_bounds_report_refuses_p_two():
         bounds_report(ball_kernel(2, 1), 2.0)
 
 
-@pytest.mark.parametrize("p", [1.0 + 1e-9, 1e15, 1e16, 1e300])
-def test_bounds_report_refuses_exponents_whose_split_reaches_the_pole_guard(p):
-    message = re.escape(f"p={p!r} lies too close to 1 or to infinity")
-    with pytest.raises(DomainError, match=message):
-        bounds_report(ball_kernel(2, 2), p)
+@pytest.mark.parametrize("p", [1.0 + 1e-9, 1e15, 1e16, 1e300, 1.9999])
+def test_bounds_report_serves_p_next_to_one_two_and_inf(p):
+    # the dual of 1e16 or 1e300 rounds to 1, so the l1 norm serves them
+    rep = bounds_report(ball_kernel(2, 2), p)
+    assert 0.0 < rep.compression_lower <= rep.total_upper < math.inf
+    if p >= 1e16:
+        assert rep.total_upper == 10.0 and rep.step1_upper is None
+
+
+def test_bounds_report_next_to_two_is_herz_norm():
+    # |FT k(i delta)| = sum_d |S_d| k(d) phi_{i delta}(d), with phi from the
+    # eigenfunction recurrence in 50 digits; the c-function expansion of
+    # spherical_transform_at cancels this close to the lattice
+    k = ball_kernel(2, 2)
+    phi = recurrence_spherical(2, 1j * strip_halfwidth(1.9999), 2)
+    herz = abs(sum(size * value for size, value in zip(sphere_sizes(k.params, 2), phi)))
+    total = bounds_report(k, 1.9999).total_upper
+    assert total == pytest.approx(herz, rel=1e-13)
+    assert total == pytest.approx(8.828427127573402, rel=1e-15)
 
 
 def test_bounds_report_duality_matches():
@@ -491,7 +593,6 @@ def test_necessity_ratio_guards():
         symbol_lower=0.0,
         symbol_upper=0.0,
         weyl_residual=0.0,
-        grid_N=512,
         dictionary_version="dict-v2",
     )
     assert degenerate.necessity_ratio == 0.0

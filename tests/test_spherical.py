@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import grid_line_sup, mp_c_function, mp_line_sup, recurrence_spherical
+from oracles import (
+    c_inverse_line_sup,
+    grid_line_sup,
+    mp_c_function,
+    mp_line_sup,
+    recurrence_spherical,
+)
 from treeharmonics.params import DomainError, strip_halfwidth, torus_grid, tree_params
 from treeharmonics.spherical import (
     RadialKernel,
@@ -13,7 +19,6 @@ from treeharmonics.spherical import (
     ball_kernel,
     c_function,
     c_inverse,
-    c_inverse_line_sup,
     c_inverse_shifted,
     delta_kernel,
     inverse_spherical_transform,
