@@ -1,9 +1,11 @@
 """Norm brackets for convolution kernels on the integers.
 
-Builds a few kernels on the integer line, brackets their l^p convolution
-norms between dictionary-trial lower bounds and interpolation upper
-bounds, and tabulates the certified truncation bound against the actual
-certified lower bounds of the truncated kernels.
+Builds a few kernels on the integer line and brackets their l^p
+convolution norms.  The one-sign kernel [1, 1] has the exact norm 2 at
+every p; the signed kernel [1, 2, -1] is bracketed between
+dictionary-trial lower bounds and interpolation upper bounds.  Then the
+certified truncation bound is tabulated against the certified lower
+bounds of the truncated kernels.
 """
 
 import numpy as np
@@ -18,10 +20,12 @@ from treeharmonics.zline import (
     zkernel,
 )
 
-F = zkernel(2, [1.0, 1.0])
-for p in (1.0, 4.0 / 3.0, 1.5, 2.0):
-    iv = convolutor_interval(F, p)
-    print(f"p = {p:<8.6g} [{iv.lower:.9f}, {iv.upper:.9f}]  lower via {iv.lower_method}")
+for values in ([1.0, 1.0], [1.0, 2.0, -1.0]):
+    print(f"kernel {values}:")
+    F = zkernel(2, values)
+    for p in (1.0, 4.0 / 3.0, 1.5, 2.0):
+        iv = convolutor_interval(F, p)
+        print(f"  p = {p:<8.6g} [{iv.lower:.9f}, {iv.upper:.9f}]  lower via {iv.lower_method}")
 
 print("\nstrip sup and truncation bounds for a two-sided random kernel:")
 rng = np.random.default_rng(2)

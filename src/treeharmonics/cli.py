@@ -59,7 +59,7 @@ _COMMANDS = (
     ("census", "horocyclic census of a ball, written as CSV",
      (_Q, _radius(required=True))),
     ("transference", "randomized layered-convolution inequality suite",
-     (_Q, _p(default=1.5), _radius(default=8),
+     (_Q, _p(default=1.5), _radius(type=_positive_int, default=8),
       ("--seed", {"type": int, "default": 0, "help": "seed of the random instances"}),
       ("--instances", {"type": _positive_int, "default": 100,
                        "help": "number of random instances"}))),

@@ -144,7 +144,10 @@ def negative_height_bound(kernel, p):
             vals = kernel.values[uvals] * params.qpow(uvals / p)
             if not np.isfinite(vals).all():
                 return math.inf
-            row_norm, _ = convolutor_upper(ZKernel(params, 2 * m + 1, vals), p)
+            try:
+                row_norm, _ = convolutor_upper(ZKernel(params, 2 * m + 1, vals), p)
+            except DomainError:
+                return math.inf  # the row's l1 norm overflows
             series += masses[m] * params.qpow(-2.0 * m / p) * row_norm
     return float(series)
 

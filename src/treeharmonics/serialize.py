@@ -2,13 +2,15 @@
 
 Floating-point values are serialized with ``repr`` (shortest round-trip
 representation), so write-read cycles are lossless and output files are
-byte-stable for diffing.  Readers validate shape and headers and raise
+byte-stable for diffing.  JSON output is strict: it never holds
+``Infinity`` or ``NaN``.  Readers validate shape and headers and raise
 :class:`~treeharmonics.params.DomainError` on malformed input so the
 command line can map the failure to its I/O exit code.
 """
 
 import csv
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -138,8 +140,12 @@ def census_to_csv(rows):
 # ---------------------------------------------------------------------------
 
 def interval_to_json(interval):
-    return json.dumps(asdict(interval), indent=2) + "\n"
+    return json.dumps(asdict(interval), indent=2, allow_nan=False) + "\n"
 
 
 def report_to_json(report):
-    return json.dumps(report.to_json_dict(), indent=2) + "\n"
+    """The report as strict JSON; JSON has no infinity, so ``p = inf`` is the string ``"inf"``."""
+    obj = report.to_json_dict()
+    if math.isinf(obj["p"]):
+        obj["p"] = "inf"  # float("inf") reads it back
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"

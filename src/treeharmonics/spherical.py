@@ -310,14 +310,20 @@ def inverse_spherical_transform(symbol, radius):
     with the integral replaced by the periodic trapezoid rule on the
     symbol's grid (``c_G`` is the Plancherel constant of the tree).  The
     quadrature error decays exponentially in the grid size; resolutions of
-    512 recover kernels of radius <= 8 to around 1e-12.
+    512 recover kernels of radius <= 8 to around 1e-12.  A sum that
+    overflows float64 raises :class:`DomainError`.
     """
     params = symbol.params
     radius = int(radius)
     if radius < 0:
         raise DomainError(f"radius must be >= 0, got {radius}")
-    weights = symbol.samples * c_inverse(params, -symbol.grid)
     d = np.arange(radius + 1)
-    vals = 2.0 * params.plancherel_const * params.period * inverse_fourier_z(weights, d)
-    vals *= params.qpow(-d.astype(float) / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = symbol.samples * c_inverse(params, -symbol.grid)
+        vals = 2.0 * params.plancherel_const * params.period * inverse_fourier_z(weights, d)
+        vals *= params.qpow(-d.astype(float) / 2.0)
+    if not np.isfinite(vals).all():
+        raise DomainError(
+            "the inverse spherical transform overflows float64: the symbol values are too large"
+        )
     return RadialKernel(params, vals)

@@ -35,7 +35,7 @@ from .params import (
 
 #: Version tag of the lower-bound trial dictionary.  Bump when the trial
 #: set changes, so stored reports remain attributable.
-DICTIONARY_VERSION = "dict-v2"
+DICTIONARY_VERSION = "dict-v3"
 
 _BOX_LENGTHS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 _MODULATED_LENGTHS = (4, 16, 64, 256, 1024, 4096)
@@ -83,7 +83,14 @@ class ZKernel:
         return 0.0 + 0.0j
 
     def l1(self):
-        return float(np.sum(np.abs(self.values)))
+        """Sum of the moduli of the values; an overflowing sum raises :class:`DomainError`."""
+        with np.errstate(over="ignore"):
+            value = float(np.sum(np.abs(self.values)))
+        if not math.isfinite(value):
+            raise DomainError(
+                "the l1 norm on the integers overflows float64: the kernel values are too large"
+            )
+        return value
 
     def trimmed(self):
         """Copy with leading/trailing zero entries removed."""
@@ -255,7 +262,8 @@ def convolutor_upper(F, p):
     Returns ``(value, method)``.  At ``p`` in ``{1, inf}`` the bound is the
     exact ``l^1`` norm; at ``p == 2`` it is the refined grid supremum of the
     symbol (the grid resolution is recorded); otherwise it interpolates the
-    two with exponent ``theta = |2/p - 1|``.
+    two with exponent ``theta = |2/p - 1|``.  An ``l^1`` norm that
+    overflows float64 raises :class:`~treeharmonics.params.DomainError`.
     """
     p = check_exponent(p)
     l1 = F.l1()
@@ -378,7 +386,12 @@ def _box_ratios(vals, thetas, lengths, p):
 def convolutor_interval(F, p):
     """Certified two-sided bracket for the ``l^p`` convolution norm of ``F``.
 
-    The upper end is :func:`convolutor_upper`.  For ``p`` in ``{1, inf}`` the interval
+    A kernel with one nonzero entry, or with real entries of one sign, has
+    the exact norm ``||F||_1`` at every ``p``: Young's inequality bounds
+    the norm by it, and the boxes ``1_[0, L)`` attain it as ``L -> oo``.
+    Both ends are then that norm, named ``exact:one-sign`` and
+    ``l1-exact(one-sign)``.  For every other kernel the upper end is
+    :func:`convolutor_upper`.  For ``p`` in ``{1, inf}`` the interval
     collapses to the exact ``l^1`` norm (the delta trial and a matched-sign
     trial attain it), and at ``p == 2`` both ends are the refined grid
     supremum of the symbol.  At every other exponent the lower end is the
@@ -389,11 +402,19 @@ def convolutor_interval(F, p):
     every box, plain or modulated, is evaluated in closed form from prefix,
     suffix and sliding-window sums of the modulated kernel
     (:func:`_box_ratios`), with no trial vector or convolution formed.  A
-    trial whose ratio overflows certifies nothing and is skipped.
+    trial whose ratio overflows certifies nothing and is skipped.  An
+    ``l^1`` norm that overflows float64 raises
+    :class:`~treeharmonics.params.DomainError`.
     """
     p = check_exponent(p)
     F = F.trimmed()
     vals = F.values
+    real = vals.real
+    if vals.size == 1 or (not vals.imag.any() and ((real >= 0.0).all() or (real <= 0.0).all())):
+        l1 = F.l1()
+        return NormInterval(
+            l1, l1, f"exact:one-sign({DICTIONARY_VERSION})", "l1-exact(one-sign)"
+        )
     upper, upper_method = convolutor_upper(F, p)
     if p == 2.0:
         return NormInterval(upper, upper, upper_method, upper_method)
@@ -478,8 +499,10 @@ def hilbert_witness(q, n_support):
     The kernel ``F(d) = 1/d`` for ``1 <= d <= n_support`` is the canonical
     example of a convolutor whose one-sided truncations are *not*
     uniformly bounded: its ``l^2`` norm is the symbol value at frequency 0,
-    the harmonic number ``H_n >= log(n)``, which grows without bound.
-    Returns ``(lower, log(n_support))``.
+    the harmonic number ``H_n >= log(n)``, which grows without bound.  The
+    kernel is positive, so :func:`convolutor_interval` gives that norm
+    exactly as ``||F||_1``, with no line sup.  Returns
+    ``(lower, log(n_support))``.
     """
     n_support = int(n_support)
     if n_support < 1:

@@ -610,6 +610,9 @@ def fine_grid_line_sup(q, offset, values, v, n=1 << 16):
 def direct_dictionary_ratios(q, values, p):
     """Every trial of the ``dict-v2`` dictionary with its exact ratio, in trial order.
 
+    ``dict-v3`` runs these trials on kernels that change sign or are
+    complex, and takes one-sign kernels to their exact ``l^1`` norm.
+
     Builds each trial vector explicitly — the delta, the boxes of lengths
     ``2^1 .. 2^12``, the boxes of lengths ``4^1 .. 4^6`` modulated at the
     32 equispaced torus frequencies, and the duality-map ascent from the

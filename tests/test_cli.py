@@ -71,17 +71,25 @@ def test_check_command_scope_exit_code_at_p_two(ball1):
     assert main(["norms", "--kernel", ball1, "--p", "2.0"]) == 3
 
 
-def test_norms_command_exits_with_four_on_a_soundness_fault(ball1, monkeypatch, capsys):
-    # a planted fault: the line sup at half its value
+def test_norms_command_exits_with_four_on_a_soundness_fault(tmp_path, ball1, monkeypatch, capsys):
+    # a planted fault: the line sup at half its value; the shifted
+    # coefficients of this kernel change sign, so the dictionary runs
     import treeharmonics.engine as engine
     import treeharmonics.params as params
     import treeharmonics.zline as zline
 
     assert engine.SoundnessError is params.SoundnessError
+    signed = tmp_path / "signed.json"
+    write_kernel(radial_kernel(2, [1.0, -0.5]), signed)
     real = zline._line_sup
     monkeypatch.setattr(zline, "_line_sup", lambda F, v: (0.5 * real(F, v)[0], real(F, v)[1]))
-    assert main(["norms", "--kernel", ball1, "--p", "1.5"]) == 4
+    assert main(["norms", "--kernel", str(signed), "--p", "1.5"]) == 4
     assert "soundness:" in capsys.readouterr().err
+    # a one-sign kernel takes its exact l1 norm and never reads the line sup
+    assert main(["norms", "--kernel", ball1, "--p", "1.5"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["lower"] == obj["upper"] < math.inf
+    assert obj["upper_method"] == "l1-exact(one-sign)"
 
 
 @pytest.mark.parametrize("p", ["1.000000001", "1e15", "1e16", "1e300", "1.9999"])
@@ -137,6 +145,22 @@ def test_overflowing_profile_exits_with_two_and_names_the_overflow(huge, p, caps
 
 
 @pytest.mark.parametrize("p", ["1.5", "3"])
+def test_norms_on_an_overflowing_l1_norm_exit_with_two_and_name_the_overflow(huge, p, capsys):
+    # warnings are errors in the suite, so this also asserts none is raised
+    err = _assert_overflow_exit(["norms", "--kernel", huge, "--p", p], capsys)
+    assert "l1 norm on the integers overflows" in err
+
+
+@pytest.mark.parametrize("p", ["1.5", "3"])
+def test_norms_on_a_large_kernel_report_its_finite_l1_norm(tmp_path, p, capsys):
+    path = tmp_path / "large.json"
+    path.write_text('{"q": 2, "values": [[1e307, 0.0], [1e307, 0.0]]}')
+    assert main(["norms", "--kernel", str(path), "--p", p]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert 1e307 < obj["lower"] == obj["upper"] < math.inf
+
+
+@pytest.mark.parametrize("p", ["1.5", "3"])
 def test_large_kernel_at_split_exponents_reports_without_warnings(tmp_path, p, capsys):
     path = tmp_path / "large.json"
     path.write_text('{"q": 2, "values": [[1e307, 0.0], [1e307, 0.0]]}')
@@ -165,6 +189,54 @@ def test_large_kernel_at_the_endpoint_exponents_reports_without_warnings(tmp_pat
     assert main(["check", "--kernel", str(path), "--p", p]) == 0
     report = json.loads(capsys.readouterr().out)
     assert 0.0 < report["compression_lower"] <= report["total_upper"] < math.inf
+
+
+def test_transference_with_radius_zero_is_refused_by_the_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["transference", "--radius", "0", "--instances", "1"])
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
+def _strict_json(text):
+    """Parse JSON, refusing ``Infinity``, ``-Infinity`` and ``NaN``."""
+
+    def refuse(name):
+        raise AssertionError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_commands_emit_only_finite_numbers(tmp_path, capsys):
+    kernels = {
+        "large": [[1e307, 0.0], [1e307, 0.0]],
+        "signed": [[1.0, 0.0], [-0.5, 0.0]],
+        "complex": [[1.0, 0.5], [0.25, -1.0], [0.0, 2.0]],
+    }
+    for name, values in kernels.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"q": 2, "values": values}))
+        for command in ("check", "norms"):
+            for p in ("1", "1.5", "3", "inf"):
+                assert main([command, "--kernel", str(path), "--p", p]) == 0
+                _strict_json(capsys.readouterr().out)
+        if name != "large":
+            sym = tmp_path / f"{name}.csv"
+            assert main(["transform", "--kernel", str(path), "--out", str(sym)]) == 0
+            radius = str(len(values) - 1)
+            assert main(["invert", "--kernel", str(sym), "--q", "2", "--radius", radius]) == 0
+            _strict_json(capsys.readouterr().out)
+
+
+def test_invert_of_an_overflowing_symbol_exits_with_two(tmp_path, capsys):
+    # the symbol samples are finite, but their trapezoid sum overflows
+    path = tmp_path / "large.json"
+    path.write_text('{"q": 2, "values": [[1e307, 0.0], [1e307, 0.0]]}')
+    sym = tmp_path / "sym.csv"
+    assert main(["transform", "--kernel", str(path), "--grid", "256", "--out", str(sym)]) == 0
+    argv = ["invert", "--kernel", str(sym), "--q", "2", "--radius", "1"]
+    err = _assert_overflow_exit(argv, capsys)
+    assert "inverse spherical transform overflows" in err
 
 
 def test_transference_over_the_ball_budget_exits_with_two():

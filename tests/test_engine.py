@@ -267,6 +267,14 @@ def test_tree_norm_upper_that_overflows_is_refused():
         tree_norm_upper(radial_kernel(2, [0.0, 0.0, 1e308]), 1.5)
 
 
+def test_negative_height_row_with_an_overflowing_l1_norm_makes_the_series_infinite():
+    # both row entries, 9.5e307 and 1.5e308, are finite, but their l1 norm overflows
+    k = radial_kernel(2, [0.0, 6e307, 6e307])
+    assert negative_height_bound(k, 1.5) == math.inf
+    with pytest.raises(DomainError, match="height-split bound overflows"):
+        tree_norm_upper(k, 1.5)
+
+
 def test_tree_norm_upper_is_herz_norm_for_nonnegative_kernels():
     # for k >= 0 the L^p norm is |FT k(i delta(p))| (Herz); the split attains it
     rng = np.random.default_rng(197)
@@ -602,13 +610,22 @@ def test_overflowing_trial_ratios_certify_nothing():
     # The l^p norms of the matched-row (1e100, p = 3/2) and delta (1e7,
     # p = 50) trials overflow: an infinite ratio once tripped the sandwich,
     # and the clamp to the upper end reported it as a collapsed interval.
-    for values, p, radius in (([1e100, 1e100], 1.5, 5), ([1e7, 1e7], 50.0, None)):
+    # The shifted coefficients of these kernels change sign, so the
+    # dictionary runs.
+    for values, p, radius in (([1e100, -1e100], 1.5, 5), ([1e7, -1e7], 50.0, None)):
         k = radial_kernel(2, values)
         with np.errstate(over="ignore"):
             rep = bounds_report(k, p, radius=radius)
             interval, _ = symbol_norm_report(k, p)
         assert 0.0 <= rep.compression_lower <= rep.total_upper < math.inf
         assert interval.lower < interval.upper
+    # one-sign kernels of the same size have the exact, finite l1 norm
+    # (at [1e7, 1e7], p = 50 the dictionary's lower end was 0.0)
+    for values, p in (([1e100, 1e100], 1.5), ([1e7, 1e7], 50.0)):
+        k = radial_kernel(2, values)
+        interval, _ = symbol_norm_report(k, p)
+        l1 = abel_forward(k).to_zkernel(strip_halfwidth(p)).l1()
+        assert interval.lower == interval.upper == l1 < math.inf
 
 
 def test_soundness_error_is_a_runtime_error():

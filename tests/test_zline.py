@@ -271,6 +271,42 @@ def test_box_trials_and_the_winner_match_the_dense_dictionary():
                 assert name == best_name
 
 
+def one_sign_cases():
+    """Seeded positive, negative and one-entry complex kernels of lengths 1-300."""
+    rng = np.random.default_rng(251)
+    for i in range(15):
+        q = (2, 3, 5)[i % 3]
+        offset = int(rng.integers(-20, 21))
+        if i % 3 == 2:
+            vals = [complex(rng.normal(), rng.normal())]
+        else:
+            length = int(rng.integers(100, 301)) if i % 5 == 0 else int(rng.integers(1, 41))
+            vals = np.abs(rng.normal(size=length)) * (1.0 if i % 3 == 0 else -1.0)
+            vals[rng.random(length) < 0.2] = 0.0  # interior zeros keep the sign
+        yield ZKernel(tree_params(q), offset, vals)
+
+
+def test_one_sign_kernels_have_the_exact_l1_norm():
+    for F in one_sign_cases():
+        l1 = F.l1()
+        for p in (1.1, 1.5, 2.0, 2.5, 4.0):
+            iv = convolutor_interval(F, p)
+            assert iv.lower == iv.upper == l1
+            assert iv.lower_method == f"exact:one-sign({DICTIONARY_VERSION})"
+            # at least every dict-v2 trial ratio, and the old interpolated upper end
+            for _, ratio in direct_dictionary_ratios(F.params.q, F.values, p):
+                assert ratio <= l1 + 1e-12 * l1
+            assert abs(convolutor_upper(F, p)[0] - l1) <= 1e-12 * l1
+
+
+def test_complex_kernels_whose_real_parts_share_a_sign_keep_the_dictionary():
+    # the real parts [1, 0, 1] share a sign, but the l^2 norm is sqrt(5) < ||F||_1 = 3
+    F = zkernel(2, [1.0, 1j, 1.0])
+    assert abs(convolutor_interval(F, 2.0).upper - math.sqrt(5.0)) <= 1e-12
+    iv = convolutor_interval(F, 1.5)
+    assert iv.lower_method.startswith("trial:") and iv.upper < 3.0
+
+
 def test_interval_values_are_plain_floats():
     iv = convolutor_interval(zkernel(2, [1.0, 1.0]), 1.5)
     assert type(iv.lower) is float and type(iv.upper) is float
@@ -515,14 +551,23 @@ def test_hilbert_witness_grows_past_log():
 
 
 def test_hilbert_witness_refines_only_the_maxima_that_can_win():
-    # refining all 3,979 grid maxima of N = 4096 once peaked at 193 MB
+    # refining all 3,979 grid maxima of the p = 2 sup of the witness kernel
+    # 1/d on [1, 4096] once peaked at 193 MB; hilbert_witness itself no
+    # longer runs a line sup, as the kernel is positive
+    d = np.arange(1, 4097)
+    F = ZKernel(tree_params(2), 1, 1.0 / d)
     tracemalloc.start()
     try:
-        hilbert_witness(2, 4096)
+        convolutor_upper(F, 2.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20
+
+
+def test_hilbert_witness_of_one_entry_is_exactly_one():
+    # the line sup gave 1.0000000000000002, one ulp above the norm
+    assert hilbert_witness(2, 1) == (1.0, 0.0)
 
 
 def test_hilbert_witness_rejects_empty_support():
