@@ -1,7 +1,8 @@
 """Layered-convolution transference and the unbounded-truncation witness.
 
-Runs a seeded batch of transference inequalities (ball convolution by
-height residue class against the iterated row-norm majorant) and then
+Runs a seeded batch of transference inequalities (the negative-height half
+summed along up-then-down walks on an explicit ball, against the shell
+series of row norms) and then
 tabulates the growth of the p = 2 lower bound for truncated reciprocal
 kernels, whose divergence shows one-sided truncation is not uniformly
 bounded.

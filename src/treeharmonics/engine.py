@@ -121,8 +121,11 @@ def negative_height_bound(kernel, p):
     radius ``D`` the reconstruction identity gives that truncation
     exactly: ``row_m(u) = q^{u/p} k(u)`` for ``2m+1 <= u <= D`` and zero
     beyond, so the series is the finite sum over ``m <= (D-1)/2`` of
-    ``mu_m q^{-2m/p} ||row_m||``, each row norm certified by
-    :func:`~treeharmonics.zline.convolutor_upper`.  The same series per
+    ``mu_m q^{-2m/p} ||row_m||``.  A row with at most two nonzero entries
+    has the exact norm ``||row_m||_1`` at every ``p``: its ``l^2`` norm,
+    the sup of its symbol, already equals ``||row_m||_1``, and the
+    ``l^p`` norm lies between the two.  Every other row norm is certified
+    by :func:`~treeharmonics.zline.convolutor_upper`.  The same series per
     unit ``||f||_p`` is the ``rhs`` of :func:`transference_check`.
 
     Kernels supported at the origin only have an identically vanishing
@@ -144,8 +147,13 @@ def negative_height_bound(kernel, p):
             vals = kernel.values[uvals] * params.qpow(uvals / p)
             if not np.isfinite(vals).all():
                 return math.inf
+            row = ZKernel(params, 2 * m + 1, vals)
             try:
-                row_norm, _ = convolutor_upper(ZKernel(params, 2 * m + 1, vals), p)
+                if np.count_nonzero(vals) <= 2:
+                    # two phases align somewhere: sup |symbol| = l1, so the norm is l1 at every p
+                    row_norm = row.l1()
+                else:
+                    row_norm, _ = convolutor_upper(row, p)
             except DomainError:
                 return math.inf  # the row's l1 norm overflows
             series += masses[m] * params.qpow(-2.0 * m / p) * row_norm
@@ -271,16 +279,21 @@ def transference_check(kernel, ball, f, p):
 
     ``lhs`` applies the negative-height half of the kernel to ``f`` —
     ``u(x) = sum_y f(y) k(d(x, y)) 1[h(y) > h(x)]`` computed exactly —
-    and takes its ``l^p`` norm.  The height changes by exactly 1 along
-    every edge, so every contributing pair has ``|h(y) - h(x)| <= d(x, y)
-    <= D``; within that window of width ``2D + 1`` the residue of ``h(y)``
-    modulo ``2D + 1`` fixes ``h(y) - h(x)``.  One sphere-sum convolution
-    of ``f 1[h = r mod 2D + 1]`` per residue ``r`` therefore suffices:
-    ``x`` adds the classes ``r`` with ``(r - h(x)) mod (2D + 1)`` in
-    ``[1, D]``, which is ``2D + 1`` convolutions in all.  ``rhs`` is
+    and takes its ``l^p`` norm.  With a fixed end, the geodesic from ``x``
+    to ``y`` climbs ``a`` steps toward it and then descends ``b``, so
+    ``h(y) - h(x) = a - b`` and the half is the sum over ``a > b``,
+    ``a + b <= D``.  With ``P`` the up-gather and ``C`` the down-sum of
+    the ball (:meth:`~treeharmonics.tree.TreeBall.up_gather`,
+    :meth:`~treeharmonics.tree.TreeBall.down_sum`),
+
+        u = sum_{a, b} k(a + b) (P^a C^b f - [b >= 1] P^(a-1) C^(b-1) f),
+
+    the subtracted walk being the one that backtracks.  Horner's rule in
+    ``P`` takes ``(D - 1) // 2`` down-sums and ``D`` gathers.  ``rhs`` is
     ``||f||_p`` times the shell series :func:`negative_height_bound`.
-    Requires ``f`` to vanish outside the interior window ``B_{R-D}`` so
-    every class convolution is exact on the ball.
+    Requires ``f`` to vanish outside the interior window ``B_{R-D}``: the
+    ball is geodesically convex and a walk cut off at its edge reaches
+    no vertex where ``f`` is nonzero, so ``u`` is exact on the ball.
 
     Returns ``{"lhs": ..., "rhs": ..., "ok": ...}`` with
     ``ok = lhs <= rhs + 1e-12 max(1, rhs)``.
@@ -306,14 +319,19 @@ def transference_check(kernel, ball, f, p):
             f"support violation: f must vanish outside the interior window "
             f"of radius {window}"
         )
-    width = 2 * D + 1
-    residue = ball.height % width
+    kv = kernel.values
+    down = [f]  # down[b] = C^b f
+    for _ in range((D - 1) // 2):
+        down.append(ball.down_sum(down[-1]))
     u = np.zeros(ball.size, dtype=complex)
-    for r in range(width):
-        # a contributing y in class r has h(y) = h(x) + step, as |h(y) - h(x)| <= D
-        step = (r - residue) % width
-        above = (step >= 1) & (step <= D)
-        u[above] += ball.convolve(kernel, f * (residue == r))[above]
+    for a in range(D, 0, -1):
+        # P^a's coefficient: k(a + b) C^b f, less k(a + b + 2) C^b f, the walk
+        # a + 1 up and b + 1 down that backtracks
+        for b in range(min(a - 1, D - a) + 1):
+            u += kv[a + b] * down[b]
+        for b in range(min(a, D - a - 1)):
+            u -= kv[a + b + 2] * down[b]
+        u = ball.up_gather(u)
     lhs = lp_norm(u, p)
 
     rhs = float(lp_norm(f, p) * negative_height_bound(kernel, p))

@@ -283,13 +283,18 @@ def spherical_transform_at(kernel, z):
     ``FT k (z) = k(0) + sum_{d>=1} (q+1) q^{d-1} k(d) phi_z(d)``; the sum
     is finite, so the transform is entire and may be evaluated anywhere in
     the complex plane (complex ``z`` damp or amplify by ``q^{|Im z| d}``).
+    A transform that overflows float64 raises :class:`DomainError`.
     """
     params = kernel.params
     z = np.asarray(z, dtype=complex)
     d = np.arange(kernel.radius + 1)
     phi = spherical_function(params, z.ravel()[:, None], d[None, :])
-    weighted = sphere_sizes(params, kernel.radius) * kernel.values
-    out = phi @ weighted
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = phi @ (sphere_sizes(params, kernel.radius) * kernel.values)
+    if not np.isfinite(out).all():
+        raise DomainError(
+            "the spherical transform overflows float64: the kernel values are too large"
+        )
     return out.reshape(z.shape) if z.shape else complex(out[0])
 
 

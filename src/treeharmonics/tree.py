@@ -27,7 +27,10 @@ modulo ``2D + 1``, to build the quotient operator as a band of ``2D + 1``
 diagonals; every trial and ascent iterate is then one ``O(R * D)`` band
 product.  The explicit :class:`TreeBall` (at most
 :data:`MAX_BALL_VERTICES` vertices) serves the transference check and the
-tests; the census command uses the closed form :func:`census_cells`.
+tests; the census command uses the closed form :func:`census_cells`.  The
+transference check runs no convolution on it: every vertex has one
+neighbour a height above it and the rest a height below, and the ball's
+up-gather and down-sum, read off the level offsets, walk the geodesics.
 """
 
 import math
@@ -104,6 +107,48 @@ class TreeBall:
         acc = out[1:inner]
         for j in range(q):
             acc += children[:, j]
+        return out
+
+    def up_gather(self, g):
+        """``(P g)(x) = g(up(x))``, with ``up(x)`` the neighbour one height above ``x``.
+
+        Off the upward ray ``up(x)`` is the breadth-first parent; the ray
+        vertex at depth ``d`` goes up to the one at depth ``d + 1``, and
+        the ray top, whose up-neighbour lies outside the ball, reads 0.
+        """
+        q = self.params.q
+        first = int(self.level_start[min(2, self.radius + 1)])
+        inner = int(self.level_start[self.radius])
+        out = np.empty_like(g)
+        out[1:first] = g[0]
+        out[first:].reshape(-1, q)[:] = g[1:inner, None]
+        ray = self.level_start[:-1]
+        out[ray[:-1]] = g[ray[1:]]
+        out[ray[-1]] = 0
+        return out
+
+    def down_sum(self, g):
+        """``(C g)(x)``: sum of ``g`` over the neighbours one height below ``x``, within the ball.
+
+        Off the upward ray these are the ``q`` children.  A ray vertex at
+        depth ``d >= 1`` has its parent and its ``q - 1`` non-first
+        children; the base vertex has its ``q`` non-first children.  Each
+        sum is read from the child blocks, never as the full neighbour sum
+        less the up-neighbour.
+        """
+        q = self.params.q
+        R = self.radius
+        first = int(self.level_start[min(2, R + 1)])
+        inner = int(self.level_start[R])
+        out = np.zeros_like(g)
+        out[0] = g[2:first].sum()
+        children = g[first:].reshape(-1, q)
+        acc = out[1:inner]
+        for j in range(q):
+            acc += children[:, j]
+        ray = self.level_start[: R + 1]
+        out[ray[1:R]] = children[ray[1:R] - 1, 1:].sum(axis=1)
+        out[ray[1:]] += g[ray[:-1]]
         return out
 
     def convolve(self, kernel, f):

@@ -239,6 +239,18 @@ def test_invert_of_an_overflowing_symbol_exits_with_two(tmp_path, capsys):
     assert "inverse spherical transform overflows" in err
 
 
+def test_transform_of_an_overflowing_kernel_exits_with_two(tmp_path, capsys):
+    # sphere size times 1e308 overflows; warnings are errors in the suite,
+    # so this also asserts none is raised
+    path = tmp_path / "huge.json"
+    path.write_text('{"q": 2, "values": [[1e308, 0.0], [1e308, 0.0]]}')
+    out = tmp_path / "sym.csv"
+    argv = ["transform", "--kernel", str(path), "--grid", "64", "--out", str(out)]
+    err = _assert_overflow_exit(argv, capsys)
+    assert "spherical transform overflows" in err
+    assert not out.exists()
+
+
 def test_transference_over_the_ball_budget_exits_with_two():
     assert main(["transference", "--q", "10", "--radius", "10", "--instances", "1"]) == 2
 

@@ -184,6 +184,32 @@ def test_negative_height_bound_is_the_shell_series_in_closed_form():
                 assert got == pytest.approx(float(want), rel=1e-14, abs=0.0), (q, D, p)
 
 
+def test_negative_height_rows_of_at_most_two_entries_contribute_their_l1_norm():
+    # the symbol of a two-entry row reaches |a| + |b| where the phases align,
+    # so the row norm is its l1 norm at every p; interpolating l1 with a grid
+    # sup lands up to an ulp below it, which would not certify
+    rng = np.random.default_rng(211)
+    for q in (2, 3, 5):
+        params = tree_params(q)
+        for p in (1.1, 4.0 / 3.0, 1.5, 1.9):
+            for D, zero in ((1, None), (2, None), (3, 2), (3, None)):
+                vals = rng.normal(size=D + 1) + 1j * rng.normal(size=D + 1)
+                if zero is not None:
+                    vals[zero] = 0.0
+                u = np.arange(1, D + 1)
+                row0 = ZKernel(params, 1, vals[u] * params.qpow(u / p))
+                if np.count_nonzero(row0.values) <= 2:
+                    want = row0.l1()
+                else:
+                    want, _ = convolutor_upper(row0, p)
+                if D == 3:
+                    # shell 1 has mass q - 1 and the one entry q^{3/p} k(3)
+                    row1 = ZKernel(params, 3, vals[3:] * params.qpow(3 / p))
+                    want += (q - 1) * params.qpow(-2.0 / p) * row1.l1()
+                got = negative_height_bound(radial_kernel(q, vals), p)
+                assert got == want, (q, p, D, zero)
+
+
 def test_negative_half_ascent_never_exceeds_the_shell_series():
     # a duality ascent over every vertex function of an explicit ball, on
     # the negative-height half alone, comes within 12% of the series
@@ -455,20 +481,26 @@ def test_transference_check_passes_on_seeded_instances():
 
 def test_transference_check_matches_the_per_height_loop():
     rng = np.random.default_rng(181)
-    for q in (2, 3, 5):
-        for D in range(5):
-            # q = 5 stops at R = 7 (117k vertices); R = 9 has 2.9M and costs seconds per instance
-            for R in range(D, min(D + 5, 7 if q == 5 else D + 5) + 1):
-                ball = ball_geometry(q, R)
-                for imag in (0.0, 1.0):
-                    kernel = random_kernel(rng, q, D)
-                    f = rng.normal(size=ball.size) + imag * 1j * rng.normal(size=ball.size)
-                    f[ball.depth > R - D] = 0.0
-                    rec = transference_check(kernel, ball, f, 1.5)
-                    want = layered_transference_lhs(kernel, ball, f, 1.5)
-                    assert rec["lhs"] == pytest.approx(want, rel=1e-14, abs=0.0), (q, D, R, imag)
-                    rhs = rec["rhs"]
-                    assert rec["ok"] is bool(want <= rhs + 1e-12 * max(1.0, rhs))
+    # q = 5 stops at R = 7 (117k vertices); R = 9 has 2.9M and costs seconds per instance
+    cases = [
+        (q, D, R)
+        for q in (2, 3, 5)
+        for D in range(5)
+        for R in range(D, min(D + 5, 7 if q == 5 else D + 5) + 1)
+    ]
+    # D = 5, 6 are the first radii whose walks descend twice (C^2 f)
+    cases += [(q, D, R) for q in (2, 3) for D in (5, 6) for R in range(D, D + 3)]
+    for q, D, R in cases:
+        ball = ball_geometry(q, R)
+        for imag in (0.0, 1.0):
+            kernel = random_kernel(rng, q, D)
+            f = rng.normal(size=ball.size) + imag * 1j * rng.normal(size=ball.size)
+            f[ball.depth > R - D] = 0.0
+            rec = transference_check(kernel, ball, f, 1.5)
+            want = layered_transference_lhs(kernel, ball, f, 1.5)
+            assert rec["lhs"] == pytest.approx(want, rel=1e-14, abs=0.0), (q, D, R, imag)
+            rhs = rec["rhs"]
+            assert rec["ok"] is bool(want <= rhs + 1e-12 * max(1.0, rhs))
 
 
 def test_transference_check_rejects_unsupported_input():

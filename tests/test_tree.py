@@ -52,6 +52,29 @@ def test_ball_arrays_match_adjacency_oracle():
         assert ball.height.tolist() == height
 
 
+def test_up_gather_and_down_sum_match_the_adjacency_lists():
+    rng = np.random.default_rng(43)
+    for q in (2, 3, 5):
+        for R in (0, 1, 2, 5):
+            ball = ball_geometry(q, R)
+            neighbors, parent, depth = adjacency_ball(q, R)
+            _, height = ray_heights(neighbors, parent, depth, R)
+            g = rng.normal(size=ball.size) + 1j * rng.normal(size=ball.size)
+            want_up = np.zeros(ball.size, dtype=complex)
+            want_down = np.zeros(ball.size, dtype=complex)
+            for x, nbrs in enumerate(neighbors):
+                up = [w for w in nbrs if height[w] == height[x] + 1]
+                down = [w for w in nbrs if w not in up]
+                # one up-neighbour, except at the ray top, whose lies outside the ball
+                assert len(up) == (0 if x == ball.level_start[R] else 1), (q, R, x)
+                assert all(height[w] == height[x] - 1 for w in down), (q, R, x)
+                want_up[x] = g[up[0]] if up else 0.0
+                want_down[x] = sum(g[w] for w in down)
+            assert np.array_equal(ball.up_gather(g), want_up), (q, R)
+            # at most q + 1 terms of order 1, summed in another order
+            assert np.allclose(ball.down_sum(g), want_down, rtol=0.0, atol=1e-14), (q, R)
+
+
 def test_distance_recovered_from_horocyclic_coordinates():
     for q in (2, 3):
         ball = ball_geometry(q, 8)
@@ -62,7 +85,7 @@ def test_distance_recovered_from_horocyclic_coordinates():
 
 
 def test_height_steps_by_one_from_every_parent():
-    # the transference check's height residue classes rest on this
+    # the transference check's up-gathers and down-sums rest on this
     for q in (2, 3, 5):
         for R in (0, 1, 2, 6):
             ball = ball_geometry(q, R)
