@@ -25,7 +25,11 @@ values, rescaled so that no sphere size is formed at any radius.  It
 runs that recurrence once per operator, on one comb per residue class
 modulo ``2D + 1``, to build the quotient operator as a band of ``2D + 1``
 diagonals; every trial and ascent iterate is then one ``O(R * D)`` band
-product.  The explicit :class:`TreeBall` (at most
+product.  The tree is bipartite, so a kernel supported on distances of
+one parity maps the even spheres and the odd spheres to disjoint sets
+of spheres; its norm is the larger of two block norms, and the ascent
+runs once inside each block instead of waiting for the weaker block to
+die out.  The explicit :class:`TreeBall` (at most
 :data:`MAX_BALL_VERTICES` vertices) serves the transference check and the
 tests; the census command uses the closed form :func:`census_cells`.  The
 transference check runs no convolution on it: every vertex has one
@@ -451,8 +455,14 @@ def opnorm_lower(kernel, p, radius):
     the base vertex (``matched-row``, sharp at ``p = inf`` once the window
     holds the kernel), and the first :data:`_TREE_POWER_ITERATES` iterates
     of :func:`~treeharmonics.zline.duality_ascent` (for ``1 < p < inf``),
-    named ``power[k]`` after the first iterate to reach the best ratio.  A
-    candidate whose ratio overflows certifies nothing and is skipped.
+    named ``power[k]`` after the first iterate to reach the best ratio.
+    The ascent starts from the window's indicator; for a one-parity
+    kernel (``D >= 1`` and ``k(d) = 0`` whenever ``d - D`` is odd) it runs
+    twice, from that indicator on the even spheres and then on the odd
+    ones, since both bands vanish exactly at offsets of the other parity
+    and each run stays in its block; ``k`` counts the iterates of its own
+    run.  A candidate whose ratio overflows certifies nothing and is
+    skipped.
     Returns ``(bound, method)``.
     """
     p = check_exponent(p)
@@ -511,13 +521,16 @@ def opnorm_lower(kernel, p, radius):
         # convolution by conj(k) at the dual exponent.
         conj_band = _radial_band(np.conj(kv) / scale, q, dual_exponent(p), radius, radius + 1, nw)
         adjoint = _band_product(conj_band, scale)
-        for k, value in duality_ascent(
-            forward,
-            adjoint,
-            lambda x: _radial_norm(x, q, p),
-            _scaled(np.ones(nw, dtype=complex), q, p),
-            p,
-            _TREE_POWER_ITERATES,
-        ):
-            consider(value, f"power[{k}]")
+        start = _scaled(np.ones(nw, dtype=complex), q, p)
+        starts = [start]
+        if D >= 1 and not kv[(D + 1) % 2 :: 2].any():
+            # Both bands are exactly 0 at offsets of the other parity, so the
+            # even and the odd spheres are invariant blocks: one ascent each.
+            odd = np.arange(nw) % 2 == 1
+            starts = [np.where(odd, 0.0, start), np.where(odd, start, 0.0)]
+        for x0 in starts:
+            for k, value in duality_ascent(
+                forward, adjoint, lambda x: _radial_norm(x, q, p), x0, p, _TREE_POWER_ITERATES
+            ):
+                consider(value, f"power[{k}]")
     return best, best_name

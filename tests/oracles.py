@@ -181,7 +181,8 @@ def ball_opnorm_lower(ball, kernel, p, seed=0, iters=200):
 
     The explicit-ball form of ``tree.opnorm_lower``: the same trials
     (``delta``, ``ball[r]``, ``matched-row``, the ``power[k]`` duality
-    ascent) plus eight seeded non-radial sign vectors, every convolution
+    ascent, run once per parity block of spheres for a one-parity kernel)
+    plus eight seeded non-radial sign vectors, every convolution
     run over all ``O(q^R)`` vertices by ``TreeBall.convolve`` (itself
     checked against :func:`dense_convolve`) rather than on the radial
     quotient.  Returns ``(bound, method)``.
@@ -233,25 +234,29 @@ def ball_opnorm_lower(ball, kernel, p, seed=0, iters=200):
     if 1.0 < p < math.inf:
         pd = p / (p - 1.0)
         conj_kernel = type(kernel)(kernel.params, np.conj(kv))
-        x = np.zeros(n, dtype=complex)
-        x[:nw] = 1.0
-        x /= _lp_norm(x[:nw], p)
-        prev = -1.0
-        for it in range(iters):
-            y = ball.convolve(kernel, x)
-            est = _lp_norm(y, p)
-            if est > best:
-                best, best_name = est, f"power[{it + 1}]"
-            if prev >= 0.0 and abs(est - prev) <= 1e-10 * max(est, 1e-300):
-                break
-            prev = est
-            z = ball.convolve(conj_kernel, _phase_power(y, p - 1.0))
-            x = np.zeros(n, dtype=complex)
-            x[:nw] = _phase_power(z[:nw], pd - 1.0)
-            nx = _lp_norm(x[:nw], p)
-            if nx == 0.0:
-                break
-            x /= nx
+        window_mask = np.arange(n) < nw
+        masks = [window_mask]
+        if D >= 1 and not np.any(kv[(D + 1) % 2 :: 2]):
+            # one-parity kernel: one ascent from the even spheres, one from the odd
+            masks = [window_mask & (ball.depth % 2 == b) for b in (0, 1)]
+        for mask in masks:
+            x = mask.astype(complex)
+            prev = -1.0
+            for it in range(iters):
+                nx = _lp_norm(x, p)
+                if nx == 0.0:
+                    break
+                x /= nx
+                y = ball.convolve(kernel, x)
+                est = _lp_norm(y, p)
+                if est > best:
+                    best, best_name = est, f"power[{it + 1}]"
+                if prev >= 0.0 and abs(est - prev) <= 1e-10 * max(est, 1e-300):
+                    break
+                prev = est
+                z = ball.convolve(conj_kernel, _phase_power(y, p - 1.0))
+                x = np.zeros(n, dtype=complex)
+                x[:nw] = _phase_power(z[:nw], pd - 1.0)
     return best, best_name
 
 
@@ -339,15 +344,20 @@ def recurrence_opnorm_lower(kernel, p, radius):
         if 1.0 < p < math.inf:
             pd = dual_exponent(p)
             conj_kv = np.conj(kv)
-            for k, value in duality_ascent(
-                lambda x: _radial_convolve(kv, x, q, p),
-                lambda w: padded(_radial_convolve(conj_kv, w, q, pd)[:nw]),
-                lambda x: _radial_norm(x, q, p),
-                padded(_scaled(np.ones(nw, dtype=complex), q, p)),
-                p,
-                _TREE_POWER_ITERATES,
-            ):
-                consider(value, f"power[{k}]")
+            start = _scaled(np.ones(nw, dtype=complex), q, p)
+            starts = [start]
+            if D >= 1 and not np.any(kv[(D + 1) % 2 :: 2]):
+                starts = [start * (np.arange(nw) % 2 == b) for b in (0, 1)]
+            for x0 in starts:
+                for k, value in duality_ascent(
+                    lambda x: _radial_convolve(kv, x, q, p),
+                    lambda w: padded(_radial_convolve(conj_kv, w, q, pd)[:nw]),
+                    lambda x: _radial_norm(x, q, p),
+                    padded(x0),
+                    p,
+                    _TREE_POWER_ITERATES,
+                ):
+                    consider(value, f"power[{k}]")
     return best, best_name
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -26,15 +27,20 @@ from treeharmonics.spherical import (
     sphere_sizes,
 )
 from treeharmonics.tree import (
+    _TREE_POWER_ITERATES,
     MAX_BALL_VERTICES,
+    _band_product,
     _radial_band,
     _radial_convolve,
+    _radial_norm,
+    _scaled,
     ball_geometry,
     census_cells,
     haar_residual,
     opnorm_lower,
     shell_masses,
 )
+from treeharmonics.zline import duality_ascent
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +350,70 @@ def test_opnorm_lower_matches_the_recurrence_form_on_a_seeded_sweep():
             # a different winner only between trials that tie exactly
             if method != expected_method:
                 assert bound == pytest.approx(expected, rel=1e-15, abs=0.0), (vals, p, R)
+
+
+def _one_parity_kernels(rng, q, D):
+    """The sphere indicator of radius ``D`` and a seeded complex kernel on the spheres of its parity."""
+    vals = np.zeros(D + 1, dtype=complex)
+    vals[D % 2 :: 2] = rng.normal(size=D // 2 + 1) + 1j * rng.normal(size=D // 2 + 1)
+    return [sphere_kernel(q, D), radial_kernel(q, vals)]
+
+
+def test_radial_bands_of_one_parity_kernels_vanish_off_parity():
+    # band column c holds offset c - D, of the kernel's parity exactly when c is even
+    rng = np.random.default_rng(5)
+    for q, D, p in itertools.product((2, 3, 5), range(1, 6), (1.1, 1.5, 3.0)):
+        for kernel in _one_parity_kernels(rng, q, D):
+            kv = kernel.values
+            for R in (D + 1, D + 4, 3 * D + 10):
+                nw = R - D + 1
+                forward = _radial_band(kv, q, p, R, nw, R + 1)
+                adjoint = _radial_band(np.conj(kv), q, dual_exponent(p), R, R + 1, nw)
+                for band in (forward, adjoint):
+                    assert band[:, 0::2].any(), (q, D, p, R)
+                    assert np.all(band[:, 1::2] == 0.0), (q, D, p, R)
+
+
+def test_opnorm_lower_on_one_parity_kernels_keeps_the_single_start_ascent():
+    # the ascent from the whole window, as it ran before the parity split
+    rng = np.random.default_rng(7)
+    for case in range(48):
+        q = int(rng.choice([2, 3, 5]))
+        D = int(rng.integers(1, 7))
+        p = float(rng.choice([1.1, 4.0 / 3.0, 1.5, 3.0]))
+        R = int(rng.choice([D + 3, D + 8, 2 * D + 10]))
+        kernel = _one_parity_kernels(rng, q, D)[case % 2]
+        kv = kernel.values
+        nw = R - D + 1
+        forward = _band_product(_radial_band(kv, q, p, R, nw, R + 1), 1.0)
+        adjoint = _band_product(_radial_band(np.conj(kv), q, dual_exponent(p), R, R + 1, nw), 1.0)
+        single = max(
+            value
+            for _, value in duality_ascent(
+                forward,
+                adjoint,
+                lambda x: _radial_norm(x, q, p),
+                _scaled(np.ones(nw, dtype=complex), q, p),
+                p,
+                _TREE_POWER_ITERATES,
+            )
+        )
+        bound, _ = opnorm_lower(kernel, p, R)
+        # within the ascent's 1e-10 stopping tolerance
+        assert bound >= (1.0 - 1e-9) * single, (q, kv, p, R)
+
+
+def test_opnorm_lower_on_the_report_deep_sphere_kernels_wins_early():
+    # one ascent from both parity blocks crept to 122-200 iterates here
+    for kernel, p, R in (
+        (sphere_kernel(3, 3), 1.5, 9),
+        (sphere_kernel(3, 2), 4.0 / 3.0, 9),
+        (sphere_kernel(2, 3), 1.5, 12),
+        (sphere_kernel(2, 3), 3.0, 13),
+    ):
+        _, method = opnorm_lower(kernel, p, R)
+        match = re.fullmatch(r"power\[(\d+)\]", method)
+        assert match and int(match.group(1)) < 50, (kernel.values, p, R, method)
 
 
 def test_opnorm_lower_builds_one_band_per_operator(monkeypatch):
