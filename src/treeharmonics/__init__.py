@@ -27,7 +27,6 @@ _EXPORTS = {
     "torus_grid": ".params",
     "check_grid": ".params",
     "POLE_GUARD": ".params",
-    "LATTICE_SWITCH": ".params",
     # spherical
     "RadialKernel": ".spherical",
     "TorusSymbol": ".spherical",

@@ -52,7 +52,7 @@ _SCOPE_MESSAGE = (
 
 
 #: Trapezoid grid bounds of :func:`line_profile`; at the cap one q=2 profile
-#: takes about 1.5 s and 200 MB.
+#: takes about 0.6 s and 128 MB (2-core x86, numpy 2.4).
 _MIN_GRID, _MAX_GRID = 512, 1 << 20
 
 

@@ -18,10 +18,6 @@ import numpy as np
 #: real poles is refused; callers get the distance in the error message.
 POLE_GUARD = 1e-8
 
-#: Within this distance of the exceptional frequency lattice the spherical
-#: function switches to its degenerate (polynomial-times-power) form.
-LATTICE_SWITCH = 1e-6
-
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""

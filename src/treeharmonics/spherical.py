@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import (
-    LATTICE_SWITCH,
     POLE_GUARD,
     DomainError,
     check_grid,
@@ -150,8 +149,8 @@ def c_function(params, z):
 
     Meromorphic and periodic with period ``2*pi/log(q)``; its poles sit on
     the real half-period lattice, where evaluation raises
-    :class:`~treeharmonics.params.DomainError` (use the spherical-function
-    routines, which switch to the exact lattice formulas there).
+    :class:`~treeharmonics.params.DomainError` (:func:`spherical_function`
+    needs no ``c`` and is regular there).
     Satisfies ``c(z) + c(-z) = 1``.
     """
     params = tree_params(params)
@@ -211,14 +210,18 @@ def c_inverse_shifted(params, s, v):
 def spherical_function(params, z, d):
     """Spherical function ``phi_z(d)``, broadcasting over ``z`` and ``d``.
 
-    Generic spectral parameters use the two-term c-function expansion
+    Evaluated in the Chebyshev form, with ``t = z log q``,
 
-        phi_z(d) = c(z) q^{(iz - 1/2) d} + c(-z) q^{(-iz - 1/2) d};
+        phi_z(d) = q^{-d/2} (q U_d(cos t) - U_{d-2}(cos t)) / (q + 1),
 
-    within :data:`~treeharmonics.params.LATTICE_SWITCH` of the real
-    half-period lattice the expansion degenerates and the exact lattice
-    value ``(1 + d (q-1)/(q+1)) q^{-d/2}`` is used instead, with the sign
-    ``(-1)^d`` at odd lattice points.  On the closed strip
+    which holds for every complex ``z``: it has no removable singularity
+    on the real half-period lattice, where the c-function expansion
+    ``c(z) q^{(iz - 1/2) d} + c(-z) q^{(-iz - 1/2) d}`` cancels.  ``t`` is
+    first reduced by the half period (the sign ``(-1)^{d m}`` at the
+    ``m``-th lattice point) and reflected into ``Im t <= 0``; there
+    ``U_k(cos t) = e^{ikt} expm1(-2i(k+1)t) / expm1(-2it)`` overflows only
+    when ``phi`` does, and its value ``k + 1`` at ``t = 0`` gives the
+    lattice value ``(1 + d (q-1)/(q+1)) q^{-d/2}``.  On the closed strip
     ``|Im z| <= 1/2`` the modulus never exceeds 1.
     """
     params = tree_params(params)
@@ -231,37 +234,20 @@ def spherical_function(params, z, d):
         d = rounded.astype(int)
     if np.any(d < 0):
         raise DomainError("hop distances must be >= 0")
-    zb, db = np.broadcast_arrays(z, d)
-    shape = zb.shape
-    zb = zb.ravel()
-    db = db.ravel()
-    out = np.empty(zb.shape, dtype=complex)
 
+    q, lg = params.q, params.log_q
     half = params.period / 2.0
-    m = np.rint(zb.real / half)
-    on_lattice = np.abs(zb - half * m) < LATTICE_SWITCH
-
-    gen = ~on_lattice
-    if np.any(gen):
-        zg = zb[gen]
-        dg = db[gen].astype(float)
-        cp = c_function(params, zg)
-        cm = c_function(params, -zg)
-        lg = params.log_q
-        out[gen] = cp * np.exp((1j * zg - 0.5) * dg * lg) + cm * np.exp(
-            (-1j * zg - 0.5) * dg * lg
-        )
-    if np.any(on_lattice):
-        dl = db[on_lattice]
-        base = (1.0 + dl * (params.q - 1.0) / (params.q + 1.0)) * params.qpow(
-            -dl.astype(float) / 2.0
-        )
-        odd_site = (m[on_lattice].astype(int) % 2) != 0
-        sign = np.where(odd_site & (dl % 2 != 0), -1.0, 1.0)
-        out[on_lattice] = base * sign
-
-    out = out.reshape(shape)
-    return out if shape else complex(out)
+    m = np.rint(z.real / half)
+    t = (z - half * m) * lg
+    t = np.where(t.imag > 0.0, -t, t)
+    e1 = np.expm1(-2j * t)
+    at_zero = e1 == 0.0
+    den = (q + 1.0) * np.where(at_zero, 1.0, e1)
+    quot = (q * np.expm1(-2j * (d + 1) * t) - (1.0 + e1) * np.expm1(-2j * (d - 1) * t)) / den
+    quot = np.where(at_zero, 1.0 + d * (q - 1.0) / (q + 1.0), quot)
+    out = np.exp(d * (1j * t - 0.5 * lg)) * quot
+    out = np.where((m % 2 == 1) & (d % 2 == 1), -out, out)
+    return out if out.shape else complex(out)
 
 
 def spectral_eigenvalue(params, z):

@@ -306,7 +306,7 @@ def test_tree_norm_upper_is_herz_norm_for_nonnegative_kernels():
     rng = np.random.default_rng(197)
     for q in (2, 3, 5):
         for D in range(7):
-            for p in (1.1, 4.0 / 3.0, 1.5, 1.8, 3.0, 7.0):
+            for p in (1.1, 4.0 / 3.0, 1.5, 1.8, 1.9999, 2.0001, 3.0, 7.0):
                 k = radial_kernel(q, rng.uniform(0.0, 1.0, size=D + 1))
                 total, _, _ = tree_norm_upper(k, p)
                 herz = abs(spherical_transform_at(k, 1j * strip_halfwidth(p)))
@@ -601,11 +601,13 @@ def test_bounds_report_serves_p_next_to_one_two_and_inf(p):
 
 def test_bounds_report_next_to_two_is_herz_norm():
     # |FT k(i delta)| = sum_d |S_d| k(d) phi_{i delta}(d), with phi from the
-    # eigenfunction recurrence in 50 digits; the c-function expansion of
-    # spherical_transform_at cancels this close to the lattice
+    # eigenfunction recurrence in 50 digits
     k = ball_kernel(2, 2)
-    phi = recurrence_spherical(2, 1j * strip_halfwidth(1.9999), 2)
-    herz = abs(sum(size * value for size, value in zip(sphere_sizes(k.params, 2), phi)))
+    z = 1j * strip_halfwidth(1.9999)
+    phi = recurrence_spherical(2, z, 2)
+    exact = sum(size * value for size, value in zip(sphere_sizes(k.params, 2), phi))
+    herz = abs(exact)
+    assert abs(spherical_transform_at(k, z) - exact) <= 1e-14 * herz
     total = bounds_report(k, 1.9999).total_upper
     assert total == pytest.approx(herz, rel=1e-13)
     assert total == pytest.approx(8.828427127573402, rel=1e-15)

@@ -149,17 +149,44 @@ def test_spherical_function_normalization_and_first_value():
 
 def test_spherical_function_matches_recurrence_oracle():
     rng = np.random.default_rng(13)
-    for q in (2, 3):
+    n = np.arange(41)
+    for q in (2, 3, 5):
         params = tree_params(q)
+        half = params.period / 2.0
         pts = list(random_strip_points(params, rng, 10))
-        # include near-lattice and exact-lattice points: the closed form
-        # switches branches there and must stay consistent
-        pts += [0.0, params.period / 2.0, 1e-7, params.period / 2.0 + 3e-7]
+        # exact-lattice and near-lattice points, where the two-term
+        # c-function expansion cancels; one formula must serve them all
+        pts += [0.0, half, 1e-7, half + 3e-7, 1e-9, 1.01e-6, 1e-5, 1e-4]
+        pts += [half + 1.01e-6, half - 1.01e-6, -half - 1e-9, 1e-6 + 1e-6j]
         for z in pts:
-            want = recurrence_spherical(q, z, 12)
-            got = spherical_function(params, z, np.arange(13))
-            err = np.abs(got - np.array(want)).max()
-            assert err <= 1e-9, f"q={q} z={z} err={err}"
+            want = np.array(recurrence_spherical(q, z, 40))
+            got = spherical_function(params, z, n)
+            err = (np.abs(got - want) / np.maximum(np.abs(want), q ** (-n / 2.0))).max()
+            assert err <= 1e-13, f"q={q} z={z} err={err}"
+
+
+def test_spherical_function_at_lattice_points_is_the_lattice_formula():
+    # at the m-th real half-period point phi is (1 + n(q-1)/(q+1)) q^{-n/2} (-1)^{nm}
+    n = np.arange(41)
+    for q in (2, 3, 5):
+        params = tree_params(q)
+        half = params.period / 2.0
+        base = (1.0 + n * (q - 1.0) / (q + 1.0)) * params.qpow(-n / 2.0)
+        for z, m in ((0.0, 0), (0j, 0), (half, 1), (-half, -1), (3 * half, 3)):
+            want = base * (-1.0) ** (n * m)
+            got = spherical_function(params, z, n)
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), (q, m)
+
+
+def test_spherical_function_overflows_only_with_phi():
+    # far out in d, or far off the strip, phi is finite and matches the recurrence
+    params = tree_params(2)
+    for z, n in ((0.3 + 0.5j, 3000), (0.3 + 3j, 380)):
+        want = recurrence_spherical(2, z, n)[-1]
+        got = spherical_function(params, z, n)
+        assert abs(got - want) <= 1e-12 * abs(want), (z, n)
+    assert abs(spherical_function(params, 0.3 + 0.5j, 3000)) <= 1.0
+    assert abs(spherical_function(params, 0.3 + 3j, 380)) > 1e285
 
 
 def test_spherical_function_eigen_identity():
