@@ -3,7 +3,8 @@
 Runs the closed-form Abel transform against the cell-by-cell census route
 (exact on rational inputs), inverts by back-substitution, and checks that
 the integer Fourier transform of the Abel sequence reproduces the
-spherical transform of the original kernel.
+spherical transform of the original kernel, taken as the sum of the
+kernel against the spherical functions over the spheres.
 """
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ import numpy as np
 
 from treeharmonics.abel import abel_bruteforce, abel_forward, abel_inverse, horocycle_slice_sum
 from treeharmonics.params import torus_grid, tree_params
-from treeharmonics.spherical import ball_kernel, spherical_transform_at
+from treeharmonics.spherical import ball_kernel, sphere_sizes, spherical_function
 from treeharmonics.tree import ball_geometry
 from treeharmonics.zline import fourier_z
 
@@ -35,8 +36,11 @@ for j in (-3, -1, 0, 2):
     closed = abel_bruteforce(ball, kernel, j)
     print(f"slice sum at height {j:+d}: census {S} -> coefficient {closed.real:.12f}")
 
-# factorization: Fourier transform of the Abel sequence = spherical transform
-grid = torus_grid(tree_params(Q), 64)
+# factorization: Fourier transform of the Abel sequence = sum of the kernel
+# against the spherical functions, sphere by sphere
+params = tree_params(Q)
+grid = torus_grid(params, 64)
 lhs = fourier_z(seq.to_zkernel(), grid)
-rhs = spherical_transform_at(kernel, grid)
+d = np.arange(3)
+rhs = spherical_function(params, grid[:, None], d[None, :]) @ (sphere_sizes(params, 2) * kernel.values)
 print("factorization residual on a 64-point grid:", float(np.abs(lhs - rhs).max()))

@@ -7,10 +7,11 @@ transform on the integers it factorizes the spherical transform:
 ``FT(Abel k) = spherical transform of k``.  The forward map is triangular
 in the kernel values, so it inverts exactly by back-substitution.
 
-Two independent evaluation routes are kept deliberately separate: the
-closed-form geometric series (:func:`abel_forward`) and the cell-by-cell
-census summation over an explicit ball (:func:`abel_bruteforce`,
-:func:`horocycle_slice_sum`), the latter exact for rational inputs.
+The factorization is the production route: every evaluation of ``FT k``
+goes through the closed-form geometric series (:func:`abel_forward`).
+The census summation over an explicit ball (:func:`abel_bruteforce`,
+:func:`horocycle_slice_sum`), exact for rational inputs, is the
+independent check.
 """
 
 from dataclasses import dataclass

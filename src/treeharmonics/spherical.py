@@ -1,10 +1,12 @@
 """Spherical functions and the radial transform pair on a homogeneous tree.
 
 A radial kernel assigns one value to each hop distance from a base
-vertex.  Its spherical transform is the pairing with the spherical
-functions ``phi_z``, the radial eigenfunctions of the nearest-neighbour
-averaging operator; the transform is inverted by integrating against the
-reciprocal c-function over one period of the frequency torus.
+vertex.  Its spherical transform, the pairing with the spherical
+functions ``phi_z`` (the radial eigenfunctions of the nearest-neighbour
+averaging operator), is evaluated as the cosine sum of the kernel's even
+Abel sequence; ``phi_z`` itself is kept as the independent reference.
+The transform is inverted by integrating against the reciprocal
+c-function over one period of the frequency torus.
 
 Everything here is trigonometric-polynomial exact in spirit: transforms
 of finitely supported kernels are entire functions of the spectral
@@ -266,17 +268,20 @@ def spectral_eigenvalue(params, z):
 def spherical_transform_at(kernel, z):
     """Spherical transform of a radial kernel at arbitrary spectral points ``z``.
 
-    ``FT k (z) = k(0) + sum_{d>=1} (q+1) q^{d-1} k(d) phi_z(d)``; the sum
-    is finite, so the transform is entire and may be evaluated anywhere in
-    the complex plane (complex ``z`` damp or amplify by ``q^{|Im z| d}``).
-    A transform that overflows float64 raises :class:`DomainError`.
+    ``FT k (z) = sum_{|j|<=J} a_j cos(j z log q)``, the cosine sum of the
+    even Abel sequence ``a`` of :func:`~treeharmonics.abel.abel_forward`.
+    The sum is finite, so the transform is entire and may be evaluated
+    anywhere in the complex plane.  At real ``z`` a real kernel has a
+    real transform: every imaginary part is exactly ``0.0``.  Coefficients
+    or a transform that overflow float64 raise :class:`DomainError`.
     """
-    params = kernel.params
+    from .abel import abel_forward  # abel imports RadialKernel from this module
+
+    seq = abel_forward(kernel)
+    J = seq.support_radius
     z = np.asarray(z, dtype=complex)
-    d = np.arange(kernel.radius + 1)
-    phi = spherical_function(params, z.ravel()[:, None], d[None, :])
     with np.errstate(over="ignore", invalid="ignore"):
-        out = phi @ (sphere_sizes(params, kernel.radius) * kernel.values)
+        out = np.cos(np.outer(z.ravel(), np.arange(-J, J + 1)) * kernel.params.log_q) @ seq.values
     if not np.isfinite(out).all():
         raise DomainError(
             "the spherical transform overflows float64: the kernel values are too large"

@@ -94,24 +94,14 @@ class TreeBall:
         """Sum of ``f`` over the neighbours of each vertex, within the ball.
 
         Exact nearest-neighbour sum except at the boundary sphere, whose
-        outside children are treated as zero.  Each vertex adds its own
-        neighbours, block by block along the level offsets.
+        outside children are treated as zero.  Every neighbour lies one
+        height above or below, so this is :meth:`up_gather` plus
+        :meth:`down_sum`.
         """
-        f = np.asarray(f)
+        f = np.asarray(f, dtype=complex)
         if f.shape != (self.size,):
             raise DomainError(f"expected a vector of length {self.size}, got {f.shape}")
-        q = self.params.q
-        first = int(self.level_start[min(2, self.radius + 1)])  # first vertex of sphere 2
-        inner = int(self.level_start[self.radius])  # vertices 1 .. inner - 1 have children
-        out = np.empty(self.size, dtype=complex)
-        out[0] = f[1:first].sum()
-        out[1:first] = f[0]
-        out[first:].reshape(-1, q)[:] = f[1:inner, None]
-        children = f[first:].reshape(-1, q)
-        acc = out[1:inner]
-        for j in range(q):
-            acc += children[:, j]
-        return out
+        return self.up_gather(f) + self.down_sum(f)
 
     def up_gather(self, g):
         """``(P g)(x) = g(up(x))``, with ``up(x)`` the neighbour one height above ``x``.

@@ -21,6 +21,8 @@ from treeharmonics.spherical import (
     delta_kernel,
     radial_kernel,
     sphere_kernel,
+    sphere_sizes,
+    spherical_function,
     spherical_transform_at,
 )
 from treeharmonics.tree import ball_geometry, shell_masses
@@ -180,13 +182,22 @@ def test_slice_sum_guards_incomplete_census():
 # ---------------------------------------------------------------------------
 
 def test_abel_factorizes_the_spherical_transform():
+    # the right-hand side is the phi-sum sum_d |S_d| k(d) phi_z(d), which
+    # shares no code with abel_forward; spherical_transform_at is built
+    # from abel_forward, so it is checked against the phi-sum off the real line
     rng = np.random.default_rng(103)
     for q in (2, 3):
         params = tree_params(q)
         grid = torus_grid(params, 64)
+        strip = grid[::4] + 1j * rng.uniform(-1.0, 1.0, size=16)
         for _ in range(8):
             k = random_kernel(rng, q, int(rng.integers(0, 5)))
+            d = np.arange(k.radius + 1)
+            weights = sphere_sizes(params, k.radius) * k.values
             lhs = fourier_z(abel_forward(k).to_zkernel(), grid)
-            rhs = spherical_transform_at(k, grid)
+            rhs = spherical_function(params, grid[:, None], d[None, :]) @ weights
             scale = max(1.0, float(np.abs(rhs).max()))
             assert np.abs(lhs - rhs).max() <= 1e-10 * scale
+            phi = spherical_function(params, strip[:, None], d[None, :])
+            envelope = np.abs(phi) @ np.abs(weights)
+            assert np.all(np.abs(spherical_transform_at(k, strip) - phi @ weights) <= 1e-13 * envelope)

@@ -29,6 +29,7 @@ from treeharmonics.spherical import (
     delta_kernel,
     radial_kernel,
     spectral_eigenvalue,
+    sphere_sizes,
     spherical_function,
     spherical_transform,
     inverse_spherical_transform,
@@ -112,15 +113,24 @@ def test_criterion_03_transform_roundtrip():
 
 def test_criterion_04_abel_factorization_and_census():
     rng = np.random.default_rng(4)
-    # factorization through the integer Fourier transform, 64-point grids
+    # factorization through the integer Fourier transform, 64-point grids,
+    # against the phi-sum sum_d |S_d| k(d) phi_z(d); off the real line the
+    # transform itself is checked against the phi-sum
     for q in (2, 3):
-        grid = torus_grid(tree_params(q), 64)
+        params = tree_params(q)
+        grid = torus_grid(params, 64)
+        strip = grid[::4] + 1j * rng.uniform(-1.0, 1.0, size=16)
         for _ in range(10):
             D = int(rng.integers(0, 5))
             k = radial_kernel(q, rng.normal(size=D + 1) + 1j * rng.normal(size=D + 1))
+            weights = sphere_sizes(params, D) * k.values
+            d = np.arange(D + 1)
             lhs = fourier_z(abel_forward(k).to_zkernel(), grid)
-            rhs = spherical_transform_at(k, grid)
+            rhs = spherical_function(params, grid[:, None], d[None, :]) @ weights
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, float(np.abs(rhs).max()))
+            phi = spherical_function(params, strip[:, None], d[None, :])
+            envelope = np.abs(phi) @ np.abs(weights)
+            assert np.all(np.abs(spherical_transform_at(k, strip) - phi @ weights) <= 1e-13 * envelope)
     # census brute force equals the collapsed geometric series, exact rationals
     for q in (2, 3):
         ball = ball_geometry(q, 10)

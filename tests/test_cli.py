@@ -240,15 +240,31 @@ def test_invert_of_an_overflowing_symbol_exits_with_two(tmp_path, capsys):
 
 
 def test_transform_of_an_overflowing_kernel_exits_with_two(tmp_path, capsys):
-    # sphere size times 1e308 overflows; warnings are errors in the suite,
-    # so this also asserts none is raised
-    path = tmp_path / "huge.json"
-    path.write_text('{"q": 2, "values": [[1e308, 0.0], [1e308, 0.0]]}')
+    # warnings are errors in the suite, so this also asserts none is raised
+    cases = [
+        # the cosine sum overflows
+        ("[[1e308, 0.0], [1e308, 0.0]]", "spherical transform overflows"),
+        # the Abel coefficient q * 1e308 overflows before the sum
+        ("[[0, 0], [0, 0], [1e308, 0]]", "Abel coefficients overflow"),
+    ]
+    for values, message in cases:
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"q": 2, "values": {values}}}')
+        out = tmp_path / "sym.csv"
+        argv = ["transform", "--kernel", str(path), "--grid", "64", "--out", str(out)]
+        err = _assert_overflow_exit(argv, capsys)
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_transform_of_a_real_kernel_writes_zero_imaginary_parts(tmp_path):
+    kpath = tmp_path / "ball2.json"
+    write_kernel(ball_kernel(2, 2), kpath)
     out = tmp_path / "sym.csv"
-    argv = ["transform", "--kernel", str(path), "--grid", "64", "--out", str(out)]
-    err = _assert_overflow_exit(argv, capsys)
-    assert "spherical transform overflows" in err
-    assert not out.exists()
+    assert main(["transform", "--kernel", str(kpath), "--grid", "64", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 64
+    assert all(row.split(",")[2] == "0.0" for row in rows)
 
 
 def test_transference_over_the_ball_budget_exits_with_two():

@@ -291,6 +291,18 @@ def test_symbol_is_even_in_frequency():
     assert np.abs(sym.samples - mirrored).max() <= 1e-12
 
 
+def test_real_kernels_have_real_symbols():
+    # at real z the transform is a cosine sum with real coefficients, so
+    # every imaginary part is exactly +0.0, not a rounding residue
+    rng = np.random.default_rng(61)
+    for q in (2, 3, 5, 7):
+        for D in range(12):
+            k = radial_kernel(q, rng.normal(size=D + 1))
+            for n in (64, 512):
+                imag = spherical_transform(k, n).samples.imag
+                assert np.all(imag == 0.0) and not np.signbit(imag).any(), (q, D, n)
+
+
 def test_transform_at_matches_grid_sampling():
     k = radial_kernel(3, [1.0, 0.5, -0.25])
     grid = torus_grid(k.params, 64)
