@@ -314,7 +314,8 @@ def transference_check(kernel, ball, f, p):
     f = np.asarray(f, dtype=complex)
     if f.shape != (ball.size,):
         raise DomainError(f"f must be a vector of length {ball.size}, got shape {f.shape}")
-    if np.any(f[ball.depth > window] != 0):
+    # breadth-first, every vertex deeper than the window lies in one suffix
+    if f[ball.level_start[window + 1] :].any():
         raise DomainError(
             f"support violation: f must vanish outside the interior window "
             f"of radius {window}"

@@ -24,12 +24,13 @@ runs the same recurrence on the radial quotient: ``R + 1`` per-sphere
 values, rescaled so that no sphere size is formed at any radius.  It
 runs that recurrence once per operator, on one comb per residue class
 modulo ``2D + 1``, to build the quotient operator as a band of ``2D + 1``
-diagonals; every trial and ascent iterate is then one ``O(R * D)`` band
-product.  The tree is bipartite, so a kernel supported on distances of
-one parity maps the even spheres and the odd spheres to disjoint sets
-of spheres; its norm is the larger of two block norms, and the ascent
-runs once inside each block instead of waiting for the weaker block to
-die out.  The explicit :class:`TreeBall` (at most
+diagonals.  The closed-form trials then go through one band product, as
+the rows of one matrix, and every ascent iterate is one ``O(R * D)``
+band product each way.  The tree is bipartite, so a kernel supported on
+distances of one parity maps the even spheres and the odd spheres to
+disjoint sets of spheres; its norm is the larger of two block norms, and
+the ascent runs once inside each block instead of waiting for the weaker
+block to die out.  The explicit :class:`TreeBall` (at most
 :data:`MAX_BALL_VERTICES` vertices) serves the transference check and the
 tests; the census command uses the closed form :func:`census_cells`.  The
 transference check runs no convolution on it: every vertex has one
@@ -355,12 +356,11 @@ def _radial_convolve(kv, h, q, p):
     return _sphere_sum_convolve(kv, h, lambda g: _radial_adjacency(g, q, p), q)
 
 
-def _radial_norm(h, q, p):
-    """``l^p`` norm on the tree of the radial function with scaled sphere values ``h``."""
-    mag = np.abs(h)
+def _radial_norm(mag, q, p):
+    """``l^p`` norm on the tree of a radial function whose scaled values have moduli ``mag``."""
     if math.isinf(p):
         return float(mag.max())
-    return float((mag[0] ** p + (q + 1) * np.sum(mag[1:] ** p)) ** (1.0 / p))
+    return float((mag[0] ** p + (q + 1) * (mag[1:] ** p).sum()) ** (1.0 / p))
 
 
 def _scaled(g, q, p):
@@ -398,22 +398,24 @@ def _radial_band(kv, q, p, radius, columns, rows):
     return np.take_along_axis(image, diag % width, axis=1)
 
 
-def _band_product(band, scale):
-    """``x -> out`` with ``out[i] = scale * sum_k band[i, k] x[i - D + k]``, ``x`` zero-padded.
+def _band_product(band, scale, batch=()):
+    """``x -> scale * sum_k band[i, k] x[..., i - D + k]`` at each ``i``, ``x`` zero-padded.
 
-    Each product writes ``x`` into one preallocated zero-padded buffer and
-    runs one ``einsum`` over its sliding windows: ``O(rows * D)``, and no
-    BLAS call, so its bytes do not depend on the thread count.
+    ``x`` has shape ``batch + (n,)``, one vector per row, with the same
+    ``n`` at every call, so the zero padding is written once.  Each
+    product writes ``x`` into one preallocated buffer and runs one
+    ``einsum`` over its sliding windows: ``O(rows * D)`` per vector, and no
+    BLAS call, so its bytes depend neither on the thread count nor on the
+    batch.
     """
     rows, width = band.shape
     D = width // 2
-    buf = np.zeros(rows + width - 1, dtype=complex)
-    windows = sliding_window_view(buf, width)
+    buf = np.zeros(batch + (rows + width - 1,), dtype=complex)
+    windows = sliding_window_view(buf, width, axis=-1)
 
     def product(x):
-        buf[D : D + x.size] = x
-        buf[D + x.size :] = 0.0
-        out = np.einsum("ij,ij->i", band, windows)
+        buf[..., D : D + x.shape[-1]] = x
+        out = np.einsum("ij,...ij->...i", band, windows)
         if scale != 1.0:
             out *= scale
         return out
@@ -443,8 +445,11 @@ def opnorm_lower(kernel, p, radius):
     base vertex (``delta``, sharp at ``p = 1``), ball indicators at
     dyadic radii (``ball[r]``), a phase-matched profile concentrated at
     the base vertex (``matched-row``, sharp at ``p = inf`` once the window
-    holds the kernel), and the first :data:`_TREE_POWER_ITERATES` iterates
-    of :func:`~treeharmonics.zline.duality_ascent` (for ``1 < p < inf``),
+    holds the kernel), all three kinds zero-padded to the window as the
+    rows of one matrix and applied in one band product, each ratio's
+    denominator taken over the trial's own length; and the first
+    :data:`_TREE_POWER_ITERATES` iterates of
+    :func:`~treeharmonics.zline.duality_ascent` (for ``1 < p < inf``),
     named ``power[k]`` after the first iterate to reach the best ratio.
     The ascent starts from the window's indicator; for a one-parity
     kernel (``D >= 1`` and ``k(d) = 0`` whenever ``d - D`` is odd) it runs
@@ -473,7 +478,7 @@ def opnorm_lower(kernel, p, radius):
     # the product does not: an infinite entry times a zero of a trial
     # vector would give NaN.
     scale = 2.0 ** max(0, math.frexp(float(np.abs(kv).max()))[1] - 1)
-    forward = _band_product(_radial_band(kv / scale, q, p, radius, nw, radius + 1), scale)
+    band = _radial_band(kv / scale, q, p, radius, nw, radius + 1)
 
     best = 0.0
     best_name = "none"
@@ -484,12 +489,8 @@ def opnorm_lower(kernel, p, radius):
             best = ratio
             best_name = name
 
-    def trial(hw, name):
-        denom = _radial_norm(hw, q, p)
-        if denom != 0.0:
-            consider(_radial_norm(forward(hw), q, p) / denom, name)
-
-    trial(np.ones(1, dtype=complex), "delta")
+    # the closed-form trials, each zero-padded to the window, as the rows of
+    # one matrix through one band product
     r = 1
     radii = []
     while r < window:
@@ -497,14 +498,23 @@ def opnorm_lower(kernel, p, radius):
         r *= 2
     if window >= 1:
         radii.append(window)
-    for r in radii:
-        trial(_scaled(np.ones(r + 1, dtype=complex), q, p), f"ball[{r}]")
-
     # phase-matched row conj(k) |k|^{1/(p-1) - 1}; the bare phase at p = 1 and p = inf
     rmatch = min(D, window)
     expo = 1.0 / (p - 1.0) if 1.0 < p < math.inf else 0.0
     matched = phase_power(np.conj(kv[: rmatch + 1]), expo)
-    trial(_scaled(matched, q, p), "matched-row")
+    rows = [np.ones(1, dtype=complex)]
+    rows += [_scaled(np.ones(r + 1, dtype=complex), q, p) for r in radii]
+    rows.append(_scaled(matched, q, p))
+    names = ["delta", *(f"ball[{r}]" for r in radii), "matched-row"]
+    trials = np.zeros((len(rows), nw), dtype=complex)
+    for t, hw in enumerate(rows):
+        trials[t, : hw.size] = hw
+    images = np.abs(_band_product(band, scale, (len(rows),))(trials))
+    for hw, image, name in zip(rows, images, names):
+        # over the trial's own length: padding zeros would regroup the sum
+        denom = _radial_norm(np.abs(hw), q, p)
+        if denom != 0.0:
+            consider(_radial_norm(image, q, p) / denom, name)
 
     if 1.0 < p < math.inf:
         # In scaled coordinates the adjoint of convolution by k is
@@ -518,9 +528,10 @@ def opnorm_lower(kernel, p, radius):
             # even and the odd spheres are invariant blocks: one ascent each.
             odd = np.arange(nw) % 2 == 1
             starts = [np.where(odd, 0.0, start), np.where(odd, start, 0.0)]
+        forward = _band_product(band, scale)
         for x0 in starts:
             for k, value in duality_ascent(
-                forward, adjoint, lambda x: _radial_norm(x, q, p), x0, p, _TREE_POWER_ITERATES
+                forward, adjoint, lambda mag: _radial_norm(mag, q, p), x0, p, _TREE_POWER_ITERATES
             ):
                 consider(value, f"power[{k}]")
     return best, best_name

@@ -281,18 +281,41 @@ def convolutor_upper(F, p):
 
 def lp_norm(x, p):
     """``l^p`` norm of a vector, with ``p = inf`` meaning the max norm."""
-    x = np.asarray(x)
+    return _modulus_norm(np.abs(np.asarray(x)), p)
+
+
+def _modulus_norm(mag, p):
+    """``l^p`` norm of a vector whose entrywise modulus is ``mag``."""
     if math.isinf(p):
-        return float(np.max(np.abs(x))) if x.size else 0.0
-    return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+        return float(mag.max()) if mag.size else 0.0
+    return float((mag**p).sum() ** (1.0 / p))
 
 
-def phase_power(y, expo):
-    """``phase(y) * |y|**expo`` entrywise, with 0 mapped to 0."""
-    mag = np.abs(y)
-    if mag.size and mag.min() >= 2.0**-1022:
-        # no zero or subnormal modulus, so the masks below would select every entry
+def phase_power(y, expo, mag=None):
+    """``phase(y) * |y|**expo`` entrywise, with 0 mapped to ``+0.0``.
+
+    ``mag`` is ``np.abs(y)`` when the caller has it already.  Exact zeros
+    stay on the fast path for ``expo >= 0``: the phase is divided out where
+    the modulus is normal and left ``+0.0`` elsewhere, and ``0 ** expo`` is
+    0 or 1.  Only a nonzero subnormal modulus (or a zero at ``expo < 0``)
+    takes :func:`_masked_phase_power`.
+    """
+    if mag is None:
+        mag = np.abs(y)
+    normal = mag >= 2.0**-1022
+    count = np.count_nonzero(normal)
+    if count == mag.size:
+        # no zero or subnormal modulus: every entry divides by its modulus
         return ((y / mag) * mag**expo).astype(complex, copy=False)
+    if expo < 0.0 or count != np.count_nonzero(mag):
+        return _masked_phase_power(y, mag, expo)
+    out = np.divide(y, mag, out=np.zeros(y.shape, np.result_type(y, mag)), where=normal)
+    out *= mag**expo
+    return out.astype(complex, copy=False)
+
+
+def _masked_phase_power(y, mag, expo):
+    """:func:`phase_power` through masks: a nonzero subnormal modulus, or a zero at ``expo < 0``."""
     out = np.zeros_like(y, dtype=complex)
     nz = mag > 0.0
     num, den = y[nz], mag[nz]
@@ -310,33 +333,36 @@ def duality_ascent(apply, adjoint, norm, x, p, iters):
     """Duality-map ascent for the ``l^p -> l^p`` ratio of a linear map.
 
     Starting from ``x``, each step normalizes the iterate, yields
-    ``(k, norm(apply(x_k)))`` for the ``k``-th iterate, and moves to the
+    ``(k, norm(|apply(x_k)|))`` for the ``k``-th iterate, and moves to the
     ``p'``-th power phase of ``adjoint`` applied to the ``p``-th power phase
-    of the image; ``adjoint`` also restricts to the trial window.  Every
-    yielded value is the exact ratio of a concrete trial vector, so each is
-    a certified lower bound whether or not the ascent has converged.  Stops
-    after ``iters`` iterates, when two successive values agree to a
-    relative ``1e-10``, when an iterate vanishes, or before yielding a
-    non-finite value.
+    of the image; ``adjoint`` also restricts to the trial window.  ``norm``
+    takes the entrywise modulus of a vector, which each iterate computes
+    once for the image and shares with its phase map.  Every yielded value
+    is the exact ratio of a concrete trial vector, so each is a certified
+    lower bound whether or not the ascent has converged.  Stops after
+    ``iters`` iterates, when two successive values agree to a relative
+    ``1e-10``, when an iterate vanishes, or before yielding a non-finite
+    value.
     """
     if p <= 1.0 or math.isinf(p):
         raise DomainError("duality-map iteration needs 1 < p < inf")
     pd = dual_exponent(p)
     prev = -1.0
     for k in range(1, iters + 1):
-        nx = norm(x)
+        nx = norm(np.abs(x))
         if nx == 0.0:
             return
         x = x / nx
         y = apply(x)
-        est = norm(y)
+        mag = np.abs(y)
+        est = norm(mag)
         if not math.isfinite(est):
             return
         yield k, est
         if prev >= 0.0 and abs(est - prev) <= 1e-10 * max(est, 1e-300):
             return
         prev = est
-        x = phase_power(adjoint(phase_power(y, p - 1.0)), pd - 1.0)
+        x = phase_power(adjoint(phase_power(y, p - 1.0, mag)), pd - 1.0)
 
 
 def _box_ratios(vals, thetas, lengths, p):
@@ -447,7 +473,7 @@ def convolutor_interval(F, p):
         for used, value in duality_ascent(
             lambda x: np.convolve(x, vals),
             lambda w: np.convolve(w, rev)[lag : lag + window],
-            lambda x: lp_norm(x, p),
+            lambda mag: _modulus_norm(mag, p),
             np.ones(window, dtype=complex),
             p,
             _POWER_ITERATES,

@@ -41,7 +41,6 @@ from treeharmonics.spherical import sphere_sizes
 from treeharmonics.tree import (
     _TREE_POWER_ITERATES,
     _radial_convolve,
-    _radial_norm,
     _scaled,
     shell_masses,
 )
@@ -50,7 +49,6 @@ from treeharmonics.zline import (
     _eval_symbol,
     _grid_symbol,
     convolutor_upper,
-    duality_ascent,
     lp_norm,
 )
 
@@ -291,14 +289,25 @@ def negative_half_opnorm_lower(ball, kernel, p, seed=0, iters=40):
     return best
 
 
+def _oracle_radial_norm(h, q, p):
+    """``l^p`` norm on the tree of the radial function with scaled sphere values ``h``."""
+    mag = np.abs(h)
+    if math.isinf(p):
+        return float(mag.max())
+    return float((mag[0] ** p + (q + 1) * np.sum(mag[1:] ** p)) ** (1.0 / p))
+
+
 def recurrence_opnorm_lower(kernel, p, radius):
     """The radial-quotient compression with one sphere-sum recurrence per product.
 
     The earlier form of ``tree.opnorm_lower``: the same trials, run in the
-    same order, but every convolution (each trial, and both products of
-    each ascent iterate) is the recurrence ``tree._radial_convolve`` on
-    ``radius + 1`` zero-padded sphere values instead of a product with a
-    prebuilt band.  Returns ``(bound, method)``.
+    same order and evaluated one at a time, but every convolution (each
+    trial, and both products of each ascent iterate) is the recurrence
+    ``tree._radial_convolve`` on ``radius + 1`` zero-padded sphere values
+    instead of a product with a prebuilt band.  The ascent is its own
+    loop, the earlier form of ``zline.duality_ascent``: normalise, apply,
+    take the norm, then :func:`masked_phase_power` twice, with every norm
+    and phase map taking its own modulus.  Returns ``(bound, method)``.
     """
     p = check_exponent(p)
     kernel = kernel.trimmed()
@@ -321,10 +330,13 @@ def recurrence_opnorm_lower(kernel, p, radius):
         h[: hw.size] = hw
         return h
 
+    def norm(h):
+        return _oracle_radial_norm(h, q, p)
+
     def trial(hw, name):
-        denom = _radial_norm(hw, q, p)
+        denom = norm(hw)
         if denom != 0.0:
-            consider(_radial_norm(_radial_convolve(kv, padded(hw), q, p), q, p) / denom, name)
+            consider(norm(_radial_convolve(kv, padded(hw), q, p)) / denom, name)
 
     with np.errstate(over="ignore", invalid="ignore"):
         trial(np.ones(1, dtype=complex), "delta")
@@ -349,15 +361,22 @@ def recurrence_opnorm_lower(kernel, p, radius):
             if D >= 1 and not np.any(kv[(D + 1) % 2 :: 2]):
                 starts = [start * (np.arange(nw) % 2 == b) for b in (0, 1)]
             for x0 in starts:
-                for k, value in duality_ascent(
-                    lambda x: _radial_convolve(kv, x, q, p),
-                    lambda w: padded(_radial_convolve(conj_kv, w, q, pd)[:nw]),
-                    lambda x: _radial_norm(x, q, p),
-                    padded(x0),
-                    p,
-                    _TREE_POWER_ITERATES,
-                ):
-                    consider(value, f"power[{k}]")
+                x, prev = padded(x0), -1.0
+                for k in range(1, _TREE_POWER_ITERATES + 1):
+                    nx = norm(x)
+                    if nx == 0.0:
+                        break
+                    x = x / nx
+                    y = _radial_convolve(kv, x, q, p)
+                    est = norm(y)
+                    if not math.isfinite(est):
+                        break
+                    consider(est, f"power[{k}]")
+                    if prev >= 0.0 and abs(est - prev) <= 1e-10 * max(est, 1e-300):
+                        break
+                    prev = est
+                    w = _radial_convolve(conj_kv, masked_phase_power(y, p - 1.0), q, pd)
+                    x = masked_phase_power(padded(w[:nw]), pd - 1.0)
     return best, best_name
 
 

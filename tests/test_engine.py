@@ -514,6 +514,23 @@ def test_transference_check_rejects_unsupported_input():
         transference_check(kernel, ball, f, 1.5)
 
 
+def test_transference_check_support_ends_at_the_window_sphere():
+    # breadth-first, sphere window + 1 starts right after the last vertex of sphere window
+    for q, R, D in ((2, 4, 2), (3, 8, 3), (3, 5, 0)):
+        ball = ball_geometry(q, R)
+        kernel = radial_kernel(q, [1.0] * (D + 1))
+        window = R - D
+        inside = np.zeros(ball.size, dtype=complex)
+        inside[ball.level_start[window + 1] - 1] = 1.0
+        assert ball.depth[ball.level_start[window + 1] - 1] == window
+        assert transference_check(kernel, ball, inside, 1.5)["ok"]
+        if window < R:
+            outside = np.zeros(ball.size, dtype=complex)
+            outside[ball.level_start[window + 1]] = 1.0
+            with pytest.raises(DomainError, match="support violation"):
+                transference_check(kernel, ball, outside, 1.5)
+
+
 def test_transference_check_rejects_p_out_of_range():
     ball = ball_geometry(2, 4)
     f = np.zeros(ball.size, dtype=complex)

@@ -17,7 +17,7 @@ from oracles import (
     ray_heights,
     recurrence_opnorm_lower,
 )
-from treeharmonics import tree
+from treeharmonics import tree, zline
 from treeharmonics.params import DomainError, dual_exponent
 from treeharmonics.spherical import (
     ball_kernel,
@@ -392,7 +392,7 @@ def test_opnorm_lower_on_one_parity_kernels_keeps_the_single_start_ascent():
             for _, value in duality_ascent(
                 forward,
                 adjoint,
-                lambda x: _radial_norm(x, q, p),
+                lambda mag: _radial_norm(mag, q, p),
                 _scaled(np.ones(nw, dtype=complex), q, p),
                 p,
                 _TREE_POWER_ITERATES,
@@ -454,3 +454,42 @@ def test_opnorm_lower_near_the_float64_limit_matches_the_recurrence_form():
                 expected, expected_method = recurrence_opnorm_lower(kernel, p, R)
                 assert bound == pytest.approx(expected, rel=1e-14, abs=0.0), (vals, q, p)
                 assert method == expected_method
+
+
+def test_opnorm_lower_keeps_its_pinned_bytes():
+    # repr of (value, method), so that a change of evaluation order that moves
+    # a last bit fails here: the report-deep cases, the golden case, and a
+    # one-parity kernel whose two ascents both reach the cap
+    rng = np.random.default_rng(0)
+    complex3 = radial_kernel(3, rng.normal(size=4) + 1j * rng.normal(size=4))
+    pinned = [
+        (sphere_kernel(3, 3), 1.5, 9, "16.289927010177557", "power[13]"),
+        (sphere_kernel(3, 2), 4.0 / 3.0, 9, "8.405750222011234", "power[22]"),
+        (ball_kernel(3, 2), 3.0, 10, "11.9679450695525", "power[20]"),
+        (complex3, 1.5, 9, "26.248855594950566", "power[13]"),
+        (sphere_kernel(2, 3), 1.5, 12, "7.97117868221558", "power[16]"),
+        (sphere_kernel(2, 3), 3.0, 13, "7.844895507954829", "power[14]"),
+        (ball_kernel(2, 2), 1.5, 14, "8.67288659298424", "power[44]"),
+        (ball_kernel(2, 2), 1.5, 10, "8.466083379857286", "power[25]"),
+        (sphere_kernel(2, 3), 1.5, 160, "8.8327835982177", "power[200]"),
+    ]
+    for kernel, p, R, value, method in pinned:
+        bound, name = opnorm_lower(kernel, p, R)
+        assert (repr(bound), name) == (value, method), (kernel.values, p, R)
+
+
+def test_parity_block_ascents_stay_off_the_masked_phase_power(monkeypatch):
+    # half the entries of an in-block iterate are exact zeros; only a
+    # nonzero subnormal modulus needs the masked path
+    entries = []
+    masked = zline._masked_phase_power
+
+    def counted(y, mag, expo):
+        entries.append(y.size)
+        return masked(y, mag, expo)
+
+    monkeypatch.setattr(zline, "_masked_phase_power", counted)
+    for kernel, p, R in ((sphere_kernel(2, 3), 1.5, 12), (sphere_kernel(3, 2), 4.0 / 3.0, 9)):
+        _, method = opnorm_lower(kernel, p, R)
+        assert method.startswith("power["), method
+    assert entries == []

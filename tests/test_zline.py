@@ -375,8 +375,20 @@ def test_phase_power_equals_the_masked_form_byte_for_byte():
             huge = y.copy()
             huge[-1] = 1e308 - 1e308j  # a modulus near the float64 limit
             cases.append(huge)
+            # exact zeros of every sign, and nonzero entries with a signed zero part
+            signed = y.copy()
+            zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+            signed[rng.integers(0, n, size=max(1, n // 3))] = zeros[n % 4]
+            signed[0] = zeros[(n + 1) % 4]
+            signed[-1] = complex(-0.0, -1.0)
+            cases.append(signed)
+            parity = y.copy()
+            parity[1::2] = complex(-0.0, 0.0)
+            cases.append(parity)
+    cases.append(np.array(zeros))
+    cases.append(np.array([-0.0, 2.5, 0.0, -1.0]))
     for y in cases:
-        for expo in (0.0, 0.1, 0.5, 1.0 / 3.0, 2.0, 10.0):
+        for expo in (0, 0.0, 0.1, 0.5, 1.0 / 3.0, 2.0, 10.0, -0.5):
             # large moduli overflow in both forms alike
             with np.errstate(over="ignore"), warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
