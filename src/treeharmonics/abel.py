@@ -88,7 +88,6 @@ def abel_forward(kernel):
     Coefficients that overflow float64 raise
     :class:`~treeharmonics.params.DomainError`.
     """
-    kernel = kernel.trimmed()
     q = kernel.params.q
     D = kernel.radius
     kv = kernel.values

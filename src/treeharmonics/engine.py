@@ -91,7 +91,6 @@ def line_profile(kernel, p):
         Exponent in ``[1, 2)``; larger values are rejected (reach them
         through duality in the bound assembly).
     """
-    kernel = kernel.trimmed()
     params = kernel.params
     p = check_exponent(p)
     if p >= 2.0:
@@ -121,18 +120,15 @@ def negative_height_bound(kernel, p):
     radius ``D`` the reconstruction identity gives that truncation
     exactly: ``row_m(u) = q^{u/p} k(u)`` for ``2m+1 <= u <= D`` and zero
     beyond, so the series is the finite sum over ``m <= (D-1)/2`` of
-    ``mu_m q^{-2m/p} ||row_m||``.  A row with at most two nonzero entries
-    has the exact norm ``||row_m||_1`` at every ``p``: its ``l^2`` norm,
-    the sup of its symbol, already equals ``||row_m||_1``, and the
-    ``l^p`` norm lies between the two.  Every other row norm is certified
-    by :func:`~treeharmonics.zline.convolutor_upper`.  The same series per
-    unit ``||f||_p`` is the ``rhs`` of :func:`transference_check`.
+    ``mu_m q^{-2m/p} ||row_m||``, each row norm certified by
+    :func:`~treeharmonics.zline.convolutor_upper` (exact for a row with at
+    most two nonzero entries).  The same series per unit ``||f||_p`` is
+    the ``rhs`` of :func:`transference_check`.
 
     Kernels supported at the origin only have an identically vanishing
     negative half, reported as exactly ``0.0``.  A row that overflows
     float64 makes the series infinite.
     """
-    kernel = kernel.trimmed()
     p = check_exponent(p)
     if p >= 2.0:
         raise DomainError(f"negative-height bound requires p in [1, 2), got p={p:g}")
@@ -149,11 +145,7 @@ def negative_height_bound(kernel, p):
                 return math.inf
             row = ZKernel(params, 2 * m + 1, vals)
             try:
-                if np.count_nonzero(vals) <= 2:
-                    # two phases align somewhere: sup |symbol| = l1, so the norm is l1 at every p
-                    row_norm = row.l1()
-                else:
-                    row_norm, _ = convolutor_upper(row, p)
+                row_norm, _ = convolutor_upper(row, p)
             except DomainError:
                 return math.inf  # the row's l1 norm overflows
             series += masses[m] * params.qpow(-2.0 * m / p) * row_norm
@@ -169,7 +161,6 @@ def nonnegative_height_bound(kernel, p):
     ``(1, 2)`` for fixed nonnegative ``k``.  A sum that overflows float64
     is ``inf``.
     """
-    kernel = kernel.trimmed()
     p = check_exponent(p)
     if not 1.0 < p < 2.0:
         raise DomainError(f"nonnegative-height bound requires p in (1, 2), got p={p:g}")
@@ -188,7 +179,7 @@ def nonnegative_height_bound(kernel, p):
 
 def spectral_sup(kernel):
     """Exact-at-``p=2`` operator norm: sup of the symbol on the real line."""
-    value, _ = convolutor_upper(abel_forward(kernel.trimmed()).to_zkernel(), 2.0)
+    value, _ = convolutor_upper(abel_forward(kernel).to_zkernel(), 2.0)
     return value
 
 
@@ -232,7 +223,6 @@ def tree_norm_lower(kernel, p, radius=None):
     kernel support (``radius >= D + 1`` so the central column is
     complete); the default ``D + 3`` leaves room for window trials.
     """
-    kernel = kernel.trimmed()
     p = check_exponent(p)
     D = kernel.radius
     if radius is None:
@@ -261,7 +251,6 @@ def symbol_norm_report(kernel, p):
     and the residual is the evenness defect of the coefficients (exactly
     ``0`` for every radial kernel).  ``p = 2`` is out of scope.
     """
-    kernel = kernel.trimmed()
     p = check_exponent(p)
     if p == 2.0:
         raise ScopeError(_SCOPE_MESSAGE)
@@ -298,7 +287,6 @@ def transference_check(kernel, ball, f, p):
     Returns ``{"lhs": ..., "rhs": ..., "ok": ...}`` with
     ``ok = lhs <= rhs + 1e-12 max(1, rhs)``.
     """
-    kernel = kernel.trimmed()
     p = check_exponent(p)
     if p >= 2.0:
         raise DomainError(f"transference check runs at p in [1, 2), got p={p:g}")
@@ -380,7 +368,6 @@ def bounds_report(kernel, p, radius=None):
     lower bound exceeding the certified upper bound (beyond rounding
     slack), or either side being NaN, raises :class:`SoundnessError`.
     """
-    kernel = kernel.trimmed()
     p = check_exponent(p)
     if p == 2.0:
         raise ScopeError(_SCOPE_MESSAGE)

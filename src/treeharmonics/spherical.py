@@ -34,7 +34,9 @@ class RadialKernel:
     """Radial function on the tree, stored by hop distance.
 
     ``values[d]`` is the common value on the sphere of radius ``d`` about
-    the base vertex; the stored window is ``d = 0 .. radius``.
+    the base vertex; the stored window is ``d = 0 .. radius``.  Trailing
+    zero spheres are dropped when the kernel is built (radius 0 at
+    minimum), so zero-padded values build the same kernel as unpadded ones.
     """
 
     params: object
@@ -47,7 +49,9 @@ class RadialKernel:
             raise DomainError("radial kernel needs a nonempty 1-d value array")
         if not np.isfinite(vals).all():
             raise DomainError("radial kernel values must be finite (no NaN or infinity)")
-        object.__setattr__(self, "values", vals)
+        nz = np.flatnonzero(vals)
+        hi = int(nz[-1]) if nz.size else 0
+        object.__setattr__(self, "values", vals[: hi + 1].copy())
 
     @property
     def radius(self):
@@ -59,19 +63,13 @@ class RadialKernel:
             raise DomainError(f"hop distance must be >= 0, got {d}")
         return complex(self.values[d]) if d <= self.radius else 0.0 + 0.0j
 
-    def trimmed(self):
-        """Copy with trailing zero spheres removed (radius 0 at minimum)."""
-        nz = np.flatnonzero(np.abs(self.values) != 0.0)
-        hi = int(nz[-1]) if nz.size else 0
-        return RadialKernel(self.params, self.values[: hi + 1].copy())
-
     def l1_on_tree(self):
         """``l^1`` norm of the radial extension: sum of ``|values|`` times sphere sizes.
 
         A norm that overflows float64 raises :class:`DomainError`.
         """
-        sizes = sphere_sizes(self.params, self.radius)
         with np.errstate(over="ignore"):
+            sizes = sphere_sizes(self.params, self.radius)
             value = float(sizes @ np.abs(self.values))
         if not math.isfinite(value):
             raise DomainError(

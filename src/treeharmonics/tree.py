@@ -159,7 +159,7 @@ class TreeBall:
         f = np.asarray(f, dtype=complex)
         if f.shape != (self.size,):
             raise DomainError(f"expected a vector of length {self.size}, got {f.shape}")
-        return _sphere_sum_convolve(kernel.trimmed().values, f, self.adjacency_sum, self.params.q)
+        return _sphere_sum_convolve(kernel.values, f, self.adjacency_sum, self.params.q)
 
 
 def _sphere_sum_convolve(kv, f, adjacency, q):
@@ -461,7 +461,6 @@ def opnorm_lower(kernel, p, radius):
     Returns ``(bound, method)``.
     """
     p = check_exponent(p)
-    kernel = kernel.trimmed()
     q = kernel.params.q
     kv = kernel.values
     D = kernel.radius

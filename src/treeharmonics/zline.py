@@ -260,21 +260,26 @@ def convolutor_upper(F, p):
     """Certified upper bound for the norm of convolution by ``F`` on ``l^p``.
 
     Returns ``(value, method)``.  At ``p`` in ``{1, inf}`` the bound is the
-    exact ``l^1`` norm; at ``p == 2`` it is the refined grid supremum of the
-    symbol (the grid resolution is recorded); otherwise it interpolates the
-    two with exponent ``theta = |2/p - 1|``.  An ``l^1`` norm that
-    overflows float64 raises :class:`~treeharmonics.params.DomainError`.
+    exact ``l^1`` norm.  So it is at every ``p`` for a kernel with at most
+    two nonzero entries: the two phases align somewhere on the real line,
+    so the ``l^2`` norm, the sup of the symbol, already equals ``||F||_1``,
+    and the ``l^p`` norm lies between the two; interpolating with a grid
+    sup would land up to an ulp below it.  Otherwise, at ``p == 2`` the
+    bound is the refined grid supremum of the symbol (the grid resolution
+    is recorded), and at other ``p`` it interpolates the two with exponent
+    ``theta = |2/p - 1|``.  An ``l^1`` norm that overflows float64 raises
+    :class:`~treeharmonics.params.DomainError`.
     """
     p = check_exponent(p)
     l1 = F.l1()
     if p == 1.0 or math.isinf(p):
         return l1, "l1-exact"
+    if np.count_nonzero(F.values) <= 2:
+        return l1, "l1-exact(two-entry)"
     sup, used = _line_sup(F, 0.0)
     if p == 2.0:
         return sup, f"spectral-sup(grid={used})"
     theta = abs(2.0 / p - 1.0)
-    if l1 == 0.0:
-        return 0.0, "l1-exact"
     val = l1**theta * sup ** (1.0 - theta)
     return val, f"interp(l1,sup;theta={theta:.6g},grid={used})"
 

@@ -185,7 +185,6 @@ def ball_opnorm_lower(ball, kernel, p, seed=0, iters=200):
     checked against :func:`dense_convolve`) rather than on the radial
     quotient.  Returns ``(bound, method)``.
     """
-    kernel = kernel.trimmed()
     kv = kernel.values
     D = kernel.radius
     window = ball.radius - D
@@ -267,7 +266,6 @@ def negative_half_opnorm_lower(ball, kernel, p, seed=0, iters=40):
     ratio, so the best is a lower bound for the norm of ``T`` on the
     window, which the shell series bounds from above.  ``p`` in ``(1, 2)``.
     """
-    kernel = kernel.trimmed()
     window = ball.radius - kernel.radius
     nw = int(ball.level_start[window + 1])
     pd = p / (p - 1.0)
@@ -310,7 +308,6 @@ def recurrence_opnorm_lower(kernel, p, radius):
     and phase map taking its own modulus.  Returns ``(bound, method)``.
     """
     p = check_exponent(p)
-    kernel = kernel.trimmed()
     q = kernel.params.q
     kv = kernel.values
     D = kernel.radius
@@ -733,7 +730,6 @@ def profile_strip_constant(kernel, p):
     Every coefficient of the profile obeys ``|phi(l)| <= H`` and the
     negative tail ``|phi(l)| <= H q^{2 delta l}`` with this constant ``H``.
     """
-    kernel = kernel.trimmed()
     p = check_exponent(p)
     if p >= 2.0:
         raise DomainError(f"strip constant is defined for p in [1, 2), got p={p:g}")
@@ -755,7 +751,6 @@ def affine_negative_height_bound(kernel, p):
     infinite support too; since it is affine in ``m``, the series over all
     shells collapses to a geometric closed form.  ``p`` in ``(1, 2)``.
     """
-    kernel = kernel.trimmed()
     p = check_exponent(p)
     if not 1.0 < p < 2.0:
         raise DomainError(f"negative-height bound requires p in (1, 2), got p={p:g}")
@@ -816,7 +811,6 @@ class HorocyclicKernel:
 
 def split_kernel(kernel, p):
     """Split a radial kernel into its height-sign halves, ``p in [1, 2)``."""
-    kernel = kernel.trimmed()
     p = check_exponent(p)
     if p >= 2.0:
         raise DomainError(f"height splitting is performed for p in [1, 2), got p={p:g}")

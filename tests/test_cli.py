@@ -8,8 +8,14 @@ import pytest
 
 from treeharmonics.cli import main
 from treeharmonics.abel import abel_forward
-from treeharmonics.serialize import abel_to_csv, read_kernel, read_symbol, write_kernel
-from treeharmonics.spherical import ball_kernel, radial_kernel
+from treeharmonics.serialize import (
+    abel_to_csv,
+    read_kernel,
+    read_symbol,
+    symbol_to_csv,
+    write_kernel,
+)
+from treeharmonics.spherical import TorusSymbol, ball_kernel, radial_kernel
 
 
 @pytest.fixture()
@@ -34,6 +40,17 @@ def test_transform_then_invert_roundtrip(tmp_path, ball1):
     assert rc == 0
     back = read_kernel(back_path)
     assert np.abs(back.values - np.array([1.0, 1.0])).max() <= 1e-9
+
+
+def test_invert_of_a_zero_symbol_writes_the_radius_zero_kernel(tmp_path):
+    # the reconstructed spheres are all exactly zero, and a kernel drops its
+    # trailing zero spheres when it is built, so one value is left
+    sym = tmp_path / "zero.csv"
+    sym.write_text(symbol_to_csv(TorusSymbol(2, np.zeros(64))))
+    out = tmp_path / "k.json"
+    argv = ["invert", "--kernel", str(sym), "--q", "2", "--radius", "5", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text()) == {"q": 2, "values": [[0.0, 0.0]]}
 
 
 def test_abel_command_writes_sequence_csv(tmp_path, ball1):

@@ -34,6 +34,7 @@ from treeharmonics.engine import (
     tree_norm_upper,
 )
 from treeharmonics.params import DomainError, ScopeError, strip_halfwidth, tree_params
+from treeharmonics.serialize import abel_to_csv, report_to_json
 from treeharmonics.spherical import (
     ball_kernel,
     delta_kernel,
@@ -41,6 +42,7 @@ from treeharmonics.spherical import (
     sphere_kernel,
     sphere_sizes,
     spherical_function,
+    spherical_transform,
     spherical_transform_at,
 )
 from treeharmonics.tree import ball_geometry
@@ -186,9 +188,8 @@ def test_negative_height_bound_is_the_shell_series_in_closed_form():
 
 
 def test_negative_height_rows_of_at_most_two_entries_contribute_their_l1_norm():
-    # the symbol of a two-entry row reaches |a| + |b| where the phases align,
-    # so the row norm is its l1 norm at every p; interpolating l1 with a grid
-    # sup lands up to an ulp below it, which would not certify
+    # every row norm is convolutor_upper's, which gives a row of at most two
+    # nonzero entries its exact l1 norm at every p
     rng = np.random.default_rng(211)
     for q in (2, 3, 5):
         params = tree_params(q)
@@ -199,14 +200,15 @@ def test_negative_height_rows_of_at_most_two_entries_contribute_their_l1_norm():
                     vals[zero] = 0.0
                 u = np.arange(1, D + 1)
                 row0 = ZKernel(params, 1, vals[u] * params.qpow(u / p))
+                want, _ = convolutor_upper(row0, p)
                 if np.count_nonzero(row0.values) <= 2:
-                    want = row0.l1()
-                else:
-                    want, _ = convolutor_upper(row0, p)
+                    assert want == row0.l1()
                 if D == 3:
                     # shell 1 has mass q - 1 and the one entry q^{3/p} k(3)
                     row1 = ZKernel(params, 3, vals[3:] * params.qpow(3 / p))
-                    want += (q - 1) * params.qpow(-2.0 / p) * row1.l1()
+                    upper1, _ = convolutor_upper(row1, p)
+                    assert upper1 == row1.l1()
+                    want += (q - 1) * params.qpow(-2.0 / p) * upper1
                 got = negative_height_bound(radial_kernel(q, vals), p)
                 assert got == want, (q, p, D, zero)
 
@@ -504,6 +506,31 @@ def test_transference_check_matches_the_per_height_loop():
             assert rec["lhs"] == pytest.approx(want, rel=1e-14, abs=0.0), (q, D, R, imag)
             rhs = rec["rhs"]
             assert rec["ok"] is bool(want <= rhs + 1e-12 * max(1.0, rhs))
+
+
+def test_a_zero_padded_kernel_is_the_trimmed_kernel():
+    # trailing zero spheres are dropped when a kernel is built, so no entry
+    # point sees them: a padded twin gives the same bytes everywhere
+    rng = np.random.default_rng(229)
+    ball = ball_geometry(2, 6)
+    f = np.zeros(ball.size, dtype=complex)
+    window = int(ball.level_start[4])  # the interior window of a radius-2 kernel
+    f[:window] = rng.normal(size=window) + 1j * rng.normal(size=window)
+    for vals in ([1.0, 0.5], rng.normal(size=3) + 1j * rng.normal(size=3)):
+        kernel = radial_kernel(2, vals)
+        twin = radial_kernel(2, np.concatenate([vals, np.zeros(1100)]))
+        assert twin.radius == kernel.radius == len(vals) - 1
+        for p in (1.0, 1.5, 3.0, math.inf):
+            assert report_to_json(bounds_report(twin, p)) == report_to_json(
+                bounds_report(kernel, p)
+            )
+        assert tree_norm_upper(twin, 1.0) == tree_norm_upper(kernel, 1.0)
+        assert np.array_equal(
+            spherical_transform(twin, 64).samples, spherical_transform(kernel, 64).samples
+        )
+        assert abel_to_csv(abel_forward(twin)) == abel_to_csv(abel_forward(kernel))
+        assert np.array_equal(ball.convolve(twin, f), ball.convolve(kernel, f))
+        assert transference_check(twin, ball, f, 1.5) == transference_check(kernel, ball, f, 1.5)
 
 
 def test_transference_check_rejects_unsupported_input():

@@ -239,9 +239,14 @@ def test_kernel_constructors_and_trimming():
     assert k.radius == 2 and k.at(1) == 1.0 and k.at(5) == 0.0
     s = sphere_kernel(3, 2)
     assert s.values.tolist() == [0.0, 0.0, 1.0]
-    padded = radial_kernel(2, [1.0, 0.5, 0.0, 0.0])
-    assert padded.trimmed().radius == 1
-    assert delta_kernel(2).trimmed().radius == 0
+    # trailing zero spheres are dropped at construction, radius 0 at minimum
+    raw = np.array([1.0, 0.5, 0.0, 0.0], dtype=complex)
+    padded = radial_kernel(2, raw)
+    assert padded.radius == 1 and padded.values.tolist() == [1.0, 0.5]
+    raw[0] = 7.0
+    assert padded.at(0) == 1.0  # the values are a copy
+    assert radial_kernel(2, [0.0, 0.0, 0.0]).values.tolist() == [0.0]
+    assert delta_kernel(2).radius == 0
     with pytest.raises(DomainError):
         radial_kernel(2, [])
     with pytest.raises(DomainError):
@@ -251,6 +256,13 @@ def test_kernel_constructors_and_trimming():
 def test_l1_on_tree_weights_spheres():
     k = radial_kernel(2, [1.0, -2.0])
     assert k.l1_on_tree() == pytest.approx(1.0 + 3.0 * 2.0, rel=1e-15)
+
+
+def test_l1_on_tree_overflow_raises_domain_error_without_a_warning():
+    # the sphere sizes overflow past radius ~1023 at q = 2; the suite turns
+    # a RuntimeWarning into an error, so this also pins that none is emitted
+    with pytest.raises(DomainError, match="overflows"):
+        radial_kernel(2, np.ones(1100)).l1_on_tree()
 
 
 # ---------------------------------------------------------------------------

@@ -138,11 +138,27 @@ def test_convolutor_upper_exact_at_one_and_infinity():
 
 
 def test_convolutor_upper_spectral_value_for_two_point_kernel():
-    # symbol of [1, 1] is 1 + q^{-iz}: sup modulus 2 at frequency 0
+    # symbol of [1, 1] is 1 + q^{-iz}: sup modulus 2 at frequency 0, which
+    # is the l1 norm, returned exactly with no grid; three points take the grid
     F = zkernel(2, [1.0, 1.0])
-    val, method = convolutor_upper(F, 2.0)
-    assert val == pytest.approx(2.0, abs=1e-9)
+    assert convolutor_upper(F, 2.0) == (2.0, "l1-exact(two-entry)")
+    val, method = convolutor_upper(zkernel(2, [1.0, 1.0, 1.0]), 2.0)
+    assert val == pytest.approx(3.0, abs=1e-9)
     assert method.startswith("spectral-sup")
+
+
+def test_convolutor_upper_of_two_entries_is_their_l1_norm():
+    # the two phases align somewhere on the line, so the norm is ||F||_1 at
+    # every p; interpolating with a grid sup landed up to an ulp below it
+    rng = np.random.default_rng(223)
+    for q in (2, 3, 5):
+        for _ in range(20):
+            vals = np.zeros(int(rng.integers(2, 9)), dtype=complex)
+            at = rng.choice(vals.size, size=2, replace=False)
+            vals[at] = rng.normal(size=2) + 1j * rng.normal(size=2)
+            F = ZKernel(tree_params(q), int(rng.integers(-4, 5)), vals)
+            for p in (1.1, 1.5, 2.0, 3.0):
+                assert convolutor_upper(F, p) == (F.l1(), "l1-exact(two-entry)"), (q, vals, p)
 
 
 def test_convolutor_upper_interpolates_between_extremes():
@@ -154,7 +170,10 @@ def test_convolutor_upper_interpolates_between_extremes():
         for p in (4.0 / 3.0, 1.5, 3.0):
             val, method = convolutor_upper(F, p)
             assert sup - 1e-12 <= val <= l1 + 1e-12
-            assert method.startswith("interp")
+            if np.count_nonzero(F.values) <= 2:
+                assert (val, method) == (l1, "l1-exact(two-entry)")
+            else:
+                assert method.startswith("interp")
 
 
 def test_convolutor_upper_single_spike_is_sharp_everywhere():
