@@ -11,7 +11,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from treeharmonics.abel import abel_bruteforce, abel_forward, abel_inverse, horocycle_slice_sum
+from treeharmonics.abel import (
+    abel_bruteforce,
+    abel_forward,
+    abel_inverse,
+    horocycle_slice_sum,
+    weyl_residual,
+)
 from treeharmonics.params import torus_grid, tree_params
 from treeharmonics.spherical import ball_kernel, sphere_sizes, spherical_function
 from treeharmonics.tree import ball_geometry
@@ -19,11 +25,11 @@ from treeharmonics.zline import fourier_z
 
 Q = 2
 kernel = ball_kernel(Q, 2)
-seq = abel_forward(kernel)
+seq = abel_forward(kernel)  # a kernel on the integers, stored on [-2, 2]
 print("Abel sequence of the radius-2 ball indicator (j, a_j):")
-for j in range(-seq.support_radius, seq.support_radius + 1):
-    print(f"   {j:+d}  {seq.at(j).real:.12f}")
-print("evenness defect:", seq.weyl_residual)
+for j, a in zip(seq.indices, seq.values):
+    print(f"   {j:+d}  {a.real:.12f}")
+print("evenness defect:", weyl_residual(seq))
 
 back = abel_inverse(seq)
 print("inverse recovers the kernel:", np.abs(back.values - kernel.values).max())
@@ -40,7 +46,7 @@ for j in (-3, -1, 0, 2):
 # against the spherical functions, sphere by sphere
 params = tree_params(Q)
 grid = torus_grid(params, 64)
-lhs = fourier_z(seq.to_zkernel(), grid)
+lhs = fourier_z(seq, grid)
 d = np.arange(3)
 rhs = spherical_function(params, grid[:, None], d[None, :]) @ (sphere_sizes(params, 2) * kernel.values)
 print("factorization residual on a 64-point grid:", float(np.abs(lhs - rhs).max()))

@@ -51,7 +51,6 @@ _EXPORTS = {
     "haar_residual": ".tree",
     "opnorm_lower": ".tree",
     # abel
-    "AbelSequence": ".abel",
     "abel_forward": ".abel",
     "abel_inverse": ".abel",
     "abel_bruteforce": ".abel",

@@ -2,7 +2,9 @@
 
 Summing a radial kernel over a horocycle — with the horocyclic shell
 masses ``mu_m`` — and scaling by ``q^{-j/2}`` produces an *even*, finitely
-supported sequence, the Abel transform.  Composed with the Fourier
+supported sequence, the Abel transform, held as a
+:class:`~treeharmonics.zline.ZKernel` on ``[-D, D]`` whose evenness
+defect is :func:`weyl_residual`.  Composed with the Fourier
 transform on the integers it factorizes the spherical transform:
 ``FT(Abel k) = spherical transform of k``.  The forward map is triangular
 in the kernel values, so it inverts exactly by back-substitution.
@@ -14,67 +16,16 @@ The census summation over an explicit ball (:func:`abel_bruteforce`,
 independent check.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .params import DomainError, tree_params
+from .params import DomainError
 from .spherical import RadialKernel
 from .zline import ZKernel
 
 
-@dataclass(frozen=True)
-class AbelSequence:
-    """Even finitely supported sequence ``a_j``, stored two-sided.
-
-    ``values[i]`` is the coefficient at ``j = i - support_radius``.  The
-    forward transform produces mirror-identical halves; the evenness
-    defect is exposed as :attr:`weyl_residual` so it can be *checked*
-    downstream rather than assumed.
-    """
-
-    params: object
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", tree_params(self.params))
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 1 or vals.size % 2 != 1:
-            raise DomainError("two-sided coefficients must form an odd-length 1-d array")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def support_radius(self):
-        return (self.values.size - 1) // 2
-
-    def at(self, j):
-        i = int(j) + self.support_radius
-        if 0 <= i < self.values.size:
-            return complex(self.values[i])
-        return 0.0 + 0.0j
-
-    @property
-    def weyl_residual(self):
-        """Max evenness defect ``|a_j - a_{-j}|`` over the stored window."""
-        return float(np.max(np.abs(self.values - self.values[::-1])))
-
-    @property
-    def is_even(self):
-        return self.weyl_residual == 0.0
-
-    def to_zkernel(self, delta=0.0):
-        """The shifted coefficients ``a_j q^{j delta}`` as a kernel on the integers.
-
-        The kernel starts at ``-support_radius``.  Its symbol is the
-        symbol of ``a`` on the line ``Im z = delta``.  Coefficients that
-        overflow float64 raise :class:`~treeharmonics.params.DomainError`.
-        """
-        J = self.support_radius
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = self.values * self.params.qpow(np.arange(-J, J + 1) * delta)
-        if not np.isfinite(values).all():
-            raise DomainError(f"the shifted Abel coefficients at delta={delta:g} overflow float64")
-        return ZKernel(self.params, -J, values)
+def weyl_residual(seq):
+    """Evenness defect ``max |a_j - a_{-j}|`` of a sequence stored on ``[-J, J]``."""
+    return float(np.max(np.abs(seq.values - seq.values[::-1])))
 
 
 def abel_forward(kernel):
@@ -83,7 +34,8 @@ def abel_forward(kernel):
     This is the horocycle sum ``q^{-j/2} sum_m mu_m k(max(2m - j, j))``
     collapsed through the shell masses; the two half-axes collapse to the
     *same* expression in ``|j|``, which is how evenness enters.  The
-    returned sequence stores bit-identical mirror halves; the independent
+    sequence is returned as a :class:`~treeharmonics.zline.ZKernel` on
+    ``[-D, D]`` whose mirror halves are bit-identical; the independent
     census route (:func:`abel_bruteforce`) validates the collapse.
     Coefficients that overflow float64 raise
     :class:`~treeharmonics.params.DomainError`.
@@ -103,8 +55,7 @@ def abel_forward(kernel):
         half = reduced * kernel.params.qpow(np.arange(D + 1) / 2.0)
     if not np.isfinite(half).all():
         raise DomainError("the Abel coefficients overflow float64")
-    values = np.concatenate([half[:0:-1], half])
-    return AbelSequence(kernel.params, values)
+    return ZKernel(kernel.params, -D, np.concatenate([half[:0:-1], half]))
 
 
 def abel_inverse(seq):
@@ -113,17 +64,17 @@ def abel_inverse(seq):
     In the rescaled variables ``r_t = a_t q^{-t/2}`` the forward relation
     telescopes to ``r_t - q r_{t+2} = k(t) - k(t+2)``, so the kernel is
     recovered from the top index downward; the roundtrip with
-    :func:`abel_forward` is exact in exact arithmetic.  Non-even input is
-    rejected.
+    :func:`abel_forward` is exact in exact arithmetic.  A sequence not
+    stored on a window ``[-J, J]``, or not even there, is rejected.
     """
-    if seq.weyl_residual != 0.0:
-        raise DomainError(
-            f"cannot invert an uneven sequence (evenness defect {seq.weyl_residual:g})"
-        )
+    J = -seq.offset
+    if seq.support != (-J, J):
+        raise DomainError(f"an Abel sequence is stored on [-J, J], got the window {seq.support}")
+    defect = weyl_residual(seq)
+    if defect != 0.0:
+        raise DomainError(f"cannot invert an uneven sequence (evenness defect {defect:g})")
     q = seq.params.q
-    J = seq.support_radius
-    r = np.array([seq.at(t) for t in range(J + 1)], dtype=complex)
-    r *= seq.params.qpow(-np.arange(J + 1) / 2.0)
+    r = seq.values[J:] * seq.params.qpow(-np.arange(J + 1) / 2.0)
     k = np.zeros(J + 1, dtype=complex)
     k[J] = r[J]
     if J >= 1:

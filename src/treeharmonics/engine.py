@@ -31,7 +31,7 @@ from .params import (
     torus_grid,
 )
 from .spherical import RadialKernel, c_inverse_shifted
-from .abel import abel_forward
+from .abel import abel_forward, weyl_residual
 from .tree import opnorm_lower, shell_masses
 from .zline import (
     DICTIONARY_VERSION,
@@ -70,7 +70,7 @@ def line_profile(kernel, p):
 
     For ``p in [1, 2)`` the shifted symbol is evaluated *algebraically* —
     the Abel coefficients ``a_j`` are reweighted to ``a_j q^{j delta(p)}``
-    by :meth:`~treeharmonics.abel.AbelSequence.to_zkernel`, which is exact
+    by :meth:`~treeharmonics.zline.ZKernel.shifted`, which is exact
     for finitely supported kernels — then multiplied by the regularized
     reciprocal c-function on the shifted line and inverted by an
     ``n``-point trapezoid sum.  The result, returned as a two-sided kernel
@@ -100,7 +100,7 @@ def line_profile(kernel, p):
         )
     delta = strip_halfwidth(p)
     L, n = _profile_grid(kernel, p)
-    shifted = abel_forward(kernel).to_zkernel(delta)
+    shifted = abel_forward(kernel).shifted(delta)
     s = torus_grid(params, n)
     with np.errstate(over="ignore", invalid="ignore"):
         g = fourier_z(shifted, s) * c_inverse_shifted(params, s, delta)
@@ -169,7 +169,7 @@ def nonnegative_height_bound(kernel, p):
     absk = RadialKernel(params, np.abs(kernel.values))
     seq = abel_forward(absk)
     terms = [
-        params.qpow(-j * delta) * seq.at(j).real for j in range(seq.support_radius + 1)
+        params.qpow(-j * delta) * seq.at(j).real for j in range(kernel.radius + 1)
     ]
     try:
         return math.fsum(terms)
@@ -179,7 +179,7 @@ def nonnegative_height_bound(kernel, p):
 
 def spectral_sup(kernel):
     """Exact-at-``p=2`` operator norm: sup of the symbol on the real line."""
-    value, _ = convolutor_upper(abel_forward(kernel).to_zkernel(), 2.0)
+    value, _ = convolutor_upper(abel_forward(kernel), 2.0)
     return value
 
 
@@ -245,18 +245,19 @@ def symbol_norm_report(kernel, p):
     """Two-sided norm interval for the shifted symbol's coefficients on ℤ.
 
     Builds the kernel ``(a_j q^{j delta(p)})_j`` from the Abel
-    coefficients (:meth:`~treeharmonics.abel.AbelSequence.to_zkernel`) and
+    coefficients (:meth:`~treeharmonics.zline.ZKernel.shifted`) and
     returns ``(interval, weyl_residual)`` where the interval is the
     certified :func:`~treeharmonics.zline.convolutor_interval` at ``p``
-    and the residual is the evenness defect of the coefficients (exactly
+    and the residual is the evenness defect
+    :func:`~treeharmonics.abel.weyl_residual` of the coefficients (exactly
     ``0`` for every radial kernel).  ``p = 2`` is out of scope.
     """
     p = check_exponent(p)
     if p == 2.0:
         raise ScopeError(_SCOPE_MESSAGE)
     seq = abel_forward(kernel)
-    interval = convolutor_interval(seq.to_zkernel(strip_halfwidth(p)), p)
-    return interval, seq.weyl_residual
+    interval = convolutor_interval(seq.shifted(strip_halfwidth(p)), p)
+    return interval, weyl_residual(seq)
 
 
 # ---------------------------------------------------------------------------

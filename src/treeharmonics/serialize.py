@@ -116,10 +116,8 @@ def read_symbol(q, path):
 
 
 def abel_to_csv(seq):
-    J = seq.support_radius
     lines = ["j,re,im"]
-    for i, j in enumerate(range(-J, J + 1)):
-        v = seq.values[i]
+    for j, v in zip(seq.indices.tolist(), seq.values):
         lines.append(f"{j},{_fmt(v.real)},{_fmt(v.imag)}")
     return "\n".join(lines) + "\n"
 

@@ -271,18 +271,18 @@ def spherical_transform_at(kernel, z):
     The sum is finite, so the transform is entire and may be evaluated
     anywhere in the complex plane.  At real ``z`` a real kernel has a
     real transform: every imaginary part is exactly ``0.0``.  Coefficients
-    or a transform that overflow float64 raise :class:`DomainError`.
+    or a transform that overflow float64, from large kernel values or a
+    large ``|Im z|``, raise :class:`DomainError`.
     """
     from .abel import abel_forward  # abel imports RadialKernel from this module
 
     seq = abel_forward(kernel)
-    J = seq.support_radius
     z = np.asarray(z, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.cos(np.outer(z.ravel(), np.arange(-J, J + 1)) * kernel.params.log_q) @ seq.values
+        out = np.cos(np.outer(z.ravel(), seq.indices) * kernel.params.log_q) @ seq.values
     if not np.isfinite(out).all():
         raise DomainError(
-            "the spherical transform overflows float64: the kernel values are too large"
+            "the spherical transform overflows float64: the kernel values or |Im z| are too large"
         )
     return out.reshape(z.shape) if z.shape else complex(out[0])
 

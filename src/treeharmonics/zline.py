@@ -35,7 +35,7 @@ from .params import (
 
 #: Version tag of the lower-bound trial dictionary.  Bump when the trial
 #: set changes, so stored reports remain attributable.
-DICTIONARY_VERSION = "dict-v3"
+DICTIONARY_VERSION = "dict-v4"
 
 _BOX_LENGTHS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 _MODULATED_LENGTHS = (4, 16, 64, 256, 1024, 4096)
@@ -91,6 +91,19 @@ class ZKernel:
                 "the l1 norm on the integers overflows float64: the kernel values are too large"
             )
         return value
+
+    def shifted(self, v):
+        """The kernel ``F(d) q^{d v}``, whose symbol on the real line is ``FT F`` on ``Im z = v``.
+
+        Values that overflow float64 raise
+        :class:`~treeharmonics.params.DomainError`; values that underflow
+        are exact zeros.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self.values * self.params.qpow(self.indices * v)
+        if not np.isfinite(values).all():
+            raise DomainError(f"the kernel shifted to Im z = {v:g} overflows float64")
+        return ZKernel(self.params, self.offset, values)
 
     def trimmed(self):
         """Copy with leading/trailing zero entries removed."""
@@ -177,8 +190,8 @@ def inverse_fourier_z(samples, d):
 # Line suprema of the symbol
 # ---------------------------------------------------------------------------
 
-def _line_sup(F, v):
-    """Sup of ``|FT F|`` on the horizontal line ``Im z = v``.
+def _line_sup(F):
+    """Sup of ``|FT F|`` on the real line; other lines are :meth:`ZKernel.shifted` first.
 
     Returns ``(value, n)`` where ``n`` is the grid resolution, four times
     the kernel span rounded up to a power of two, within ``[1024, 2^14]``.
@@ -200,7 +213,7 @@ def _line_sup(F, v):
     n = min(max(1024, 4 << (span - 1).bit_length()), 1 << 14)
     log_q = F.params.log_q
     d = F.indices
-    coeffs = F.values * F.params.qpow(d * v)
+    coeffs = F.values
     mag = np.abs(_grid_symbol(coeffs, d, n))
     best = float(mag.max())
     d = d.astype(float)
@@ -276,7 +289,7 @@ def convolutor_upper(F, p):
         return l1, "l1-exact"
     if np.count_nonzero(F.values) <= 2:
         return l1, "l1-exact(two-entry)"
-    sup, used = _line_sup(F, 0.0)
+    sup, used = _line_sup(F)
     if p == 2.0:
         return sup, f"spectral-sup(grid={used})"
     theta = abs(2.0 / p - 1.0)
@@ -422,7 +435,10 @@ def convolutor_interval(F, p):
     the norm by it, and the boxes ``1_[0, L)`` attain it as ``L -> oo``.
     Both ends are then that norm, named ``exact:one-sign`` and
     ``l1-exact(one-sign)``.  For every other kernel the upper end is
-    :func:`convolutor_upper`.  For ``p`` in ``{1, inf}`` the interval
+    :func:`convolutor_upper`.  With two nonzero entries that is
+    ``||F||_1``, and so is the lower end, named ``exact:two-entry``: the
+    two phases align at some frequency, where the modulated boxes attain
+    ``||F||_1`` as ``L -> oo``.  For ``p`` in ``{1, inf}`` the interval
     collapses to the exact ``l^1`` norm (the delta trial and a matched-sign
     trial attain it), and at ``p == 2`` both ends are the refined grid
     supremum of the symbol.  At every other exponent the lower end is the
@@ -447,6 +463,8 @@ def convolutor_interval(F, p):
             l1, l1, f"exact:one-sign({DICTIONARY_VERSION})", "l1-exact(one-sign)"
         )
     upper, upper_method = convolutor_upper(F, p)
+    if np.count_nonzero(vals) == 2:
+        return NormInterval(upper, upper, f"exact:two-entry({DICTIONARY_VERSION})", upper_method)
     if p == 2.0:
         return NormInterval(upper, upper, upper_method, upper_method)
     if p == 1.0 or math.isinf(p):
@@ -505,12 +523,14 @@ def hinf_strip_norm(F, eps):
 
     The symbol of a finitely supported kernel is entire and periodic, so by
     the maximum principle the strip sup is the larger of the sups on the
-    two boundary lines; each line sup is computed on a refined grid.
+    two boundary lines; each line sup is computed on a refined grid.  A
+    bottom line whose shifted kernel overflows float64 raises
+    :class:`~treeharmonics.params.DomainError`.
     """
     if not 0.0 < eps < math.inf:
         raise DomainError(f"strip width must be positive and finite, got {eps}")
-    top, _ = _line_sup(F, 0.0)
-    bottom, _ = _line_sup(F, -float(eps))
+    top, _ = _line_sup(F)
+    bottom, _ = _line_sup(F.shifted(-float(eps)))
     return max(top, bottom)
 
 
@@ -556,7 +576,9 @@ def truncation_bound(F, J, eps, p):
     against the geometric decay the strip analyticity forces, and the
     ``[0, J)`` block is bounded entry-by-entry by the symbol sup.  The
     first term is replaced by its certified upper bound, so the result is
-    a true bound whenever the strip norm is finite.
+    a true bound whenever the strip norm is finite.  Where ``q^eps``
+    leaves float64, ``1/(q^eps - 1)`` is ``q^-eps`` to far below one ulp
+    and is taken as such.
     """
     J = int(J)
     if J < 0:
@@ -565,4 +587,8 @@ def truncation_bound(F, J, eps, p):
     q = F.params.q
     upper, _ = convolutor_upper(F, p)
     big_h = hinf_strip_norm(F, eps)
-    return upper + (1.0 / (q ** float(eps) - 1.0) + J) * big_h
+    try:
+        tail = 1.0 / (q ** float(eps) - 1.0)
+    except OverflowError:
+        tail = q ** -float(eps)
+    return upper + (tail + J) * big_h

@@ -26,7 +26,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from treeharmonics.abel import AbelSequence, abel_forward
+from treeharmonics.abel import abel_forward
 from treeharmonics.engine import line_profile
 from treeharmonics.params import (
     POLE_GUARD,
@@ -636,8 +636,9 @@ def fine_grid_line_sup(q, offset, values, v, n=1 << 16):
 def direct_dictionary_ratios(q, values, p):
     """Every trial of the ``dict-v2`` dictionary with its exact ratio, in trial order.
 
-    ``dict-v3`` runs these trials on kernels that change sign or are
-    complex, and takes one-sign kernels to their exact ``l^1`` norm.
+    ``dict-v4`` runs these trials on kernels that change sign or are
+    complex and have more than two nonzero entries, and takes the others
+    to their exact ``l^1`` norm.
 
     Builds each trial vector explicitly — the delta, the boxes of lengths
     ``2^1 .. 2^12``, the boxes of lengths ``4^1 .. 4^6`` modulated at the
@@ -736,7 +737,8 @@ def profile_strip_constant(kernel, p):
     params = kernel.params
     delta = strip_halfwidth(p)
     # magnitudes first, |a_j| q^{j delta}: the rounding order of the stated bound
-    coeff_l1 = AbelSequence(params, np.abs(abel_forward(kernel).values)).to_zkernel(delta).l1()
+    seq = abel_forward(kernel)
+    coeff_l1 = ZKernel(params, seq.offset, np.abs(seq.values)).shifted(delta).l1()
     line_sup = max(c_inverse_line_sup(params, delta), c_inverse_line_sup(params, -delta))
     return 2.0 * params.plancherel_const * params.period * coeff_l1 * line_sup
 

@@ -8,12 +8,12 @@ import pytest
 
 from oracles import fraction_slice_sum
 from treeharmonics.abel import (
-    AbelSequence,
     abel_bruteforce,
     abel_forward,
     abel_inverse,
     ball_shell_masses,
     horocycle_slice_sum,
+    weyl_residual,
 )
 from treeharmonics.params import DomainError, torus_grid, tree_params
 from treeharmonics.spherical import (
@@ -26,7 +26,7 @@ from treeharmonics.spherical import (
     spherical_transform_at,
 )
 from treeharmonics.tree import ball_geometry, shell_masses
-from treeharmonics.zline import fourier_z
+from treeharmonics.zline import ZKernel, fourier_z, zkernel
 
 
 def random_kernel(rng, q, D):
@@ -40,8 +40,16 @@ def random_kernel(rng, q, D):
 
 def test_forward_of_delta_is_delta():
     seq = abel_forward(delta_kernel(2))
-    assert seq.support_radius == 0
+    assert seq.support == (0, 0)
     assert seq.values.tolist() == [1.0 + 0.0j]
+
+
+def test_forward_returns_a_centred_kernel_on_the_integers():
+    for q in (2, 3):
+        for D in range(5):
+            seq = abel_forward(ball_kernel(q, D))
+            assert type(seq) is ZKernel
+            assert seq.params.q == q and seq.offset == -D and seq.support == (-D, D)
 
 
 def test_forward_of_unit_ball_has_frozen_values():
@@ -63,8 +71,7 @@ def test_forward_is_exactly_even():
     for q in (2, 3, 5):
         for _ in range(6):
             seq = abel_forward(random_kernel(rng, q, int(rng.integers(0, 9))))
-            assert seq.weyl_residual == 0.0
-            assert seq.is_even
+            assert weyl_residual(seq) == 0.0
 
 
 def test_abel_coefficients_that_overflow_are_refused():
@@ -75,13 +82,16 @@ def test_abel_coefficients_that_overflow_are_refused():
 
 
 def test_sequence_container_basics():
-    seq = AbelSequence(tree_params(2), [2.0, 1.0, 2.0])
-    assert seq.support_radius == 1
+    seq = zkernel(2, [2.0, 1.0, 2.0], offset=-1)
+    assert seq.support == (-1, 1)
     assert seq.at(-1) == 2.0 and seq.at(0) == 1.0 and seq.at(5) == 0.0
-    Z = seq.to_zkernel()
+    Z = seq.shifted(0.0)
     assert Z.offset == -1 and Z.values.tolist() == [2.0, 1.0, 2.0]
-    with pytest.raises(DomainError):
-        AbelSequence(tree_params(2), [1.0, 2.0])
+    assert weyl_residual(seq) == 0.0
+    assert np.abs(abel_forward(abel_inverse(seq)).values - seq.values).max() <= 1e-15
+    # an even-length window has no centre to invert about
+    with pytest.raises(DomainError, match="window"):
+        abel_inverse(zkernel(2, [1.0, 2.0], offset=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +113,19 @@ def test_roundtrip_recovers_kernels():
 
 
 def test_inverse_rejects_uneven_sequences():
-    seq = AbelSequence(tree_params(2), [1.0, 0.0, 2.0])
-    with pytest.raises(DomainError):
+    seq = zkernel(2, [1.0, 0.0, 2.0], offset=-1)
+    assert weyl_residual(seq) == 1.0
+    with pytest.raises(DomainError, match="uneven"):
         abel_inverse(seq)
+
+
+def test_inverse_rejects_windows_not_centred_at_zero():
+    # [1, 0, 1] is even about 1, not about 0
+    for offset in (0, -2, 3):
+        with pytest.raises(DomainError, match="window"):
+            abel_inverse(zkernel(2, [1.0, 0.0, 1.0], offset=offset))
+    with pytest.raises(DomainError, match="window"):
+        abel_inverse(zkernel(2, [1.0, 1.0, 1.0, 1.0], offset=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +214,7 @@ def test_abel_factorizes_the_spherical_transform():
             k = random_kernel(rng, q, int(rng.integers(0, 5)))
             d = np.arange(k.radius + 1)
             weights = sphere_sizes(params, k.radius) * k.values
-            lhs = fourier_z(abel_forward(k).to_zkernel(), grid)
+            lhs = fourier_z(abel_forward(k), grid)
             rhs = spherical_function(params, grid[:, None], d[None, :]) @ weights
             scale = max(1.0, float(np.abs(rhs).max()))
             assert np.abs(lhs - rhs).max() <= 1e-10 * scale

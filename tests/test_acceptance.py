@@ -125,7 +125,7 @@ def test_criterion_04_abel_factorization_and_census():
             k = radial_kernel(q, rng.normal(size=D + 1) + 1j * rng.normal(size=D + 1))
             weights = sphere_sizes(params, D) * k.values
             d = np.arange(D + 1)
-            lhs = fourier_z(abel_forward(k).to_zkernel(), grid)
+            lhs = fourier_z(abel_forward(k), grid)
             rhs = spherical_function(params, grid[:, None], d[None, :]) @ weights
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, float(np.abs(rhs).max()))
             phi = spherical_function(params, strip[:, None], d[None, :])

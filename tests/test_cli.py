@@ -99,7 +99,7 @@ def test_norms_command_exits_with_four_on_a_soundness_fault(tmp_path, ball1, mon
     signed = tmp_path / "signed.json"
     write_kernel(radial_kernel(2, [1.0, -0.5]), signed)
     real = zline._line_sup
-    monkeypatch.setattr(zline, "_line_sup", lambda F, v: (0.5 * real(F, v)[0], real(F, v)[1]))
+    monkeypatch.setattr(zline, "_line_sup", lambda F: (0.5 * real(F)[0], real(F)[1]))
     assert main(["norms", "--kernel", str(signed), "--p", "1.5"]) == 4
     assert "soundness:" in capsys.readouterr().err
     # a one-sign kernel takes its exact l1 norm and never reads the line sup

@@ -373,6 +373,15 @@ def test_symbol_norm_report_unit_sphere_at_p_one():
         assert residual == 0.0
 
 
+def test_symbol_norm_report_of_a_two_entry_shifted_kernel_is_exact():
+    # the Abel sequence of [0, i] is nonzero at -1 and 1 only
+    k = radial_kernel(2, [0.0, 1j])
+    interval, residual = symbol_norm_report(k, 1.5)
+    l1 = abel_forward(k).shifted(strip_halfwidth(1.5)).l1()
+    assert interval.lower == interval.upper == l1 == 2.8473221018630723
+    assert residual == 0.0
+
+
 def test_symbol_norm_report_refuses_p_two():
     with pytest.raises(ScopeError):
         symbol_norm_report(ball_kernel(2, 1), 2.0)
@@ -705,7 +714,7 @@ def test_overflowing_trial_ratios_certify_nothing():
     for values, p in (([1e100, 1e100], 1.5), ([1e7, 1e7], 50.0)):
         k = radial_kernel(2, values)
         interval, _ = symbol_norm_report(k, p)
-        l1 = abel_forward(k).to_zkernel(strip_halfwidth(p)).l1()
+        l1 = abel_forward(k).shifted(strip_halfwidth(p)).l1()
         assert interval.lower == interval.upper == l1 < math.inf
 
 

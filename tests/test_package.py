@@ -1,11 +1,15 @@
 """Package surface: the lazy export map and the import order."""
 
+import dataclasses
+import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
 
 import treeharmonics
+from treeharmonics.engine import BoundsReport
 
 SRC = pathlib.Path(treeharmonics.__file__).resolve().parents[1]
 
@@ -34,3 +38,29 @@ def test_spherical_transform_runs_in_a_fresh_process_that_imports_abel_first():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "64\n"
+
+
+def _load_by_path(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_pins_exists():
+    # perfbench/tracer.py patches these names and perfbench/workloads.py
+    # checks these report fields; deleting one passes every other test here
+    # but breaks a traced benchmark run or every report op's check
+    bench = SRC.parent / "perfbench"
+    tracer = _load_by_path("_bench_tracer", bench / "tracer.py")
+    for layer, names in tracer.TRACED.items():
+        module = importlib.import_module(f"{tracer.PACKAGE}.{layer}")
+        for attr in names:
+            owner, _, fname = attr.rpartition(".")
+            if owner:
+                assert fname in vars(getattr(module, owner)), f"{layer}.{attr}"
+            else:
+                assert callable(getattr(module, fname, None)), f"{layer}.{attr}"
+    workloads = _load_by_path("_bench_workloads", bench / "workloads.py")
+    fields = {f.name for f in dataclasses.fields(BoundsReport)}
+    assert set(workloads._REPORT_FLOATS) <= fields

@@ -323,6 +323,12 @@ def test_transform_at_matches_grid_sampling():
     assert np.abs(direct - sym.samples).max() == 0.0
 
 
+def test_transform_at_overflow_names_the_imaginary_part():
+    # cos(2 z log 2) at z = 1000i is about 2^2000; the kernel values are small
+    with pytest.raises(DomainError, match=r"spherical transform overflows.*\|Im z\|"):
+        spherical_transform_at(ball_kernel(2, 2), 1000j)
+
+
 def test_torus_symbol_validates_grid_size():
     with pytest.raises(DomainError):
         TorusSymbol(tree_params(2), np.ones(100))

@@ -159,6 +159,19 @@ def test_convolutor_upper_of_two_entries_is_their_l1_norm():
             F = ZKernel(tree_params(q), int(rng.integers(-4, 5)), vals)
             for p in (1.1, 1.5, 2.0, 3.0):
                 assert convolutor_upper(F, p) == (F.l1(), "l1-exact(two-entry)"), (q, vals, p)
+                iv = convolutor_interval(F, p)
+                assert iv.lower == iv.upper == F.l1(), (q, vals, p)
+
+
+def test_two_entry_kernels_have_the_exact_interval():
+    # both ends are the l1 norm convolutor_upper gives; the trial dictionary
+    # fell short, at [1.9999047, 2.0] for [1, -1] and [1, i] at p = 1.5
+    for vals in ([1.0, -1.0], [1.0, 1j]):
+        for p in (1.0, 1.5, 2.0, math.inf):
+            iv = convolutor_interval(zkernel(2, vals), p)
+            assert (iv.lower, iv.upper) == (2.0, 2.0)
+            assert iv.lower_method == f"exact:two-entry({DICTIONARY_VERSION})"
+            assert iv.upper_method == convolutor_upper(zkernel(2, vals), p)[1]
 
 
 def test_convolutor_upper_interpolates_between_extremes():
@@ -208,7 +221,7 @@ def test_convolutor_interval_raises_when_a_trial_passes_the_upper_end(monkeypatc
     import treeharmonics.zline as zline
 
     real = zline._line_sup
-    monkeypatch.setattr(zline, "_line_sup", lambda F, v: (0.5 * real(F, v)[0], real(F, v)[1]))
+    monkeypatch.setattr(zline, "_line_sup", lambda F: (0.5 * real(F)[0], real(F)[1]))
     with pytest.raises(SoundnessError, match="exceeds upper"):
         convolutor_interval(zkernel(2, [1.0, 2.0, -0.5]), 1.5)
 
@@ -471,7 +484,7 @@ def line_sup_cases():
 
 def test_line_sup_matches_the_per_maximum_refinement():
     for F, v in line_sup_cases():
-        sup, n = _line_sup(F, v)
+        sup, n = _line_sup(F.shifted(v))
         ref, ref_n = scalar_line_sup(F.params.q, F.offset, F.values, v)
         assert n == ref_n
         assert sup == pytest.approx(ref, rel=1e-13)
@@ -481,7 +494,7 @@ def test_line_sup_matches_the_per_maximum_refinement():
         # the refinement once overflowed on kernels this large and fell back
         # to the grid value; it now commutes exactly with a power-of-two scale
         big = ZKernel(F.params, F.offset, F.values * 2.0**520)
-        assert _line_sup(big, v) == (sup * 2.0**520, n)
+        assert _line_sup(big.shifted(v)) == (sup * 2.0**520, n)
 
 
 def test_pruned_line_sup_matches_the_unpruned_refinement():
@@ -500,7 +513,7 @@ def test_pruned_line_sup_matches_the_unpruned_refinement():
     peaks = np.exp(1j * d * s1 * params.log_q) + 1.0005 * np.exp(1j * d * s2 * params.log_q)
     cases.append((ZKernel(params, -30, (1.0 - np.abs(d) / 31.0) * peaks), 0.0))
     for F, v in cases:
-        sup, n = _line_sup(F, v)
+        sup, n = _line_sup(F.shifted(v))
         ref, ref_n = unpruned_line_sup(F, v)
         assert n == ref_n
         # the same maxima win, but a product of fewer rows rounds differently
@@ -542,6 +555,47 @@ def test_strip_norm_controls_coefficient_decay():
         H = hinf_strip_norm(F, eps)
         for d in range(-5, 6):
             assert abs(F.at(d)) <= H * 2.0 ** (d * eps) * (1.0 + 1e-12)
+
+
+def test_shifted_kernel_has_the_symbol_of_the_shifted_line():
+    rng = np.random.default_rng(229)
+    for q in (2, 3):
+        F = ZKernel(tree_params(q), -3, rng.normal(size=7) + 1j * rng.normal(size=7))
+        s = torus_grid(F.params, 64)
+        for v in (-0.7, 0.0, 0.4):
+            G = F.shifted(v)
+            assert G.support == F.support
+            err = np.abs(fourier_z(G, s) - fourier_z(F, s + 1j * v)).max()
+            assert err <= 1e-13 * G.l1()
+
+
+def test_shifted_kernel_overflow_raises_and_underflow_is_exact_zero():
+    with pytest.raises(DomainError, match="overflows float64"):
+        zkernel(2, [1.0, -0.5, 2.0], offset=-3).shifted(-400.0)
+    G = zkernel(2, [1.0, -0.5, 2.0], offset=1).shifted(-2000.0)
+    assert G.support == (1, 3) and (G.values == 0.0).all()
+    assert _line_sup(G)[0] == 0.0
+
+
+def test_hinf_strip_norm_raises_when_the_bottom_line_overflows():
+    # the entry at -3 is scaled by q^{3 eps}, which leaves float64 at
+    # eps = 400; the NaN bottom line once lost to the top in the max, and the
+    # strip norm read 3.5 and the truncation bound 10.5
+    F = zkernel(2, [1.0, -0.5, 2.0], offset=-3)
+    with pytest.raises(DomainError, match="overflows float64"):
+        hinf_strip_norm(F, 400.0)
+    with pytest.raises(DomainError, match="overflows float64"):
+        truncation_bound(F, 2, 400.0, 1.5)
+
+
+def test_truncation_bound_where_q_to_the_eps_leaves_float64():
+    # 2^1100 overflows; its reciprocal tail 2^-1100 is 0 in double precision
+    F = zkernel(2, [1.0, -0.5, 2.0])
+    upper, _ = convolutor_upper(F, 1.5)
+    big_h = hinf_strip_norm(F, 1100.0)
+    assert big_h == hinf_strip_norm(F, 3.0) and math.isfinite(big_h)
+    assert truncation_bound(F, 2, 1100.0, 1.5) == upper + 2.0 * big_h
+    assert truncation_bound(F, 2, 3.0, 1.5) == upper + (1.0 / 7.0 + 2.0) * big_h
 
 
 def test_truncate_zeroes_low_indices():
