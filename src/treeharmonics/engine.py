@@ -286,7 +286,9 @@ def transference_check(kernel, ball, f, p):
     no vertex where ``f`` is nonzero, so ``u`` is exact on the ball.
 
     Returns ``{"lhs": ..., "rhs": ..., "ok": ...}`` with
-    ``ok = lhs <= rhs + 1e-12 max(1, rhs)``.
+    ``ok = lhs <= rhs + 1e-12 max(1, rhs)``.  A non-finite ``||f||_p``,
+    ``lhs`` or ``rhs`` (a NaN or inf in ``f``, or values that overflow
+    float64) raises :class:`DomainError` naming which one.
     """
     p = check_exponent(p)
     if p >= 2.0:
@@ -310,21 +312,34 @@ def transference_check(kernel, ball, f, p):
             f"of radius {window}"
         )
     kv = kernel.values
-    down = [f]  # down[b] = C^b f
-    for _ in range((D - 1) // 2):
-        down.append(ball.down_sum(down[-1]))
-    u = np.zeros(ball.size, dtype=complex)
-    for a in range(D, 0, -1):
-        # P^a's coefficient: k(a + b) C^b f, less k(a + b + 2) C^b f, the walk
-        # a + 1 up and b + 1 down that backtracks
-        for b in range(min(a - 1, D - a) + 1):
-            u += kv[a + b] * down[b]
-        for b in range(min(a, D - a - 1)):
-            u -= kv[a + b + 2] * down[b]
-        u = ball.up_gather(u)
-    lhs = lp_norm(u, p)
-
-    rhs = float(lp_norm(f, p) * negative_height_bound(kernel, p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_norm = lp_norm(f, p)
+        if not math.isfinite(f_norm):
+            raise DomainError(
+                f"||f||_p is {f_norm}: f has a non-finite entry or overflows float64"
+            )
+        down = [f]  # down[b] = C^b f
+        for _ in range((D - 1) // 2):
+            down.append(ball.down_sum(down[-1]))
+        u = np.zeros(ball.size, dtype=complex)
+        for a in range(D, 0, -1):
+            # P^a's coefficient: k(a + b) C^b f, less k(a + b + 2) C^b f, the
+            # walk a + 1 up and b + 1 down that backtracks
+            for b in range(min(a - 1, D - a) + 1):
+                u += kv[a + b] * down[b]
+            for b in range(min(a, D - a - 1)):
+                u -= kv[a + b + 2] * down[b]
+            u = ball.up_gather(u)
+        lhs = lp_norm(u, p)
+    if not math.isfinite(lhs):
+        raise DomainError(
+            f"lhs is {lhs}: the negative-height half applied to f overflows float64"
+        )
+    rhs = float(f_norm * negative_height_bound(kernel, p))
+    if not math.isfinite(rhs):
+        raise DomainError(
+            f"rhs is {rhs}: ||f||_p times the kernel's shell series overflows float64"
+        )
     ok = bool(lhs <= rhs + 1e-12 * max(1.0, rhs))
     return {"lhs": lhs, "rhs": rhs, "ok": ok}
 

@@ -273,13 +273,18 @@ def spherical_transform_at(kernel, z):
     real transform: every imaginary part is exactly ``0.0``.  Coefficients
     or a transform that overflow float64, from large kernel values or a
     large ``|Im z|``, raise :class:`DomainError`.
+
+    The complex cosine is even, so the columns ``j < 0`` of the cosine
+    table are the columns ``j > 0`` mirrored, bit for bit: only the
+    ``J + 1`` columns ``j >= 0`` are evaluated.
     """
     from .abel import abel_forward  # abel imports RadialKernel from this module
 
     seq = abel_forward(kernel)
     z = np.asarray(z, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.cos(np.outer(z.ravel(), seq.indices) * kernel.params.log_q) @ seq.values
+        half = np.cos(np.outer(z.ravel(), seq.indices[kernel.radius :]) * kernel.params.log_q)
+        out = np.concatenate([half[:, :0:-1], half], axis=1) @ seq.values
     if not np.isfinite(out).all():
         raise DomainError(
             "the spherical transform overflows float64: the kernel values or |Im z| are too large"

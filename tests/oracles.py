@@ -10,10 +10,13 @@ the radial quotient, and :func:`negative_half_opnorm_lower` runs the same
 kind of ascent on the negative-height half alone;
 :func:`layered_transference_lhs` and :func:`unpruned_line_sup` keep the
 package's earlier, slower forms of the transference sum and the line sup,
-:func:`recurrence_opnorm_lower` the recurrence-driven compression, and
-:func:`masked_phase_power` the all-masked phase power, to pin the faster
-ones; :func:`affine_negative_height_bound` keeps the earlier, looser
-step 1 of the height split, built on the package's line profile, as a
+:func:`recurrence_opnorm_lower` the recurrence-driven compression,
+:func:`masked_phase_power` the all-masked phase power,
+:func:`power_sum_norm` the unmasked ``l^p`` power sum, and
+:func:`cosine_matrix_transform` the full-width cosine table of the
+spherical transform, to pin the faster ones;
+:func:`affine_negative_height_bound` keeps the earlier, looser step 1 of
+the height split, built on the package's line profile, as a
 bound the exact shell series must not exceed; and the horocyclic
 splitting at the end, which only tests use, cross-checks the line profile
 and the Haar measure.
@@ -159,11 +162,12 @@ def layered_transference_lhs(kernel, ball, f, p):
     return lp_norm(layered_apply(kernel, ball, f), p)
 
 
-def _lp_norm(x, p):
+def power_sum_norm(x, p):
+    """The earlier form of ``zline.lp_norm``: every entry through ``pow``, zeros included."""
     x = np.abs(np.asarray(x))
     if math.isinf(p):
         return float(x.max()) if x.size else 0.0
-    return float(np.sum(x ** p) ** (1.0 / p))
+    return float((x**p).sum() ** (1.0 / p))
 
 
 def _phase_power(y, expo):
@@ -196,12 +200,12 @@ def ball_opnorm_lower(ball, kernel, p, seed=0, iters=200):
 
     def consider(fw, name):
         nonlocal best, best_name
-        denom = _lp_norm(fw, p)
+        denom = power_sum_norm(fw, p)
         if denom == 0.0:
             return
         f = np.zeros(n, dtype=complex)
         f[: fw.size] = fw
-        ratio = _lp_norm(ball.convolve(kernel, f), p) / denom
+        ratio = power_sum_norm(ball.convolve(kernel, f), p) / denom
         if ratio > best:
             best, best_name = ratio, name
 
@@ -240,12 +244,12 @@ def ball_opnorm_lower(ball, kernel, p, seed=0, iters=200):
             x = mask.astype(complex)
             prev = -1.0
             for it in range(iters):
-                nx = _lp_norm(x, p)
+                nx = power_sum_norm(x, p)
                 if nx == 0.0:
                     break
                 x /= nx
                 y = ball.convolve(kernel, x)
-                est = _lp_norm(y, p)
+                est = power_sum_norm(y, p)
                 if est > best:
                     best, best_name = est, f"power[{it + 1}]"
                 if prev >= 0.0 and abs(est - prev) <= 1e-10 * max(est, 1e-300):
@@ -276,9 +280,9 @@ def negative_half_opnorm_lower(ball, kernel, p, seed=0, iters=40):
         x = np.zeros(ball.size, dtype=complex)
         x[:nw] = start
         for _ in range(iters):
-            x /= _lp_norm(x, p)
+            x /= power_sum_norm(x, p)
             y = layered_apply(kernel, ball, x)
-            best = max(best, _lp_norm(y, p))
+            best = max(best, power_sum_norm(y, p))
             z = layered_apply(conj_kernel, ball, _phase_power(y, p - 1.0), above=False)
             x = np.zeros(ball.size, dtype=complex)
             x[:nw] = _phase_power(z[:nw], pd - 1.0)
@@ -390,6 +394,19 @@ def masked_phase_power(y, expo):
         den[small] = np.abs(num[small])
     out[nz] = (num / den) * power
     return out
+
+
+def cosine_matrix_transform(kernel, z):
+    """The earlier form of ``spherical_transform_at``: all ``2J + 1`` cosine columns.
+
+    No overflow check: a transform that leaves float64 comes back
+    non-finite.
+    """
+    seq = abel_forward(kernel)
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.cos(np.outer(z.ravel(), seq.indices) * kernel.params.log_q) @ seq.values
+    return out.reshape(z.shape)
 
 
 def census_counter(q, radius):
@@ -659,7 +676,8 @@ def direct_dictionary_ratios(q, values, p):
         for L in (4**e for e in range(1, 7)):
             trials.append((f"modbox[{L},k={k}]", np.exp(1j * s0 * log_q * np.arange(L))))
     out = [
-        (name, _lp_norm(np.convolve(f, values), p) / _lp_norm(f, p)) for name, f in trials
+        (name, power_sum_norm(np.convolve(f, values), p) / power_sum_norm(f, p))
+        for name, f in trials
     ]
 
     window = min(1024, 4 * max(values.size, 16))
@@ -669,12 +687,12 @@ def direct_dictionary_ratios(q, values, p):
     x = np.ones(window, dtype=complex)
     best, used, prev = 0.0, 0, -1.0
     for it in range(1, 51):
-        nx = _lp_norm(x, p)
+        nx = power_sum_norm(x, p)
         if nx == 0.0:
             break
         x = x / nx
         y = np.convolve(x, values)
-        est = _lp_norm(y, p)
+        est = power_sum_norm(y, p)
         if not math.isfinite(est):
             break
         best, used = max(best, est), it

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -517,6 +518,41 @@ def test_transference_check_matches_the_per_height_loop():
             assert rec["ok"] is bool(want <= rhs + 1e-12 * max(1.0, rhs))
 
 
+def test_transference_check_keeps_its_pinned_bytes():
+    # repr of (lhs, rhs, ok), so that a change of evaluation order that moves
+    # a last bit fails here: kernel-suite's balls, radii and exponents, with
+    # f as dense as the window allows (D = 0 has no negative-height half)
+    pinned = {
+        (2, 0, 4.0 / 3.0): "(0.0, 0.0, True)",
+        (2, 0, 1.5): "(0.0, 0.0, True)",
+        (2, 1, 4.0 / 3.0): "(106.07257916194567, 106.07257916194564, True)",
+        (2, 1, 1.5): "(142.44769376113135, 142.44769376113135, True)",
+        (2, 2, 4.0 / 3.0): "(210.1831640907563, 256.41259081236296, True)",
+        (2, 2, 1.5): "(180.30306413454852, 230.58250508148743, True)",
+        (2, 3, 4.0 / 3.0): "(413.43563896486626, 646.4771352306817, True)",
+        (2, 3, 1.5): "(267.8120644255993, 417.07321562265196, True)",
+        (3, 0, 4.0 / 3.0): "(0.0, 0.0, True)",
+        (3, 0, 1.5): "(0.0, 0.0, True)",
+        (3, 1, 4.0 / 3.0): "(3522.2863582375903, 3522.28635823759, True)",
+        (3, 1, 1.5): "(944.6188846532447, 944.6188846532448, True)",
+        (3, 2, 4.0 / 3.0): "(1806.4852262721233, 2083.520240283407, True)",
+        (3, 2, 1.5): "(1495.9743454820225, 1882.6100126208341, True)",
+        (3, 3, 4.0 / 3.0): "(2470.2166362529665, 3805.6416882470567, True)",
+        (3, 3, 1.5): "(1641.1731251745177, 2576.1019187083602, True)",
+    }
+    rng = np.random.default_rng(20)
+    for q in (2, 3):
+        ball = ball_geometry(q, 8)
+        for D in range(4):
+            for p in (4.0 / 3.0, 1.5):
+                kernel = random_kernel(rng, q, D)
+                f = rng.normal(size=ball.size) + 1j * rng.normal(size=ball.size)
+                f[ball.depth > 8 - D] = 0.0
+                rec = transference_check(kernel, ball, f, p)
+                got = repr((rec["lhs"], rec["rhs"], rec["ok"]))
+                assert got == pinned[q, D, p], (q, D, p)
+
+
 def test_a_zero_padded_kernel_is_the_trimmed_kernel():
     # trailing zero spheres are dropped when a kernel is built, so no entry
     # point sees them: a padded twin gives the same bytes everywhere
@@ -565,6 +601,34 @@ def test_transference_check_support_ends_at_the_window_sphere():
             outside[ball.level_start[window + 1]] = 1.0
             with pytest.raises(DomainError, match="support violation"):
                 transference_check(kernel, ball, outside, 1.5)
+
+
+def test_transference_check_refuses_non_finite_values_without_a_warning():
+    # a NaN or inf in f, an f whose l^p power sum overflows, and a kernel
+    # whose walk or shell series overflows: each raises DomainError naming
+    # the value, where the check used to return NaN or warn
+    ball = ball_geometry(2, 6)
+    kernel = radial_kernel(2, [1.0, 2.0, 3.0])
+    huge = radial_kernel(2, [1.0, 1e308, 1e308, 1e308])
+
+    def f_with(root):
+        f = np.zeros(ball.size, dtype=complex)
+        f[:2] = root, 1.0
+        return f
+
+    cases = (
+        (kernel, f_with(np.nan), r"\|\|f\|\|_p is nan"),
+        (kernel, f_with(np.inf), r"\|\|f\|\|_p is inf"),
+        (kernel, f_with(complex(1.0, -np.inf)), r"\|\|f\|\|_p is inf"),
+        (kernel, f_with(1e300), r"\|\|f\|\|_p is inf"),
+        (huge, f_with(1.0), "lhs is inf"),
+        (huge, np.zeros(ball.size), "rhs is nan"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, f, message in cases:
+            with pytest.raises(DomainError, match=message):
+                transference_check(k, ball, f, 1.5)
 
 
 def test_transference_check_rejects_p_out_of_range():

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     c_inverse_line_sup,
+    cosine_matrix_transform,
     grid_line_sup,
     mp_c_function,
     mp_line_sup,
@@ -327,6 +328,39 @@ def test_transform_at_overflow_names_the_imaginary_part():
     # cos(2 z log 2) at z = 1000i is about 2^2000; the kernel values are small
     with pytest.raises(DomainError, match=r"spherical transform overflows.*\|Im z\|"):
         spherical_transform_at(ball_kernel(2, 2), 1000j)
+
+
+def test_transform_at_is_the_full_cosine_table_byte_for_byte():
+    # the columns j < 0 are copies of the columns j > 0, which the complex
+    # cosine's evenness gives bit for bit: the full table of 2J + 1 columns
+    # gives the same bytes, signed zeros included, and overflows exactly
+    # where it does
+    rng = np.random.default_rng(384)
+    for q in (2, 3, 5, 7):
+        params = tree_params(q)
+        for D in range(12):
+            for real in (True, False):
+                values = rng.normal(size=D + 1)
+                if not real:
+                    values = values + 1j * rng.normal(size=D + 1)
+                kernel = radial_kernel(q, values)
+                points = (
+                    torus_grid(params, 64),
+                    rng.uniform(-4.0, 4.0, size=9),
+                    rng.uniform(-4.0, 4.0, size=9) + 1j * rng.uniform(-0.5, 0.5, size=9),
+                    complex(rng.uniform(-4.0, 4.0), rng.uniform(-0.5, 0.5)),
+                )
+                for z in points:
+                    got = np.asarray(spherical_transform_at(kernel, z))
+                    assert got.tobytes() == cosine_matrix_transform(kernel, z).tobytes()
+                for imag in (-200.0, -60.0, -20.0, 20.0, 60.0, 200.0):
+                    z = rng.uniform(-4.0, 4.0, size=3) + 1j * imag
+                    want = cosine_matrix_transform(kernel, z)
+                    if np.isfinite(want).all():
+                        assert spherical_transform_at(kernel, z).tobytes() == want.tobytes()
+                    else:
+                        with pytest.raises(DomainError, match="overflows"):
+                            spherical_transform_at(kernel, z)
 
 
 def test_torus_symbol_validates_grid_size():

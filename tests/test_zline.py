@@ -12,6 +12,7 @@ from oracles import (
     direct_dictionary_ratios,
     fine_grid_line_sup,
     masked_phase_power,
+    power_sum_norm,
     scalar_line_sup,
     unpruned_line_sup,
 )
@@ -25,6 +26,7 @@ from treeharmonics.zline import (
     _box_ratios,
     _grid_symbol,
     _line_sup,
+    _modulus_norm,
     convolutor_interval,
     convolutor_upper,
     delta_z,
@@ -123,6 +125,40 @@ def test_lp_norm_edge_cases():
     assert lp_norm([3.0, -4.0], math.inf) == 4.0
     assert lp_norm([3.0, 4.0], 2.0) == pytest.approx(5.0, rel=1e-15)
     assert lp_norm([1.0, 1.0, 1.0], 1.0) == pytest.approx(3.0, rel=1e-15)
+
+
+def test_lp_norm_is_the_power_sum_byte_for_byte():
+    # a vector with zeros raises only its nonzero entries; every other entry
+    # goes through the same pow and the same pairwise sum, so the norm keeps
+    # its last bit; p = 1 and p = 2 take numpy's fast scalar powers when a
+    # vector has no zeros, and NaN and inf still propagate
+    rng = np.random.default_rng(20)
+    dense = rng.normal(size=257) + 1j * rng.normal(size=257)
+    sparse = np.where(rng.random(257) < 0.6, 0.0, dense)
+    tiny = np.where(sparse != 0.0, 5e-324 * np.arange(257), 0.0)
+    tiny[1::3] = 2.0**-1022
+    vectors = {
+        "dense": dense,
+        "sparse": sparse,
+        "negative zeros": np.where(sparse != 0.0, sparse, -0.0).real,
+        "subnormal": tiny,
+        "inf": np.concatenate([sparse, [np.inf]]),
+        "nan with zeros": np.concatenate([[np.nan], sparse]),
+        "nan": np.concatenate([[np.nan], dense]),
+        "huge": 1e300 * sparse,
+        "all zero": np.zeros(13, dtype=complex),
+        "one zero": np.zeros(1),
+        "empty": np.zeros(0),
+        "integers": np.array([0, 3, 0, -4]),
+    }
+    with np.errstate(over="ignore"):  # "huge" overflows to inf at every p > 1
+        for name, x in vectors.items():
+            for p in (1.0, 1.1, 4.0 / 3.0, 1.5, 2.0, 3.0, 7.0, 50.0):
+                want = repr(power_sum_norm(x, p))
+                assert repr(lp_norm(x, p)) == want, (name, p)
+                assert repr(_modulus_norm(np.abs(x), p)) == want, (name, p)
+                if name.startswith("nan"):
+                    assert want == "nan", (name, p)
 
 
 # ---------------------------------------------------------------------------
