@@ -36,11 +36,11 @@ from .tree import opnorm_lower, shell_masses
 from .zline import (
     DICTIONARY_VERSION,
     ZKernel,
+    _powers,
     convolutor_interval,
     convolutor_upper,
     fourier_z,
     inverse_fourier_z,
-    lp_norm,
 )
 
 
@@ -285,6 +285,20 @@ def transference_check(kernel, ball, f, p):
     ball is geodesically convex and a walk cut off at its edge reaches
     no vertex where ``f`` is nonzero, so ``u`` is exact on the ball.
 
+    The work stays where the vectors can be nonzero; breadth-first, every
+    ``B_r`` is a prefix of the ball.  Off the reference ray ``C`` moves
+    support inward and ``P`` outward by one sphere, and along the ray each
+    ``C`` reaches one vertex further out, so every ``C^b f`` and every
+    partial sum before the last gather, which has had at most ``D - 1``
+    gathers, vanishes outside ``B_{R-1}``: the walk runs on that prefix.
+    ``P`` copies entries, so ``|P u|^p = P(|u|^p)``: the last gather moves
+    the inner ball's ``p``-th powers, not its complex values.  ``||f||_p``
+    raises only the window's moduli.  Each power sum still runs over a
+    buffer of the whole ball's length, since that length fixes the
+    grouping of numpy's pairwise sum, so every byte is that of the walk on
+    the whole ball.  At ``D = 0`` the negative-height half is empty and
+    ``lhs`` is ``0.0``.
+
     Returns ``{"lhs": ..., "rhs": ..., "ok": ...}`` with
     ``ok = lhs <= rhs + 1e-12 max(1, rhs)``.  A non-finite ``||f||_p``,
     ``lhs`` or ``rhs`` (a NaN or inf in ``f``, or values that overflow
@@ -312,25 +326,33 @@ def transference_check(kernel, ball, f, p):
             f"of radius {window}"
         )
     kv = kernel.values
+    start = ball.level_start
     with np.errstate(over="ignore", invalid="ignore"):
-        f_norm = lp_norm(f, p)
+        # each power sum runs over the whole ball, whose length fixes its bytes
+        f_norm = float(_powers(np.abs(f[: start[window + 1]]), p, ball.size).sum() ** (1.0 / p))
         if not math.isfinite(f_norm):
             raise DomainError(
                 f"||f||_p is {f_norm}: f has a non-finite entry or overflows float64"
             )
-        down = [f]  # down[b] = C^b f
-        for _ in range((D - 1) // 2):
-            down.append(ball.down_sum(down[-1]))
-        u = np.zeros(ball.size, dtype=complex)
-        for a in range(D, 0, -1):
-            # P^a's coefficient: k(a + b) C^b f, less k(a + b + 2) C^b f, the
-            # walk a + 1 up and b + 1 down that backtracks
-            for b in range(min(a - 1, D - a) + 1):
-                u += kv[a + b] * down[b]
-            for b in range(min(a, D - a - 1)):
-                u -= kv[a + b + 2] * down[b]
-            u = ball.up_gather(u)
-        lhs = lp_norm(u, p)
+        lhs = 0.0
+        if D >= 1:
+            # every vector before the last gather vanishes outside B_{R-1}
+            inner = int(start[ball.radius])
+            down = [f[:inner]]  # down[b] = C^b f
+            for _ in range((D - 1) // 2):
+                down.append(ball.down_sum(down[-1]))
+            u = np.zeros(inner, dtype=complex)
+            for a in range(D, 0, -1):
+                # P^a's coefficient: k(a + b) C^b f, less k(a + b + 2) C^b f, the
+                # walk a + 1 up and b + 1 down that backtracks
+                for b in range(min(a - 1, D - a) + 1):
+                    u += kv[a + b] * down[b]
+                for b in range(min(a, D - a - 1)):
+                    u -= kv[a + b + 2] * down[b]
+                if a > 1:
+                    u = ball.up_gather(u)
+            # P copies entries, so |P u|^p = P(|u|^p)
+            lhs = float(ball.up_gather(_powers(np.abs(u), p, ball.size)).sum() ** (1.0 / p))
     if not math.isfinite(lhs):
         raise DomainError(
             f"lhs is {lhs}: the negative-height half applied to f overflows float64"

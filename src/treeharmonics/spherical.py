@@ -14,6 +14,7 @@ parameter, and the trapezoid rule on a power-of-two torus grid recovers
 the kernel to near machine precision once the grid resolves the support.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -276,12 +277,16 @@ def spherical_transform_at(kernel, z):
 
     The complex cosine is even, so the columns ``j < 0`` of the cosine
     table are the columns ``j > 0`` mirrored, bit for bit: only the
-    ``J + 1`` columns ``j >= 0`` are evaluated.
+    ``J + 1`` columns ``j >= 0`` are evaluated.  At real ``z`` (a real
+    array or scalar) the table is the real cosine, which equals the
+    complex cosine's real part bit for bit at a fraction of its cost;
+    complex ``z`` keeps the complex cosine.
     """
     from .abel import abel_forward  # abel imports RadialKernel from this module
 
     seq = abel_forward(kernel)
-    z = np.asarray(z, dtype=complex)
+    z = np.asarray(z)
+    z = z.astype(complex if z.dtype.kind == "c" else float, copy=False)
     with np.errstate(over="ignore", invalid="ignore"):
         half = np.cos(np.outer(z.ravel(), seq.indices[kernel.radius :]) * kernel.params.log_q)
         out = np.concatenate([half[:, :0:-1], half], axis=1) @ seq.values
@@ -299,6 +304,17 @@ def spherical_transform(kernel, n=512):
     return TorusSymbol(kernel.params, spherical_transform_at(kernel, grid))
 
 
+@functools.lru_cache(maxsize=8)
+def _inversion_weights(params, n):
+    """``1/c(-s)`` on the standard ``n``-point grid, computed once per ``(params, n)``.
+
+    The array is shared by every call, so it is read-only.
+    """
+    weights = c_inverse(params, -torus_grid(params, n))
+    weights.flags.writeable = False
+    return weights
+
+
 def inverse_spherical_transform(symbol, radius):
     """Recover a radial kernel from its sampled spherical transform.
 
@@ -309,8 +325,10 @@ def inverse_spherical_transform(symbol, radius):
     with the integral replaced by the periodic trapezoid rule on the
     symbol's grid (``c_G`` is the Plancherel constant of the tree).  The
     quadrature error decays exponentially in the grid size; resolutions of
-    512 recover kernels of radius <= 8 to around 1e-12.  A sum that
-    overflows float64 raises :class:`DomainError`.
+    512 recover kernels of radius <= 8 to around 1e-12.  The weights
+    ``1/c(-s)`` depend on ``q`` and the grid size alone and are computed
+    once per pair (:func:`_inversion_weights`).  A sum that overflows
+    float64 raises :class:`DomainError`.
     """
     params = symbol.params
     radius = int(radius)
@@ -318,7 +336,7 @@ def inverse_spherical_transform(symbol, radius):
         raise DomainError(f"radius must be >= 0, got {radius}")
     d = np.arange(radius + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = symbol.samples * c_inverse(params, -symbol.grid)
+        weights = symbol.samples * _inversion_weights(params, symbol.samples.size)
         vals = 2.0 * params.plancherel_const * params.period * inverse_fourier_z(weights, d)
         vals *= params.qpow(-d.astype(float) / 2.0)
     if not np.isfinite(vals).all():

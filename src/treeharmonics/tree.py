@@ -104,20 +104,41 @@ class TreeBall:
             raise DomainError(f"expected a vector of length {self.size}, got {f.shape}")
         return self.up_gather(f) + self.down_sum(f)
 
+    def _radius_of(self, g):
+        """Radius ``r`` of the sub-ball ``B_r`` whose vertices ``g`` lists.
+
+        Breadth-first, every ``B_r`` is a prefix of the ball, of length
+        ``level_start[r + 1]``.
+        """
+        end = int(np.searchsorted(self.level_start, len(g)))
+        if not 1 <= end <= self.radius + 1 or self.level_start[end] != len(g):
+            raise DomainError(
+                f"a vector of length {len(g)} fills no sub-ball of the radius-{self.radius} ball"
+            )
+        return end - 1
+
     def up_gather(self, g):
         """``(P g)(x) = g(up(x))``, with ``up(x)`` the neighbour one height above ``x``.
 
         Off the upward ray ``up(x)`` is the breadth-first parent; the ray
         vertex at depth ``d`` goes up to the one at depth ``d + 1``, and
         the ray top, whose up-neighbour lies outside the ball, reads 0.
+        ``g`` may list any sub-ball ``B_r``, a prefix of the ball; ``P``
+        is then the up-gather of ``B_r``, whose ray top is at depth ``r``.
+        The child blocks are written as ``q`` strided copies of the parents,
+        which numpy runs faster than one broadcast assignment.
         """
         q = self.params.q
-        first = int(self.level_start[min(2, self.radius + 1)])
-        inner = int(self.level_start[self.radius])
+        r = self._radius_of(g)
+        first = int(self.level_start[min(2, r + 1)])
+        inner = int(self.level_start[r])
         out = np.empty_like(g)
         out[1:first] = g[0]
-        out[first:].reshape(-1, q)[:] = g[1:inner, None]
-        ray = self.level_start[:-1]
+        blocks = out[first:].reshape(-1, q)
+        parents = g[1:inner]
+        for j in range(q):
+            blocks[:, j] = parents
+        ray = self.level_start[: r + 1]
         out[ray[:-1]] = g[ray[1:]]
         out[ray[-1]] = 0
         return out
@@ -129,10 +150,11 @@ class TreeBall:
         depth ``d >= 1`` has its parent and its ``q - 1`` non-first
         children; the base vertex has its ``q`` non-first children.  Each
         sum is read from the child blocks, never as the full neighbour sum
-        less the up-neighbour.
+        less the up-neighbour.  As in :meth:`up_gather`, ``g`` may list any
+        sub-ball ``B_r``, whose outside children are treated as zero.
         """
         q = self.params.q
-        R = self.radius
+        R = self._radius_of(g)
         first = int(self.level_start[min(2, R + 1)])
         inner = int(self.level_start[R])
         out = np.zeros_like(g)

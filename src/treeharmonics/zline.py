@@ -29,7 +29,6 @@ from .params import (
     check_exponent,
     check_grid,
     dual_exponent,
-    torus_grid,
     tree_params,
 )
 
@@ -157,12 +156,18 @@ def _grid_symbol(coeffs, d, n):
     """``sum_d coeffs_d q^{-i d s_j}`` on the ``n``-point torus grid, by one FFT.
 
     On ``s_j = -tau/2 + tau j/n`` the phase is ``(-1)^d exp(-2 pi i d j/n)``
-    for every ``q``, so folding the coefficients at the integers ``d``
-    modulo ``n`` with the sign ``(-1)^d`` turns the symbol into a discrete
-    Fourier transform.
+    for every ``q``, so folding the coefficients at the consecutive
+    integers ``d`` modulo ``n`` with the sign ``(-1)^d`` turns the symbol
+    into a discrete Fourier transform.  At most ``n`` consecutive integers
+    have distinct residues, so they fold by one indexed add; longer windows
+    wrap around and go through ``np.add.at``.
     """
     folded = np.zeros(n, dtype=complex)
-    np.add.at(folded, d % n, np.where(d % 2 == 0, coeffs, -coeffs))
+    signed = np.where(d % 2 == 0, coeffs, -coeffs)
+    if d.size <= n:
+        folded[d % n] += signed
+    else:
+        np.add.at(folded, d % n, signed)
     return np.fft.fft(folded)
 
 
@@ -218,16 +223,24 @@ def _line_sup(F):
     best = float(mag.max())
     d = d.astype(float)
     w = -1j * log_q * d
-    h = F.params.period / n
+    # the columns c, c w and c w^2 of m, m' and m'', each times an exact
+    # power-of-two scale taken before w is applied, so that no column
+    # overflows and |m'|^2 stays finite; the steps' bytes do not see it
+    scale = math.ldexp(1.0, -max(math.frexp(best)[1], 0))
+    derivs = np.empty((d.size, 3), dtype=complex)
+    derivs[:, 0] = coeffs * scale
+    derivs[:, 1] = derivs[:, 0] * w
+    derivs[:, 2] = derivs[:, 0] * w**2
+    tau = F.params.period
+    h = tau / n
     # the second term covers the rounding of the FFT and of a d.size-term sum
-    reach = 2.0 * h * float(np.abs(coeffs * w).sum())
+    reach = 2.0 * h * float(np.abs(derivs[:, 1]).sum()) / scale
     reach += (d.size + n) * 2.0**-52 * float(np.abs(coeffs).sum())
-    # local maxima on the circular grid that can still refine above the best
-    peak = (mag >= np.roll(mag, 1)) & (mag >= np.roll(mag, -1))
-    s = torus_grid(F.params, n)[peak & ~(mag + reach <= best)]
-    # an exact power-of-two scale keeps |m'|^2 finite and the steps' bytes unchanged
-    derivs = np.stack([coeffs, coeffs * w, coeffs * w**2], axis=1)
-    derivs *= math.ldexp(1.0, -max(math.frexp(best)[1], 0))
+    # local maxima on the circular grid that can still refine above the best,
+    # placed at the grid points s_j = -tau/2 + tau j/n
+    ring = np.concatenate([mag[-1:], mag, mag[:1]])
+    keep = (mag >= ring[:-2]) & (mag >= ring[2:]) & ~(mag + reach <= best)
+    s = -tau / 2.0 + tau * np.flatnonzero(keep) / n
     for _ in range(2):
         m, m1, m2 = _eval_symbol(derivs, d, s, log_q).T
         g1 = 2.0 * (m1 * np.conj(m)).real
@@ -303,24 +316,36 @@ def lp_norm(x, p):
 
 
 def _modulus_norm(mag, p):
-    """``l^p`` norm of a vector whose entrywise modulus is ``mag``.
+    """``l^p`` norm of a vector whose entrywise modulus is ``mag``."""
+    if math.isinf(p):
+        return float(mag.max()) if mag.size else 0.0
+    return float(_powers(mag, p, mag.size).sum() ** (1.0 / p))
+
+
+def _powers(mag, p, size):
+    """``mag ** p`` at the head of a zero buffer of ``size >= mag.size`` entries.
 
     numpy's ``pow`` is several times slower on exact zeros than on other
     entries, and the vectors of a transference check are mostly zeros, so
     when ``mag`` has any, only its nonzero entries are raised and the rest
     stay ``0.0``: the same bytes, since ``0 ** p`` is ``0`` for ``p > 0``.
-    The mask is ``!= 0``, not ``> 0``, so that a NaN entry still makes the
-    norm NaN.  A vector with no zeros keeps ``mag**p``, which the masked
-    loop would slow.
+    The mask is ``!= 0``, not ``> 0``, so that a NaN entry stays NaN.  At
+    ``p`` in ``{1, 2}`` numpy's ``mag**p`` is a copy or a square, which
+    zeros do not slow and a mask would, and a ``mag`` with no zeros keeps
+    ``mag**p`` as well.  numpy's pairwise sum groups its terms by the
+    array's length, so a caller that raises only the head of a vector
+    whose tail is zero pads to the vector's length to keep its sum's bytes.
     """
-    if math.isinf(p):
-        return float(mag.max()) if mag.size else 0.0
-    if np.count_nonzero(mag) < mag.size:
-        out = np.zeros(mag.shape, np.result_type(mag, p))
-        powers = np.power(mag, p, out=out, where=mag != 0.0)
-    else:
+    if p in (1.0, 2.0) or np.count_nonzero(mag) == mag.size:
         powers = mag**p
-    return float(powers.sum() ** (1.0 / p))
+        if size == mag.size:
+            return powers
+        out = np.zeros(size, powers.dtype)
+        out[: mag.size] = powers
+        return out
+    out = np.zeros(size, np.result_type(mag, p))
+    np.power(mag, p, out=out[: mag.size], where=mag != 0.0)
+    return out
 
 
 def phase_power(y, expo, mag=None):

@@ -10,11 +10,14 @@ the radial quotient, and :func:`negative_half_opnorm_lower` runs the same
 kind of ascent on the negative-height half alone;
 :func:`layered_transference_lhs` and :func:`unpruned_line_sup` keep the
 package's earlier, slower forms of the transference sum and the line sup,
+:func:`full_ball_transference_check` the transference walk on the whole
+ball,
 :func:`recurrence_opnorm_lower` the recurrence-driven compression,
 :func:`masked_phase_power` the all-masked phase power,
 :func:`power_sum_norm` the unmasked ``l^p`` power sum, and
 :func:`cosine_matrix_transform` the full-width cosine table of the
-spherical transform, to pin the faster ones;
+spherical transform, :func:`uncached_inverse_transform` the inverse
+transform with its weights evaluated per call, to pin the faster ones;
 :func:`affine_negative_height_bound` keeps the earlier, looser step 1 of
 the height split, built on the package's line profile, as a
 bound the exact shell series must not exceed; and the horocyclic
@@ -30,7 +33,7 @@ import mpmath as mp
 import numpy as np
 
 from treeharmonics.abel import abel_forward
-from treeharmonics.engine import line_profile
+from treeharmonics.engine import line_profile, negative_height_bound
 from treeharmonics.params import (
     POLE_GUARD,
     DomainError,
@@ -40,7 +43,7 @@ from treeharmonics.params import (
     torus_grid,
     tree_params,
 )
-from treeharmonics.spherical import sphere_sizes
+from treeharmonics.spherical import c_inverse, sphere_sizes
 from treeharmonics.tree import (
     _TREE_POWER_ITERATES,
     _radial_convolve,
@@ -52,6 +55,7 @@ from treeharmonics.zline import (
     _eval_symbol,
     _grid_symbol,
     convolutor_upper,
+    inverse_fourier_z,
     lp_norm,
 )
 
@@ -160,6 +164,66 @@ def layered_apply(kernel, ball, f, above=True):
 def layered_transference_lhs(kernel, ball, f, p):
     """``lhs`` of the transference check: ``||u||_p`` for ``u`` of :func:`layered_apply`."""
     return lp_norm(layered_apply(kernel, ball, f), p)
+
+
+def full_ball_transference_check(kernel, ball, f, p):
+    """The earlier form of ``engine.transference_check``: the Horner walk on the whole ball.
+
+    Every down-sum and gather runs over all of the ball's vertices, and
+    both norms take the modulus of every entry.
+    """
+    p = check_exponent(p)
+    if p >= 2.0:
+        raise DomainError(f"transference check runs at p in [1, 2), got p={p:g}")
+    params = kernel.params
+    if params.q != ball.params.q:
+        raise DomainError("kernel and ball live on trees of different degree")
+    D = kernel.radius
+    window = ball.radius - D
+    if window < 0:
+        raise DomainError(
+            f"kernel radius {D} exceeds ball radius {ball.radius}: no interior window"
+        )
+    f = np.asarray(f, dtype=complex)
+    if f.shape != (ball.size,):
+        raise DomainError(f"f must be a vector of length {ball.size}, got shape {f.shape}")
+    # breadth-first, every vertex deeper than the window lies in one suffix
+    if f[ball.level_start[window + 1] :].any():
+        raise DomainError(
+            f"support violation: f must vanish outside the interior window "
+            f"of radius {window}"
+        )
+    kv = kernel.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_norm = lp_norm(f, p)
+        if not math.isfinite(f_norm):
+            raise DomainError(
+                f"||f||_p is {f_norm}: f has a non-finite entry or overflows float64"
+            )
+        down = [f]  # down[b] = C^b f
+        for _ in range((D - 1) // 2):
+            down.append(ball.down_sum(down[-1]))
+        u = np.zeros(ball.size, dtype=complex)
+        for a in range(D, 0, -1):
+            # P^a's coefficient: k(a + b) C^b f, less k(a + b + 2) C^b f, the
+            # walk a + 1 up and b + 1 down that backtracks
+            for b in range(min(a - 1, D - a) + 1):
+                u += kv[a + b] * down[b]
+            for b in range(min(a, D - a - 1)):
+                u -= kv[a + b + 2] * down[b]
+            u = ball.up_gather(u)
+        lhs = lp_norm(u, p)
+    if not math.isfinite(lhs):
+        raise DomainError(
+            f"lhs is {lhs}: the negative-height half applied to f overflows float64"
+        )
+    rhs = float(f_norm * negative_height_bound(kernel, p))
+    if not math.isfinite(rhs):
+        raise DomainError(
+            f"rhs is {rhs}: ||f||_p times the kernel's shell series overflows float64"
+        )
+    ok = bool(lhs <= rhs + 1e-12 * max(1.0, rhs))
+    return {"lhs": lhs, "rhs": rhs, "ok": ok}
 
 
 def power_sum_norm(x, p):
@@ -407,6 +471,17 @@ def cosine_matrix_transform(kernel, z):
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.cos(np.outer(z.ravel(), seq.indices) * kernel.params.log_q) @ seq.values
     return out.reshape(z.shape)
+
+
+def uncached_inverse_transform(symbol, radius):
+    """The earlier form of ``inverse_spherical_transform``: ``1/c(-s)`` evaluated per call."""
+    params = symbol.params
+    d = np.arange(int(radius) + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = symbol.samples * c_inverse(params, -symbol.grid)
+        vals = 2.0 * params.plancherel_const * params.period * inverse_fourier_z(weights, d)
+        vals *= params.qpow(-d.astype(float) / 2.0)
+    return vals
 
 
 def census_counter(q, radius):

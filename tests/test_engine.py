@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     affine_negative_height_bound,
+    full_ball_transference_check,
     haar_identity_check,
     layered_transference_lhs,
     mp_moment,
@@ -551,6 +552,57 @@ def test_transference_check_keeps_its_pinned_bytes():
                 rec = transference_check(kernel, ball, f, p)
                 got = repr((rec["lhs"], rec["rhs"], rec["ok"]))
                 assert got == pinned[q, D, p], (q, D, p)
+
+
+def test_transference_check_on_the_support_is_the_full_ball_walk_byte_for_byte():
+    # the walk runs on B_{R-1}, each norm raises only the moduli where its
+    # vector can be nonzero, and D = 0 takes no walk: the dict must be the
+    # whole-ball walk's to the last bit (compared by repr), with window 0
+    # (R = D), real and complex f, f with zeros inside the window and the
+    # masked and plain powers (p = 1 takes mag**p) all covered
+    rng = np.random.default_rng(401)
+    for q in (2, 3, 5):
+        for D in range(7):
+            # q = 5 stops at R = 7 (117k vertices)
+            for R in range(D, min(D + 4, 7 if q == 5 else D + 4) + 1):
+                ball = ball_geometry(q, R)
+                for imag in (0.0, 1.0):
+                    kernel = random_kernel(rng, q, D)
+                    f = rng.normal(size=ball.size) + imag * 1j * rng.normal(size=ball.size)
+                    f[ball.depth > R - D] = 0.0
+                    if imag:
+                        f[rng.random(ball.size) < 0.3] = 0.0
+                    for p in (1.0, 4.0 / 3.0, 1.5, 1.99):
+                        got = transference_check(kernel, ball, f, p)
+                        want = full_ball_transference_check(kernel, ball, f, p)
+                        assert repr(got) == repr(want), (q, D, R, imag, p)
+
+
+def test_transference_check_raises_the_full_ball_walks_errors():
+    # the same DomainError, message included, for a NaN or inf in f, inside
+    # the window or beyond it, and for a kernel whose walk overflows
+    ball = ball_geometry(3, 5)
+    kernel = radial_kernel(3, [1.0, -2.0, 0.5, 3.0])
+    huge = radial_kernel(3, [1.0, 1e308, 1e308, 1e308])
+    window = int(ball.level_start[3])
+    for k, where, value in (
+        (kernel, 0, np.nan),
+        (kernel, window - 1, np.inf),
+        (kernel, window - 1, complex(0.0, -np.inf)),
+        (kernel, window, np.nan),
+        (kernel, ball.size - 1, np.inf),
+        (huge, 0, 1.0),
+    ):
+        f = np.zeros(ball.size, dtype=complex)
+        f[:4] = 1.0
+        f[where] = value
+        with pytest.raises(DomainError) as want:
+            full_ball_transference_check(k, ball, f, 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as got:
+                transference_check(k, ball, f, 1.5)
+        assert str(got.value) == str(want.value), (where, value)
 
 
 def test_a_zero_padded_kernel_is_the_trimmed_kernel():

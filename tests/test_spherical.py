@@ -12,11 +12,13 @@ from oracles import (
     mp_c_function,
     mp_line_sup,
     recurrence_spherical,
+    uncached_inverse_transform,
 )
 from treeharmonics.params import DomainError, strip_halfwidth, torus_grid, tree_params
 from treeharmonics.spherical import (
     RadialKernel,
     TorusSymbol,
+    _inversion_weights,
     ball_kernel,
     c_function,
     c_inverse,
@@ -294,6 +296,34 @@ def test_roundtrip_recovers_random_kernels():
             back = inverse_spherical_transform(sym, D)
             worst = max(worst, float(np.abs(back.values - k.values).max()))
     assert worst <= 1e-9, f"roundtrip error {worst}"
+
+
+def test_inversion_weights_are_computed_once_and_read_only():
+    # 1/c(-s) on the standard grid, kept per (q, n) in a bounded cache
+    assert 0 < _inversion_weights.cache_info().maxsize <= 16
+    for q in (2, 3, 5, 7):
+        params = tree_params(q)
+        for n in (64, 512, 4096):
+            weights = _inversion_weights(params, n)
+            assert _inversion_weights(tree_params(q), n) is weights
+            assert weights.tobytes() == c_inverse(params, -torus_grid(params, n)).tobytes()
+            with pytest.raises(ValueError):
+                weights[0] = 0.0
+
+
+def test_inverse_transform_is_the_uncached_formula_byte_for_byte():
+    rng = np.random.default_rng(331)
+    for q in (2, 3, 5, 7):
+        for n in (64, 512):
+            for D in range(10):
+                vals = rng.normal(size=D + 1) + 1j * rng.normal(size=D + 1)
+                sym = spherical_transform(radial_kernel(q, vals), n)
+                for radius in (D, D + 2):
+                    got = inverse_spherical_transform(sym, radius)
+                    want = uncached_inverse_transform(sym, radius)
+                    # the kernel drops trailing zero spheres, so compare its window
+                    assert got.values.tobytes() == want[: got.values.size].tobytes()
+                    assert not want[got.values.size :].any()
 
 
 def test_symbol_is_even_in_frequency():

@@ -81,6 +81,27 @@ def test_up_gather_and_down_sum_match_the_adjacency_lists():
             assert np.allclose(ball.down_sum(g), want_down, rtol=0.0, atol=1e-14), (q, R)
 
 
+def test_walks_on_a_prefix_are_the_sub_balls_walks():
+    # breadth-first, B_r is a prefix of the ball: up_gather and down_sum of
+    # a prefix vector are those of the radius-r ball, bytes included, and a
+    # length that fills no sub-ball is refused
+    rng = np.random.default_rng(97)
+    for q in (2, 3, 5):
+        ball = ball_geometry(q, 5)
+        for r in range(6):
+            sub = ball_geometry(q, r)
+            g = rng.normal(size=sub.size) + 1j * rng.normal(size=sub.size)
+            assert ball.up_gather(g).tobytes() == sub.up_gather(g).tobytes(), (q, r)
+            assert ball.down_sum(g).tobytes() == sub.down_sum(g).tobytes(), (q, r)
+            real = np.abs(g)
+            assert ball.up_gather(real).tobytes() == sub.up_gather(real).tobytes(), (q, r)
+        for length in (0, 2, ball.size - 1, ball.size + 1):
+            with pytest.raises(DomainError, match="fills no sub-ball"):
+                ball.up_gather(np.zeros(length))
+            with pytest.raises(DomainError, match="fills no sub-ball"):
+                ball.down_sum(np.zeros(length))
+
+
 def test_distance_recovered_from_horocyclic_coordinates():
     for q in (2, 3):
         ball = ball_geometry(q, 8)

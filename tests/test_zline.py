@@ -19,7 +19,8 @@ from oracles import (
 
 from treeharmonics.engine import line_profile
 from treeharmonics.params import DomainError, SoundnessError, dual_exponent, torus_grid, tree_params
-from treeharmonics.spherical import ball_kernel
+from treeharmonics.engine import bounds_report
+from treeharmonics.spherical import ball_kernel, radial_kernel
 from treeharmonics.zline import (
     DICTIONARY_VERSION,
     ZKernel,
@@ -27,6 +28,7 @@ from treeharmonics.zline import (
     _grid_symbol,
     _line_sup,
     _modulus_norm,
+    _powers,
     convolutor_interval,
     convolutor_upper,
     delta_z,
@@ -120,6 +122,21 @@ def test_grid_symbol_matches_the_dense_phase_sum():
         assert np.abs(got - want).max() <= 1e-13 * np.abs(coeffs).sum()
 
 
+def test_grid_symbol_folds_like_add_at_byte_for_byte():
+    # at most n consecutive integers fold by one indexed add, which gives
+    # the bytes of np.add.at on distinct residues; longer windows wrap
+    rng = np.random.default_rng(83)
+    for n in (64, 1024):
+        for length in (1, 2, 63, 64, 65, 200):
+            d = int(rng.integers(-80, 81)) + np.arange(length)
+            coeffs = rng.normal(size=length) + 1j * rng.normal(size=length)
+            coeffs[::5] = complex(-0.0, 0.0)
+            folded = np.zeros(n, dtype=complex)
+            np.add.at(folded, d % n, np.where(d % 2 == 0, coeffs, -coeffs))
+            got = _grid_symbol(coeffs, d, n)
+            assert got.tobytes() == np.fft.fft(folded).tobytes(), (n, length)
+
+
 def test_lp_norm_edge_cases():
     assert lp_norm([], math.inf) == 0.0
     assert lp_norm([3.0, -4.0], math.inf) == 4.0
@@ -159,6 +176,26 @@ def test_lp_norm_is_the_power_sum_byte_for_byte():
                 assert repr(_modulus_norm(np.abs(x), p)) == want, (name, p)
                 if name.startswith("nan"):
                     assert want == "nan", (name, p)
+
+
+def test_powers_pad_with_zeros_and_keep_the_plain_bytes():
+    # the padded buffer reduces to the bytes of the padded vector's norm, and
+    # at p = 1 and p = 2, where mag**p is kept on vectors with zeros, the
+    # masked pow gives the same bytes entry for entry
+    rng = np.random.default_rng(211)
+    mag = np.abs(rng.normal(size=100_000)) * 10.0 ** rng.integers(-150, 150, size=100_000)
+    mag[rng.random(mag.size) < 0.5] = 0.0
+    for p in (1.0, 2.0):
+        masked = np.zeros_like(mag)
+        np.power(mag, p, out=masked, where=mag != 0.0)
+        assert _powers(mag, p, mag.size).tobytes() == masked.tobytes()
+    head = np.where(rng.random(300) < 0.5, 0.0, np.abs(rng.normal(size=300)))
+    for p in (1.0, 1.1, 4.0 / 3.0, 1.5, 2.0, 3.0):
+        for size in (300, 301, 1000):
+            padded = np.concatenate([head, np.zeros(size - head.size)])
+            got = _powers(head, p, size)
+            assert got.shape == (size,)
+            assert repr(float(got.sum() ** (1.0 / p))) == repr(power_sum_norm(padded, p))
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +568,26 @@ def test_line_sup_matches_the_per_maximum_refinement():
         # to the grid value; it now commutes exactly with a power-of-two scale
         big = ZKernel(F.params, F.offset, F.values * 2.0**520)
         assert _line_sup(big.shifted(v)) == (sup * 2.0**520, n)
+
+
+def test_line_sup_of_huge_coefficients_emits_no_warning():
+    # the w and w^2 columns are formed after the power-of-two scale, so a
+    # coefficient near the float64 limit no longer overflows them (both
+    # reproducers used to raise under -W error)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = radial_kernel(50, [1e300, -1e300, 1e300, 1e300, -1e300, 1e300, 1e300, -1e300])
+        report = bounds_report(kernel, 1.999)
+        assert math.isfinite(report.symbol_upper) and math.isfinite(report.total_upper)
+        F = zkernel(2, [1e306, -1e306, 1e306, 5e305], offset=-40)
+        interval = convolutor_interval(F, 1.5)
+        assert math.isfinite(interval.lower) and math.isfinite(interval.upper)
+        sup, _ = _line_sup(F)
+        assert math.isfinite(sup)
+        assert sup >= fine_grid_line_sup(2, -40, F.values * 2.0**-100, 0.0) * 2.0**100 * (1 - 1e-13)
+        # |c_d w_d| alone overflows here, which the pruning reach once summed unscaled
+        wide = zkernel(2, [5e307, -5e307, 5e307, 1e307j], offset=-10)
+        assert math.isfinite(convolutor_interval(wide, 1.5).upper)
 
 
 def test_pruned_line_sup_matches_the_unpruned_refinement():
