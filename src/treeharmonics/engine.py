@@ -17,7 +17,7 @@ gives the exact operator norm directly, exposed separately as
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -394,7 +394,8 @@ class BoundsReport:
         return math.inf if self.compression_lower > 0.0 else 0.0
 
     def to_json_dict(self):
-        return asdict(self)
+        # every field is a number, a string or None: a flat copy, no deep copy
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def bounds_report(kernel, p, radius=None):

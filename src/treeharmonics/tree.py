@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .params import DomainError, check_exponent, dual_exponent, tree_params
 from .spherical import sphere_sizes
@@ -379,20 +378,36 @@ def _radial_convolve(kv, h, q, p):
 
 
 def _radial_norm(mag, q, p):
-    """``l^p`` norm on the tree of a radial function whose scaled values have moduli ``mag``."""
-    if math.isinf(p):
-        return float(mag.max())
-    return float((mag[0] ** p + (q + 1) * (mag[1:] ** p).sum()) ** (1.0 / p))
+    """``l^p`` norm on the tree of a radial function whose scaled values have moduli ``mag``.
 
-
-def _scaled(g, q, p):
-    """Scaled coordinates of the per-sphere values ``g``, divided by the outer sphere's scale.
-
-    Ratios do not see the common factor, and dividing by the largest
-    scale keeps every entry at most ``|g|`` at any radius.
+    A 2-d ``mag`` holds one function per row and gives the list of their
+    norms.  numpy's array ``pow`` and its scalar ``pow`` can differ in the
+    last bit, so each power here keeps its kind whatever the shape: the
+    tail ``mag[1:] ** p`` is an array power, and the head ``mag[0] ** p``
+    and the root are scalar powers, taken row by row.
     """
-    d = np.arange(g.size)
-    return g * float(q) ** ((np.maximum(d, 1) - max(g.size - 1, 1)) / p)
+    if math.isinf(p):
+        return mag.max(axis=-1).tolist()
+    tails = np.add.reduce(mag[..., 1:] ** p, axis=-1)
+    if mag.ndim == 1:
+        return float((mag[0] ** p + (q + 1) * tails) ** (1.0 / p))
+    return [float((h**p + (q + 1) * t) ** (1.0 / p)) for h, t in zip(mag[:, 0], tails)]
+
+
+def _scale_rows(tops, n, q, p):
+    """Scaled coordinates of radial trials, one row of ``n`` spheres per last sphere in ``tops``.
+
+    Row ``t`` is ``q^{(max(d, 1) - max(top_t, 1)) / p}`` at the spheres
+    ``d <= top_t`` and 0 beyond: the scaled coordinates of
+    :func:`_radial_adjacency`, divided by the outer sphere's scale.  Ratios
+    do not see the common factor, and dividing by the largest scale keeps
+    every entry at most 1 at any radius.
+    """
+    tops = np.asarray(tops)[:, None]
+    d = np.arange(n)
+    inside = d <= tops
+    expos = np.where(inside, np.maximum(d, 1) - np.maximum(tops, 1), 0) / p
+    return np.where(inside, float(q) ** expos, 0.0)
 
 
 def _radial_band(kv, q, p, radius, columns, rows):
@@ -415,9 +430,9 @@ def _radial_band(kv, q, p, radius, columns, rows):
     j = np.arange(columns)
     comb = np.zeros((radius + 1, width), dtype=complex)
     comb[j, j % width] = 1.0
-    image = _radial_convolve(kv, comb, q, p)[:rows]
-    diag = np.arange(rows)[:, None] - D + np.arange(width)
-    return np.take_along_axis(image, diag % width, axis=1)
+    image = _radial_convolve(kv, comb, q, p)
+    i = np.arange(rows)[:, None]
+    return image[i, (i - D + np.arange(width)) % width]
 
 
 def _band_product(band, scale, batch=()):
@@ -428,12 +443,14 @@ def _band_product(band, scale, batch=()):
     product writes ``x`` into one preallocated buffer and runs one
     ``einsum`` over its sliding windows: ``O(rows * D)`` per vector, and no
     BLAS call, so its bytes depend neither on the thread count nor on the
-    batch.
+    batch.  The windows are one strided view of the buffer, built once:
+    window ``i`` starts at entry ``i`` and steps one entry at a time.
     """
     rows, width = band.shape
     D = width // 2
     buf = np.zeros(batch + (rows + width - 1,), dtype=complex)
-    windows = sliding_window_view(buf, width, axis=-1)
+    step = buf.strides[-1]
+    windows = np.ndarray(batch + (rows, width), complex, buf, 0, buf.strides[:-1] + (step, step))
 
     def product(x):
         buf[..., D : D + x.shape[-1]] = x
@@ -522,27 +539,23 @@ def opnorm_lower(kernel, p, radius):
     # phase-matched row conj(k) |k|^{1/(p-1) - 1}; the bare phase at p = 1 and p = inf
     rmatch = min(D, window)
     expo = 1.0 / (p - 1.0) if 1.0 < p < math.inf else 0.0
-    matched = phase_power(np.conj(kv[: rmatch + 1]), expo)
-    rows = [np.ones(1, dtype=complex)]
-    rows += [_scaled(np.ones(r + 1, dtype=complex), q, p) for r in radii]
-    rows.append(_scaled(matched, q, p))
     names = ["delta", *(f"ball[{r}]" for r in radii), "matched-row"]
-    trials = np.zeros((len(rows), nw), dtype=complex)
-    for t, hw in enumerate(rows):
-        trials[t, : hw.size] = hw
-    images = np.abs(_band_product(band, scale, (len(rows),))(trials))
-    for hw, image, name in zip(rows, images, names):
+    tops = [0, *radii, rmatch]
+    trials = _scale_rows(tops, nw, q, p).astype(complex)
+    trials[-1, : rmatch + 1] *= phase_power(np.conj(kv[: rmatch + 1]), expo)
+    images = _radial_norm(np.abs(_band_product(band, scale, (len(tops),))(trials)), q, p)
+    for name, top, trial, image in zip(names, tops, np.abs(trials), images):
         # over the trial's own length: padding zeros would regroup the sum
-        denom = _radial_norm(np.abs(hw), q, p)
+        denom = _radial_norm(trial[: top + 1], q, p)
         if denom != 0.0:
-            consider(_radial_norm(image, q, p) / denom, name)
+            consider(image / denom, name)
 
     if 1.0 < p < math.inf:
         # In scaled coordinates the adjoint of convolution by k is
         # convolution by conj(k) at the dual exponent.
         conj_band = _radial_band(np.conj(kv) / scale, q, dual_exponent(p), radius, radius + 1, nw)
         adjoint = _band_product(conj_band, scale)
-        start = _scaled(np.ones(nw, dtype=complex), q, p)
+        start = trials[len(radii)]  # the row of ball[window], or of the delta at window 0
         starts = [start]
         if D >= 1 and not kv[(D + 1) % 2 :: 2].any():
             # Both bands are exactly 0 at offsets of the other parity, so the

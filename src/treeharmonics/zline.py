@@ -316,10 +316,17 @@ def lp_norm(x, p):
 
 
 def _modulus_norm(mag, p):
-    """``l^p`` norm of a vector whose entrywise modulus is ``mag``."""
+    """``l^p`` norm of a vector whose entrywise modulus is ``mag``.
+
+    A vector with no zeros, as almost every ascent iterate is, is raised in
+    one ``mag ** p``; one with zeros goes through :func:`_powers`, which
+    keeps the same bytes.
+    """
     if math.isinf(p):
         return float(mag.max()) if mag.size else 0.0
-    return float(_powers(mag, p, mag.size).sum() ** (1.0 / p))
+    dense = np.count_nonzero(mag) == mag.size
+    powers = mag**p if dense else _powers(mag, p, mag.size)
+    return float(np.add.reduce(powers) ** (1.0 / p))
 
 
 def _powers(mag, p, size):
@@ -359,12 +366,13 @@ def phase_power(y, expo, mag=None):
     """
     if mag is None:
         mag = np.abs(y)
+    if np.minimum.reduce(mag, initial=math.inf) >= 2.0**-1022:
+        # no zero, subnormal or NaN modulus: every entry divides by its modulus
+        out = y / mag
+        out *= mag**expo
+        return out.astype(complex, copy=False)
     normal = mag >= 2.0**-1022
-    count = np.count_nonzero(normal)
-    if count == mag.size:
-        # no zero or subnormal modulus: every entry divides by its modulus
-        return ((y / mag) * mag**expo).astype(complex, copy=False)
-    if expo < 0.0 or count != np.count_nonzero(mag):
+    if expo < 0.0 or np.count_nonzero(normal) != np.count_nonzero(mag):
         return _masked_phase_power(y, mag, expo)
     out = np.divide(y, mag, out=np.zeros(y.shape, np.result_type(y, mag)), where=normal)
     out *= mag**expo
@@ -525,8 +533,6 @@ def convolutor_interval(F, p):
         [[0.0], (-tau / 2.0 + tau * np.arange(_N_FREQUENCIES) / _N_FREQUENCIES) * F.params.log_q]
     )
     window = min(_POWER_WINDOW, 4 * max(vals.size, 16))
-    lag = vals.size - 1
-    rev = np.conj(vals[::-1])
     used, ratio = 0, 0.0
     # power sums and iterates may overflow at large p or near the float64 limit;
     # consider() skips a ratio that is not finite, and the ascent stops before one
@@ -534,7 +540,8 @@ def convolutor_interval(F, p):
         boxes = _box_ratios(vals, thetas, _BOX_LENGTHS, p)
         for used, value in duality_ascent(
             lambda x: np.convolve(x, vals),
-            lambda w: np.convolve(w, rev)[lag : lag + window],
+            # np.correlate conjugates vals: the adjoint, on the window alone
+            lambda w: np.correlate(w, vals, "valid"),
             lambda mag: _modulus_norm(mag, p),
             np.ones(window, dtype=complex),
             p,
@@ -563,14 +570,16 @@ def hinf_strip_norm(F, eps):
     The symbol of a finitely supported kernel is entire and periodic, so by
     the maximum principle the strip sup is the larger of the sups on the
     two boundary lines; each line sup is computed on a refined grid.  A
-    bottom line whose shifted kernel overflows float64 raises
-    :class:`~treeharmonics.params.DomainError`.
+    bottom line whose shifted kernel overflows float64, or a line whose
+    ``l^1`` norm does, raises :class:`~treeharmonics.params.DomainError`,
+    as in :func:`convolutor_upper`.
     """
     if not 0.0 < eps < math.inf:
         raise DomainError(f"strip width must be positive and finite, got {eps}")
-    top, _ = _line_sup(F)
-    bottom, _ = _line_sup(F.shifted(-float(eps)))
-    return max(top, bottom)
+    lines = (F, F.shifted(-float(eps)))
+    for line in lines:
+        line.l1()  # bounds the line's symbol; past float64, the FFT would overflow
+    return max(_line_sup(line)[0] for line in lines)
 
 
 def truncate(F, J):

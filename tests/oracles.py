@@ -47,7 +47,6 @@ from treeharmonics.spherical import c_inverse, sphere_sizes
 from treeharmonics.tree import (
     _TREE_POWER_ITERATES,
     _radial_convolve,
-    _scaled,
     shell_masses,
 )
 from treeharmonics.zline import (
@@ -355,6 +354,16 @@ def negative_half_opnorm_lower(ball, kernel, p, seed=0, iters=40):
     return best
 
 
+def scaled(g, q, p):
+    """The earlier form of ``tree._scale_rows``, for one trial: ``g`` in scaled coordinates.
+
+    Each entry is multiplied by ``q^{(max(d, 1) - max(g.size - 1, 1)) / p}``,
+    the scale of its sphere divided by the outer sphere's.
+    """
+    d = np.arange(g.size)
+    return g * float(q) ** ((np.maximum(d, 1) - max(g.size - 1, 1)) / p)
+
+
 def _oracle_radial_norm(h, q, p):
     """``l^p`` norm on the tree of the radial function with scaled sphere values ``h``."""
     mag = np.abs(h)
@@ -413,15 +422,15 @@ def recurrence_opnorm_lower(kernel, p, radius):
         if window >= 1:
             radii.append(window)
         for r in radii:
-            trial(_scaled(np.ones(r + 1, dtype=complex), q, p), f"ball[{r}]")
+            trial(scaled(np.ones(r + 1, dtype=complex), q, p), f"ball[{r}]")
         expo = 1.0 / (p - 1.0) if 1.0 < p < math.inf else 0.0
         matched = masked_phase_power(np.conj(kv[: min(D, window) + 1]), expo)
-        trial(_scaled(matched, q, p), "matched-row")
+        trial(scaled(matched, q, p), "matched-row")
 
         if 1.0 < p < math.inf:
             pd = dual_exponent(p)
             conj_kv = np.conj(kv)
-            start = _scaled(np.ones(nw, dtype=complex), q, p)
+            start = scaled(np.ones(nw, dtype=complex), q, p)
             starts = [start]
             if D >= 1 and not np.any(kv[(D + 1) % 2 :: 2]):
                 starts = [start * (np.arange(nw) % 2 == b) for b in (0, 1)]

@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _oracle_radial_norm,
     adjacency_ball,
     ball_opnorm_lower,
     census_counter,
     dense_convolve,
     ray_heights,
+    power_sum_norm,
     recurrence_opnorm_lower,
+    scaled,
 )
 from treeharmonics import tree, zline
 from treeharmonics.params import DomainError, dual_exponent
@@ -33,14 +36,13 @@ from treeharmonics.tree import (
     _radial_band,
     _radial_convolve,
     _radial_norm,
-    _scaled,
     ball_geometry,
     census_cells,
     haar_residual,
     opnorm_lower,
     shell_masses,
 )
-from treeharmonics.zline import duality_ascent
+from treeharmonics.zline import _modulus_norm, duality_ascent
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +416,7 @@ def test_opnorm_lower_on_one_parity_kernels_keeps_the_single_start_ascent():
                 forward,
                 adjoint,
                 lambda mag: _radial_norm(mag, q, p),
-                _scaled(np.ones(nw, dtype=complex), q, p),
+                scaled(np.ones(nw, dtype=complex), q, p),
                 p,
                 _TREE_POWER_ITERATES,
             )
@@ -475,6 +477,28 @@ def test_opnorm_lower_near_the_float64_limit_matches_the_recurrence_form():
                 expected, expected_method = recurrence_opnorm_lower(kernel, p, R)
                 assert bound == pytest.approx(expected, rel=1e-14, abs=0.0), (vals, q, p)
                 assert method == expected_method
+
+
+def test_norms_keep_the_kind_of_each_power_byte_for_byte():
+    # numpy's array pow and its scalar pow differ in the last bit on some
+    # entries, so a norm that raised its head entry, or took its root, as an
+    # array power would move bytes here: random moduli with a dominant entry
+    # 0, exact zeros and subnormals, one vector at a time and as the rows of
+    # one matrix
+    rng = np.random.default_rng(29)
+    mags = np.abs(rng.normal(size=(400, 9)))
+    mags[:, 0] *= 10.0 ** rng.integers(1, 4, size=400)
+    mags[rng.random(mags.shape) < 0.2] = 0.0
+    mags[5::7, 1:] *= 1e-310
+    mags[6::7, 3] = 5e-324
+    for p in (4.0 / 3.0, 1.5, 3.0, 7.0):
+        for q in (2, 3):
+            rows = _radial_norm(mags, q, p)
+            for mag, row in zip(mags, rows):
+                want = repr(_oracle_radial_norm(mag, q, p))
+                assert (repr(_radial_norm(mag, q, p)), repr(row)) == (want, want), (mag, q, p)
+        for mag in mags:
+            assert repr(_modulus_norm(mag, p)) == repr(power_sum_norm(mag, p)), (mag, p)
 
 
 def test_opnorm_lower_keeps_its_pinned_bytes():

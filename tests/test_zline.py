@@ -315,6 +315,37 @@ def test_convolutor_interval_is_deterministic():
     assert (a.lower, a.upper, a.lower_method) == (b.lower, b.upper, b.lower_method)
 
 
+def test_convolutor_interval_keeps_its_pinned_bytes():
+    # repr of both ends and both methods, so that a change of evaluation order
+    # that moves a last bit fails here: a signed real and a complex kernel at
+    # three exponents, with boxes and the ascent winning in turn; a kernel
+    # whose entries sum to 0, so the image of the first iterate, the all-ones
+    # window, is exactly 0 away from its edges; and a kernel longer than the
+    # ascent's window of 1024 entries
+    rng = np.random.default_rng(3)
+    real = zkernel(2, rng.normal(size=8), offset=-3)
+    cplx = zkernel(3, rng.normal(size=7) + 1j * rng.normal(size=7), offset=-2)
+    long = zkernel(2, rng.normal(size=1030) + 1j * rng.normal(size=1030), offset=-500)
+    cancel = zkernel(2, [3 + 2j, 2 - 1j, 3, -8 - 1j])
+    half, third = "theta=0.5,grid=1024", "theta=0.333333,grid=1024"
+    pinned = [
+        (real, 4.0 / 3.0, "6.679545050249671", "7.504959433525212", "power[50]", half),
+        (real, 1.5, "6.619716690276515", "7.199133882415711", "modbox[4096,k=3]", third),
+        (real, 3.0, "6.619268857385751", "7.199133882415711", "modbox[4096,k=3]", third),
+        (cplx, 4.0 / 3.0, "6.73547704854828", "7.639712716378873", "power[50]", half),
+        (cplx, 1.5, "6.733193860054035", "7.360840340133835", "power[50]", third),
+        (cplx, 3.0, "6.725835222544376", "7.360840340133835", "modbox[4096,k=5]", third),
+        (cancel, 1.5, "13.603608822057083", "14.584020725485317", "power[50]", third),
+        (long, 3.0, "135.7751954739106", "261.1744662204586", "power[24]",
+         "theta=0.333333,grid=4096"),
+    ]
+    for F, p, lower, upper, trial, interp in pinned:
+        iv = convolutor_interval(F, p)
+        got = (repr(iv.lower), repr(iv.upper), iv.lower_method, iv.upper_method)
+        want = (lower, upper, f"trial:{trial}({DICTIONARY_VERSION})", f"interp(l1,sup;{interp})")
+        assert got == want, (F.values, p)
+
+
 def test_one_entry_kernels_bracket_their_modulus():
     # a scaled shift has norm |c| at every p; every trial ties at |c| up to
     # rounding, and the lower end never passes the upper
@@ -679,6 +710,21 @@ def test_hinf_strip_norm_raises_when_the_bottom_line_overflows():
         hinf_strip_norm(F, 400.0)
     with pytest.raises(DomainError, match="overflows float64"):
         truncation_bound(F, 2, 400.0, 1.5)
+
+
+def test_hinf_strip_norm_raises_when_a_line_l1_norm_overflows():
+    # finite values whose l1 norm overflows once sent a RuntimeWarning out of
+    # _line_sup's FFT: on the top line, and on a bottom line whose entries
+    # stay finite after the shift
+    cases = [
+        (zkernel(2, [1e308, 1e308, -1e308]), 0.1),
+        (zkernel(2, [1e307] * 17, offset=-17), 0.05),
+    ]
+    for F, eps in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="l1 norm on the integers overflows"):
+                hinf_strip_norm(F, eps)
 
 
 def test_truncation_bound_where_q_to_the_eps_leaves_float64():
