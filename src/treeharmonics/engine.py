@@ -125,25 +125,27 @@ def negative_height_bound(kernel, p):
     most two nonzero entries).  The same series per unit ``||f||_p`` is
     the ``rhs`` of :func:`transference_check`.
 
-    Kernels supported at the origin only have an identically vanishing
-    negative half, reported as exactly ``0.0``.  A row that overflows
-    float64 makes the series infinite.
+    Every row is a suffix of row 0, ``q^{u/p} k(u)`` for ``1 <= u <= D``,
+    which is scaled once.  Kernels supported at the origin only have an
+    identically vanishing negative half, reported as exactly ``0.0``.  A
+    row that overflows float64 makes the series infinite.
     """
     p = check_exponent(p)
     if p >= 2.0:
         raise DomainError(f"negative-height bound requires p in [1, 2), got p={p:g}")
     params = kernel.params
     D = kernel.radius
+    if D == 0:
+        return 0.0
     max_shell = (D - 1) // 2
-    masses = shell_masses(params.q, max(max_shell, 0))
+    masses = shell_masses(params.q, max_shell)
     series = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
+        scaled = kernel.values[1:] * params.qpow(np.arange(1, D + 1) / p)
+        if not np.isfinite(scaled).all():
+            return math.inf
         for m in range(max_shell + 1):
-            uvals = np.arange(2 * m + 1, D + 1)
-            vals = kernel.values[uvals] * params.qpow(uvals / p)
-            if not np.isfinite(vals).all():
-                return math.inf
-            row = ZKernel(params, 2 * m + 1, vals)
+            row = ZKernel(params, 2 * m + 1, scaled[2 * m :])
             try:
                 row_norm, _ = convolutor_upper(row, p)
             except DomainError:

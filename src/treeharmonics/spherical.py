@@ -264,6 +264,31 @@ def spectral_eigenvalue(params, z):
 # Transform pair
 # ---------------------------------------------------------------------------
 
+def _cosine_table(z, radius, log_q):
+    """Mirrored table ``cos(j z log q)``, ``j = -radius .. radius``, one row per point of ``z``.
+
+    ``z`` is a 1-d array.  The complex cosine is even, so the columns
+    ``j < 0`` are the columns ``j > 0`` mirrored, bit for bit: only the
+    ``radius + 1`` columns ``j >= 0`` are evaluated.  Each column depends
+    on ``j`` and ``z`` alone, so a table built for radius ``J`` holds the
+    table of every radius ``<= J`` as its middle columns, byte for byte.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.cos(np.outer(z, np.arange(radius + 1)) * log_q)
+    return np.concatenate([half[:, :0:-1], half], axis=1)
+
+
+def _cosine_sum(table, seq):
+    """``table @ seq.values``, the cosine sum of an Abel sequence; an overflow raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = table @ seq.values
+    if not np.isfinite(out).all():
+        raise DomainError(
+            "the spherical transform overflows float64: the kernel values or |Im z| are too large"
+        )
+    return out
+
+
 def spherical_transform_at(kernel, z):
     """Spherical transform of a radial kernel at arbitrary spectral points ``z``.
 
@@ -275,33 +300,68 @@ def spherical_transform_at(kernel, z):
     or a transform that overflow float64, from large kernel values or a
     large ``|Im z|``, raise :class:`DomainError`.
 
-    The complex cosine is even, so the columns ``j < 0`` of the cosine
-    table are the columns ``j > 0`` mirrored, bit for bit: only the
-    ``J + 1`` columns ``j >= 0`` are evaluated.  At real ``z`` (a real
-    array or scalar) the table is the real cosine, which equals the
-    complex cosine's real part bit for bit at a fraction of its cost;
-    complex ``z`` keeps the complex cosine.
+    The cosine table evaluates only its ``J + 1`` columns ``j >= 0``
+    (:func:`_cosine_table`).  At real ``z`` (a real array or scalar) it is
+    the real cosine, which equals the complex cosine's real part bit for
+    bit at a fraction of its cost; complex ``z`` keeps the complex cosine.
     """
     from .abel import abel_forward  # abel imports RadialKernel from this module
 
     seq = abel_forward(kernel)
     z = np.asarray(z)
     z = z.astype(complex if z.dtype.kind == "c" else float, copy=False)
-    with np.errstate(over="ignore", invalid="ignore"):
-        half = np.cos(np.outer(z.ravel(), seq.indices[kernel.radius :]) * kernel.params.log_q)
-        out = np.concatenate([half[:, :0:-1], half], axis=1) @ seq.values
-    if not np.isfinite(out).all():
-        raise DomainError(
-            "the spherical transform overflows float64: the kernel values or |Im z| are too large"
-        )
+    out = _cosine_sum(_cosine_table(z.ravel(), kernel.radius, kernel.params.log_q), seq)
     return out.reshape(z.shape) if z.shape else complex(out[0])
 
 
+class _GridCosines:
+    """Cosine table of one standard grid, rebuilt wider when a larger radius asks for it."""
+
+    def __init__(self, params, n):
+        self.grid, self.log_q = torus_grid(params, n), params.log_q
+        self.table = np.empty((n, 0))
+
+    def columns(self, radius):
+        """The contiguous table of ``radius``: the middle ``2 radius + 1`` columns."""
+        table = self.table
+        if table.shape[1] <= 2 * radius:
+            table = _cosine_table(self.grid, radius, self.log_q)
+            table.flags.writeable = False
+            self.table = table
+        J = table.shape[1] // 2
+        return np.ascontiguousarray(table[:, J - radius : J + radius + 1])
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_cosines(params, n):
+    """The :class:`_GridCosines` of the standard ``n``-point grid, one per ``(params, n)``.
+
+    Its table is shared by every call, so it is read-only.  Each of the at
+    most 8 grids keeps one float64 table of ``n (2 J + 1)`` entries, ``J``
+    the largest radius transformed on that grid: as large as the cosine
+    table one call of :func:`spherical_transform_at` on that grid builds
+    and frees, 70 KB at ``n = 512`` and ``J = 8``.
+    """
+    return _GridCosines(params, n)
+
+
 def spherical_transform(kernel, n=512):
-    """Sample the spherical transform on the standard ``n``-point torus grid."""
+    """Sample the spherical transform on the standard ``n``-point torus grid.
+
+    The cosine sum of :func:`spherical_transform_at` at the grid points,
+    with the same bytes.  The grid's cosine table is computed once per
+    ``(q, n)`` and widened only when a larger radius arrives
+    (:func:`_grid_cosines`: at most 8 grids, one float64 table of
+    ``n (2 J + 1)`` entries each, ``J`` the largest radius transformed on
+    that grid).  :func:`inverse_spherical_transform` recovers kernels of
+    radius ``< n/2`` from the samples.
+    """
+    from .abel import abel_forward
+
     n = check_grid(n)
-    grid = torus_grid(kernel.params, n)
-    return TorusSymbol(kernel.params, spherical_transform_at(kernel, grid))
+    seq = abel_forward(kernel)
+    table = _grid_cosines(kernel.params, n).columns(kernel.radius)
+    return TorusSymbol(kernel.params, _cosine_sum(table, seq))
 
 
 @functools.lru_cache(maxsize=8)
@@ -327,16 +387,26 @@ def inverse_spherical_transform(symbol, radius):
     quadrature error decays exponentially in the grid size; resolutions of
     512 recover kernels of radius <= 8 to around 1e-12.  The weights
     ``1/c(-s)`` depend on ``q`` and the grid size alone and are computed
-    once per pair (:func:`_inversion_weights`).  A sum that overflows
-    float64 raises :class:`DomainError`.
+    once per pair (:func:`_inversion_weights`: at most 8 grids, ``n``
+    complex entries each).  An ``n``-point grid resolves the distances
+    ``d < n/2`` only: past them the trapezoid sum returns the aliases of
+    smaller distances, so a radius with ``n <= 2 radius`` raises
+    :class:`DomainError` naming the grid it needs, as does a sum that
+    overflows float64.
     """
     params = symbol.params
     radius = int(radius)
     if radius < 0:
         raise DomainError(f"radius must be >= 0, got {radius}")
+    n = symbol.samples.size
+    if n <= 2 * radius:
+        raise DomainError(
+            f"inverting to radius {radius} needs a grid of more than {2 * radius} points, "
+            f"got {n}: use a power of two >= {max(64, 1 << (2 * radius).bit_length())}"
+        )
     d = np.arange(radius + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = symbol.samples * _inversion_weights(params, symbol.samples.size)
+        weights = symbol.samples * _inversion_weights(params, n)
         vals = 2.0 * params.plancherel_const * params.period * inverse_fourier_z(weights, d)
         vals *= params.qpow(-d.astype(float) / 2.0)
     if not np.isfinite(vals).all():

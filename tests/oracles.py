@@ -16,8 +16,10 @@ ball,
 :func:`masked_phase_power` the all-masked phase power,
 :func:`power_sum_norm` the unmasked ``l^p`` power sum, and
 :func:`cosine_matrix_transform` the full-width cosine table of the
-spherical transform, :func:`uncached_inverse_transform` the inverse
-transform with its weights evaluated per call, to pin the faster ones;
+spherical transform, :func:`uncached_grid_transform` the grid transform
+with its cosine table built per call, :func:`uncached_inverse_transform`
+the inverse transform with its weights evaluated per call, to pin the
+faster ones;
 :func:`affine_negative_height_bound` keeps the earlier, looser step 1 of
 the height split, built on the package's line profile, as a
 bound the exact shell series must not exceed; and the horocyclic
@@ -479,6 +481,24 @@ def cosine_matrix_transform(kernel, z):
     z = np.asarray(z, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.cos(np.outer(z.ravel(), seq.indices) * kernel.params.log_q) @ seq.values
+    return out.reshape(z.shape)
+
+
+def uncached_grid_transform(kernel, n):
+    """The earlier form of ``spherical_transform``: the grid's cosine table built per call.
+
+    Returns the samples; an overflow raises :class:`DomainError`.
+    """
+    seq = abel_forward(kernel)
+    z = np.asarray(torus_grid(kernel.params, n))
+    z = z.astype(complex if z.dtype.kind == "c" else float, copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.cos(np.outer(z.ravel(), seq.indices[kernel.radius :]) * kernel.params.log_q)
+        out = np.concatenate([half[:, :0:-1], half], axis=1) @ seq.values
+    if not np.isfinite(out).all():
+        raise DomainError(
+            "the spherical transform overflows float64: the kernel values or |Im z| are too large"
+        )
     return out.reshape(z.shape)
 
 

@@ -256,6 +256,19 @@ def test_invert_of_an_overflowing_symbol_exits_with_two(tmp_path, capsys):
     assert "inverse spherical transform overflows" in err
 
 
+def test_invert_past_the_grid_resolution_exits_with_two(tmp_path, ball1, capsys):
+    sym = tmp_path / "sym.csv"
+    assert main(["transform", "--kernel", ball1, "--grid", "64", "--out", str(sym)]) == 0
+    out = tmp_path / "k.json"
+    argv = ["invert", "--kernel", str(sym), "--q", "2", "--radius", "32", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "more than 64 points, got 64" in err and "Traceback" not in err
+    assert not out.exists()
+    argv[argv.index("32")] = "31"
+    assert main(argv) == 0
+
+
 def test_transform_of_an_overflowing_kernel_exits_with_two(tmp_path, capsys):
     # warnings are errors in the suite, so this also asserts none is raised
     cases = [

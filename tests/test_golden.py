@@ -1,8 +1,10 @@
 """Byte-exact regression against checked-in reference reports.
 
 ``report_sweep.jsonl`` holds one compact report per ``(q, kernel, p, R)``
-case of :func:`sweep_cases`.  A change that moves any byte of it must
-regenerate the file and say which values moved and why::
+case of :func:`sweep_cases`, and ``shell_series.jsonl`` the ``repr`` of
+:func:`~treeharmonics.engine.negative_height_bound` per case of
+:func:`shell_series_cases`.  A change that moves any byte of them must
+regenerate the files and say which values moved and why::
 
     python tests/test_golden.py --regen
 """
@@ -17,7 +19,7 @@ if __name__ == "__main__":  # run as a script: import the package from this chec
 
 import numpy as np
 
-from treeharmonics.engine import bounds_report
+from treeharmonics.engine import bounds_report, negative_height_bound
 from treeharmonics.serialize import report_to_json
 from treeharmonics.spherical import (
     ball_kernel,
@@ -30,6 +32,8 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "report_q2_p15_R10_ball2.json"
 SWEEP = GOLDEN_DIR / "report_sweep.jsonl"
 SWEEP_EXPONENTS = (1.0, 1.1, 4.0 / 3.0, 1.5, 3.0, 7.0, math.inf)
+SHELL = GOLDEN_DIR / "shell_series.jsonl"
+SHELL_EXPONENTS = (1.0, 1.01, 1.1, 4.0 / 3.0, 1.5, 1.8, 1.99)
 
 
 def test_reference_report_is_byte_stable():
@@ -72,16 +76,54 @@ def sweep_lines():
         yield json.dumps({"case": name, "report": report}, separators=(",", ":"))
 
 
-def test_report_sweep_is_byte_stable():
-    want = SWEEP.read_text().splitlines()
-    got = list(sweep_lines())
+def _assert_lines_match(got, path):
+    """``got`` equals the golden file's lines; a failure names the first moved case."""
+    want = path.read_text().splitlines()
+    got = list(got)
     for new, old in zip(got, want):
         assert new == old, f"first moved case: {json.loads(old)['case']}\nwas {old}\nnow {new}"
     assert len(got) == len(want), f"{len(got)} cases, the golden file holds {len(want)}"
 
 
+def test_report_sweep_is_byte_stable():
+    _assert_lines_match(sweep_lines(), SWEEP)
+
+
+def shell_series_cases():
+    """``(name, kernel, p)``: real, complex, sparse and scaled kernels of every radius 0..11.
+
+    The scaled kernels are complex kernels times ``1e300`` or ``1e-300``
+    in turn, so the series meets rows that overflow (an infinite series)
+    and rows of values near ``1e-300``.
+    """
+    rng = np.random.default_rng(1344)
+    for q in (2, 3, 5, 7):
+        for D in range(12):
+            for i, p in enumerate(SHELL_EXPONENTS):
+                real = rng.normal(size=D + 1)
+                cplx = real + 1j * rng.normal(size=D + 1)
+                sparse = np.where(rng.random(D + 1) < 0.3, cplx, 0.0)
+                sparse[D] = cplx[D]
+                scale = 1e300 if (D + i) % 2 == 0 else 1e-300
+                kernels = {"real": real, "complex": cplx, "sparse": sparse, "scaled": scale * cplx}
+                for kind, values in kernels.items():
+                    yield f"q={q} D={D} p={p!r} {kind}", radial_kernel(q, values), p
+
+
+def shell_series_lines():
+    """One compact JSON line per case: its name and the ``repr`` of its shell series."""
+    for name, kernel, p in shell_series_cases():
+        bound = repr(negative_height_bound(kernel, p))
+        yield json.dumps({"case": name, "bound": bound}, separators=(",", ":"))
+
+
+def test_shell_series_is_byte_stable():
+    _assert_lines_match(shell_series_lines(), SHELL)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
         sys.exit(f"usage: python {sys.argv[0]} --regen")
-    SWEEP.write_text("".join(line + "\n" for line in sweep_lines()))
-    print(f"wrote {SWEEP}")
+    for path, lines in ((SWEEP, sweep_lines()), (SHELL, shell_series_lines())):
+        path.write_text("".join(line + "\n" for line in lines))
+        print(f"wrote {path}")

@@ -12,12 +12,15 @@ from oracles import (
     mp_c_function,
     mp_line_sup,
     recurrence_spherical,
+    uncached_grid_transform,
     uncached_inverse_transform,
 )
 from treeharmonics.params import DomainError, strip_halfwidth, torus_grid, tree_params
 from treeharmonics.spherical import (
     RadialKernel,
     TorusSymbol,
+    _cosine_table,
+    _grid_cosines,
     _inversion_weights,
     ball_kernel,
     c_function,
@@ -324,6 +327,73 @@ def test_inverse_transform_is_the_uncached_formula_byte_for_byte():
                     # the kernel drops trailing zero spheres, so compare its window
                     assert got.values.tobytes() == want[: got.values.size].tobytes()
                     assert not want[got.values.size :].any()
+
+
+def test_inverse_transform_refuses_radii_the_grid_aliases():
+    # past n/2 the trapezoid sum returns the aliases of smaller distances:
+    # radius 63 on 64 points gave entries near 1e-10 at d = 60..63, and a
+    # radius-39 kernel came back off by 256
+    short = spherical_transform(radial_kernel(2, [1.0, 0.5, 0.25, 0.125]), 64)
+    with pytest.raises(DomainError, match="more than 126 points, got 64.*>= 128"):
+        inverse_spherical_transform(short, 63)
+    wide = spherical_transform(radial_kernel(2, np.ones(40)), 64)
+    with pytest.raises(DomainError, match="more than 78 points, got 64.*>= 128"):
+        inverse_spherical_transform(wide, 39)
+    with pytest.raises(DomainError, match="more than 64 points, got 64"):
+        inverse_spherical_transform(short, 32)
+    back = inverse_spherical_transform(short, 31)
+    want = np.zeros(back.values.size)
+    want[:4] = [1.0, 0.5, 0.25, 0.125]
+    assert np.abs(back.values - want).max() <= 1e-8  # the 64-point quadrature error
+
+
+def test_grid_transform_is_the_uncached_path_byte_for_byte():
+    # radii rising, falling and interleaved per (q, n), each order from an
+    # empty cache, so the table is built, widened and reused
+    rng = np.random.default_rng(4096)
+    orders = (range(12), range(11, -1, -1), (5, 0, 9, 2, 11, 7, 1, 10, 3, 8, 4, 6))
+    for order in orders:
+        _grid_cosines.cache_clear()
+        for q in (2, 3, 5, 7):
+            for n in (64, 512, 4096):
+                for D in order:
+                    real = rng.normal(size=D + 1)
+                    for values in (real, real + 1j * rng.normal(size=D + 1)):
+                        kernel = radial_kernel(q, values)
+                        got = spherical_transform(kernel, n).samples
+                        assert got.tobytes() == uncached_grid_transform(kernel, n).tobytes()
+                        if values is real:
+                            # real kernels keep imaginary parts of exactly +0.0
+                            assert not np.signbit(got.imag).any() and not got.imag.any()
+    huge = radial_kernel(2, [1e308, 1e308])
+    for transform in (spherical_transform, uncached_grid_transform):
+        with pytest.raises(DomainError, match="spherical transform overflows"):
+            transform(huge, 64)
+
+
+def test_grid_cosine_table_is_computed_once_and_read_only():
+    # column j of cos(outer(grid, arange(J + 1)) log q) has the same bytes
+    # for every J, which is what lets one table serve every smaller radius
+    assert 0 < _grid_cosines.cache_info().maxsize <= 16
+    for q in (2, 3, 5, 7):
+        params = tree_params(q)
+        for n in (64, 512, 4096):
+            grid = torus_grid(params, n)
+            widest = _cosine_table(grid, 11, params.log_q)
+            for J in range(12):
+                middle = widest[:, 11 - J : 12 + J]
+                assert _cosine_table(grid, J, params.log_q).tobytes() == middle.tobytes()
+            store = _grid_cosines(params, n)
+            store.columns(5)
+            table = store.table
+            for radius in (5, 2, 0, 4):
+                cols = store.columns(radius)
+                assert cols.flags.c_contiguous and cols.shape == (n, 2 * radius + 1)
+            assert _grid_cosines(tree_params(q), n) is store and store.table is table
+            assert table.tobytes() == widest[:, 6:17].tobytes()
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+    assert _grid_cosines.cache_info().currsize <= _grid_cosines.cache_info().maxsize
 
 
 def test_symbol_is_even_in_frequency():
