@@ -43,15 +43,13 @@ def abel_forward(kernel):
     q = kernel.params.q
     D = kernel.radius
     kv = kernel.values
-    reduced = np.empty(D + 1, dtype=complex)
+    reduced = kv.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(D + 1):
-            acc = kv[t]
-            weight = 1.0
-            for i in range(1, (D - t) // 2 + 1):
-                weight = weight * q if i > 1 else (q - 1.0)
-                acc += weight * kv[t + 2 * i]
-            reduced[t] = acc
+        # term i of every index t at once, in the order of the sum over i
+        weight = q - 1.0
+        for i in range(1, D // 2 + 1):
+            reduced[: D + 1 - 2 * i] += weight * kv[2 * i :]
+            weight = weight * q
         half = reduced * kernel.params.qpow(np.arange(D + 1) / 2.0)
     if not np.isfinite(half).all():
         raise DomainError("the Abel coefficients overflow float64")

@@ -9,9 +9,12 @@ values of the symbol
 a trigonometric polynomial in ``z`` with period ``2*pi/log(q)`` that
 extends holomorphically to every horizontal strip.  Exact values of the
 ``l^p`` operator norm are unknown in general, so this module reports
-certified *intervals*: the upper end comes from interpolation between the
-exact ``l^1`` norm and the symbol sup, the lower end from trial vectors
-whose convolution ratios are computed exactly (the boxes in closed form).
+certified *intervals*.  One attained sup of the symbol on the real line
+serves both ends: the upper end interpolates between the exact ``l^1``
+norm and that sup, and the sup is itself a lower end at every ``p``,
+since an ``l^p`` multiplier norm is at least the ``l^2`` one.  The other
+lower candidates are trial vectors whose convolution ratios are computed
+exactly (the boxes in closed form).
 
 The trial dictionary is versioned (:data:`DICTIONARY_VERSION`); any change
 to its contents must bump the version string, which is quoted in every
@@ -34,11 +37,9 @@ from .params import (
 
 #: Version tag of the lower-bound trial dictionary.  Bump when the trial
 #: set changes, so stored reports remain attributable.
-DICTIONARY_VERSION = "dict-v4"
+DICTIONARY_VERSION = "dict-v5"
 
 _BOX_LENGTHS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
-_MODULATED_LENGTHS = (4, 16, 64, 256, 1024, 4096)
-_N_FREQUENCIES = 32
 _POWER_ITERATES = 50
 _POWER_WINDOW = 1024
 _EVAL_CHUNK = 2048  # frequencies per phase matrix in _eval_symbol
@@ -290,24 +291,32 @@ def convolutor_upper(F, p):
     two nonzero entries: the two phases align somewhere on the real line,
     so the ``l^2`` norm, the sup of the symbol, already equals ``||F||_1``,
     and the ``l^p`` norm lies between the two; interpolating with a grid
-    sup would land up to an ulp below it.  Otherwise, at ``p == 2`` the
-    bound is the refined grid supremum of the symbol (the grid resolution
-    is recorded), and at other ``p`` it interpolates the two with exponent
-    ``theta = |2/p - 1|``.  An ``l^1`` norm that overflows float64 raises
+    sup would land up to an ulp below it.  Otherwise the bound is
+    :func:`_sup_upper`'s.  An ``l^1`` norm that overflows float64 raises
     :class:`~treeharmonics.params.DomainError`.
     """
     p = check_exponent(p)
-    l1 = F.l1()
     if p == 1.0 or math.isinf(p):
-        return l1, "l1-exact"
+        return F.l1(), "l1-exact"
     if np.count_nonzero(F.values) <= 2:
-        return l1, "l1-exact(two-entry)"
+        return F.l1(), "l1-exact(two-entry)"
+    return _sup_upper(F, p)[:2]
+
+
+def _sup_upper(F, p):
+    """``(value, method, sup)``: the upper end from the line sup ``sup`` of the symbol.
+
+    At ``p == 2`` the value is ``sup``; elsewhere it interpolates ``sup``
+    and the ``l^1`` norm with exponent ``theta = |2/p - 1|``.  The ``l^1``
+    norm is taken first, so that its overflow raises
+    :class:`~treeharmonics.params.DomainError` before the FFT could.
+    """
+    l1 = F.l1()
     sup, used = _line_sup(F)
     if p == 2.0:
-        return sup, f"spectral-sup(grid={used})"
+        return sup, f"spectral-sup(grid={used})", sup
     theta = abs(2.0 / p - 1.0)
-    val = l1**theta * sup ** (1.0 - theta)
-    return val, f"interp(l1,sup;theta={theta:.6g},grid={used})"
+    return l1**theta * sup ** (1.0 - theta), f"interp(l1,sup;theta={theta:.6g},grid={used})", sup
 
 
 def lp_norm(x, p):
@@ -316,17 +325,10 @@ def lp_norm(x, p):
 
 
 def _modulus_norm(mag, p):
-    """``l^p`` norm of a vector whose entrywise modulus is ``mag``.
-
-    A vector with no zeros, as almost every ascent iterate is, is raised in
-    one ``mag ** p``; one with zeros goes through :func:`_powers`, which
-    keeps the same bytes.
-    """
+    """``l^p`` norm of a vector whose entrywise modulus is ``mag``, by :func:`_powers`."""
     if math.isinf(p):
         return float(mag.max()) if mag.size else 0.0
-    dense = np.count_nonzero(mag) == mag.size
-    powers = mag**p if dense else _powers(mag, p, mag.size)
-    return float(np.add.reduce(powers) ** (1.0 / p))
+    return float(np.add.reduce(_powers(mag, p, mag.size)) ** (1.0 / p))
 
 
 def _powers(mag, p, size):
@@ -430,47 +432,44 @@ def duality_ascent(apply, adjoint, norm, x, p, iters):
         x = phase_power(adjoint(phase_power(y, p - 1.0, mag)), pd - 1.0)
 
 
-def _box_ratios(vals, thetas, lengths, p):
-    """``||f * vals||_p / ||f||_p`` for the modulated boxes ``f = e^{i theta n} 1_[0, L)``.
+def _box_ratios(vals, lengths, p):
+    """``||f * vals||_p / ||f||_p`` for the boxes ``f = 1_[0, L)``.
 
-    Returns ``{L: ratios}``, one ratio per entry of ``thetas``, for
-    ``1 <= p < inf``, without forming ``f`` or the convolution.  With
-    ``w_j = vals_j e^{-i theta j}`` and ``a = min(L, m)`` (``m`` the kernel
-    length), the entries of ``f * vals`` have the moduli of the ``a - 1``
-    prefix sums of ``w``, its ``a - 1`` suffix sums, and, each
-    ``max(L - m + 1, 1)`` times, its sliding width-``a`` sums;
-    ``||f||_p = L^{1/p}``.  The sums depend on ``L`` only through ``a``, so
-    every ``L >= m`` shares one set.  Every sum is built by additions only
-    (the sliding sums by doubling the window), never as a difference of
-    partial sums, which would cancel.
+    Returns ``{L: ratio}`` for ``1 <= p < inf``, without forming ``f`` or
+    the convolution.  With ``a = min(L, m)`` (``m`` the kernel length), the
+    entries of ``f * vals`` have the moduli of the ``a - 1`` prefix sums of
+    ``vals``, its ``a - 1`` suffix sums, and, each ``max(L - m + 1, 1)``
+    times, its sliding width-``a`` sums; ``||f||_p = L^{1/p}``.  The sums
+    depend on ``L`` only through ``a``, so every ``L >= m`` shares one set.
+    Every sum is built by additions only (the sliding sums by doubling the
+    window), never as a difference of partial sums, which would cancel.
     """
     m = vals.size
-    w = vals * np.exp(-1j * np.multiply.outer(thetas, np.arange(m)))
     sums = {}
     out = {}
     for L in lengths:
         a = min(L, m)
         if a not in sums:
-            head = np.cumsum(w[:, : a - 1], axis=1)
-            tail = np.cumsum(w[:, : m - a : -1], axis=1)
-            # sliding sums of width a: window[i] sums w[i : i + width], widths doubling
+            head = np.cumsum(vals[: a - 1])
+            tail = np.cumsum(vals[: m - a : -1])
+            # sliding sums of width a: window[i] sums vals[i : i + width], widths doubling
             count = m - a + 1
-            middle, start, window, width = 0.0, 0, w, 1
+            middle, start, window, width = 0.0, 0, vals, 1
             while True:
                 if a & width:
-                    middle = middle + window[:, start : start + count]
+                    middle = middle + window[start : start + count]
                     start += width
                 if 2 * width > a:
                     break
-                window = window[:, :-width] + window[:, width:]
+                window = window[:-width] + window[width:]
                 width *= 2
             sums[a] = (
-                np.sum(np.abs(head) ** p, axis=1) + np.sum(np.abs(tail) ** p, axis=1),
-                np.sum(np.abs(middle) ** p, axis=1),
+                np.sum(np.abs(head) ** p) + np.sum(np.abs(tail) ** p),
+                np.sum(np.abs(middle) ** p),
             )
         edges, middle = sums[a]
         power = edges + max(L - m + 1, 1) * middle
-        out[L] = (power ** (1.0 / p) / L ** (1.0 / p)).tolist()
+        out[L] = float(power ** (1.0 / p) / L ** (1.0 / p))
     return out
 
 
@@ -481,23 +480,24 @@ def convolutor_interval(F, p):
     the exact norm ``||F||_1`` at every ``p``: Young's inequality bounds
     the norm by it, and the boxes ``1_[0, L)`` attain it as ``L -> oo``.
     Both ends are then that norm, named ``exact:one-sign`` and
-    ``l1-exact(one-sign)``.  For every other kernel the upper end is
-    :func:`convolutor_upper`.  With two nonzero entries that is
-    ``||F||_1``, and so is the lower end, named ``exact:two-entry``: the
-    two phases align at some frequency, where the modulated boxes attain
-    ``||F||_1`` as ``L -> oo``.  For ``p`` in ``{1, inf}`` the interval
-    collapses to the exact ``l^1`` norm (the delta trial and a matched-sign
-    trial attain it), and at ``p == 2`` both ends are the refined grid
-    supremum of the symbol.  At every other exponent the lower end is the
-    best finite exact convolution ratio over the versioned trial
-    dictionary: the delta, dyadic boxes, modulated boxes at
-    :data:`_N_FREQUENCIES` equispaced frequencies, and the iterates of
-    :func:`duality_ascent`, named ``power[<iterates run>]``.  The delta and
-    every box, plain or modulated, is evaluated in closed form from prefix,
-    suffix and sliding-window sums of the modulated kernel
-    (:func:`_box_ratios`), with no trial vector or convolution formed.  A
-    trial whose ratio overflows certifies nothing and is skipped.  An
-    ``l^1`` norm that overflows float64 raises
+    ``l1-exact(one-sign)``.  With two nonzero entries both ends are
+    :func:`convolutor_upper`'s ``||F||_1``, the lower named
+    ``exact:two-entry``: the two phases align at some frequency, where the
+    boxes modulated there attain ``||F||_1`` as ``L -> oo``.  For ``p`` in
+    ``{1, inf}`` both ends are the exact ``l^1`` norm, which the delta
+    trial and a matched-sign trial attain.
+
+    Every other kernel reads one line sup (:func:`_line_sup`) at both
+    ends.  The upper end is :func:`_sup_upper`'s.  The sup is also a lower
+    end at every ``p``: convolution by ``F`` has the same norm on ``l^p``
+    and ``l^{p'}``, so Riesz-Thorin bounds the ``l^2`` norm, the sup, by
+    the ``l^p`` norm (``M_p`` lies in ``M_2 = L^inf``).  At ``p == 2`` both
+    ends are the sup.  Elsewhere the lower end is the best of the sup,
+    named ``line-sup``, and the exact convolution ratios of the delta, the
+    dyadic boxes and the iterates of :func:`duality_ascent`, named
+    ``power[<iterates run>]``; the delta and the boxes are evaluated in
+    closed form (:func:`_box_ratios`).  A ratio that overflows certifies
+    nothing and is skipped.  An ``l^1`` norm that overflows float64 raises
     :class:`~treeharmonics.params.DomainError`.
     """
     p = check_exponent(p)
@@ -509,14 +509,17 @@ def convolutor_interval(F, p):
         return NormInterval(
             l1, l1, f"exact:one-sign({DICTIONARY_VERSION})", "l1-exact(one-sign)"
         )
-    upper, upper_method = convolutor_upper(F, p)
-    if np.count_nonzero(vals) == 2:
-        return NormInterval(upper, upper, f"exact:two-entry({DICTIONARY_VERSION})", upper_method)
+    two_entry = np.count_nonzero(vals) == 2
+    if two_entry or p == 1.0 or math.isinf(p):
+        upper, upper_method = convolutor_upper(F, p)
+        if two_entry:
+            method = "exact:two-entry"
+        else:
+            method = "trial:delta" if p == 1.0 else "trial:matched-sign"
+        return NormInterval(upper, upper, f"{method}({DICTIONARY_VERSION})", upper_method)
+    upper, upper_method, sup = _sup_upper(F, p)
     if p == 2.0:
         return NormInterval(upper, upper, upper_method, upper_method)
-    if p == 1.0 or math.isinf(p):
-        method = "delta" if p == 1.0 else "matched-sign"
-        return NormInterval(upper, upper, f"trial:{method}({DICTIONARY_VERSION})", upper_method)
 
     best = 0.0
     best_name = "none"
@@ -527,17 +530,12 @@ def convolutor_interval(F, p):
             best = ratio
             best_name = name
 
-    # entry 0 of a length's ratios is the plain box, entry 1 + k the box modulated at frequency k
-    tau = F.params.period
-    thetas = np.concatenate(
-        [[0.0], (-tau / 2.0 + tau * np.arange(_N_FREQUENCIES) / _N_FREQUENCIES) * F.params.log_q]
-    )
     window = min(_POWER_WINDOW, 4 * max(vals.size, 16))
     used, ratio = 0, 0.0
     # power sums and iterates may overflow at large p or near the float64 limit;
     # consider() skips a ratio that is not finite, and the ascent stops before one
     with np.errstate(over="ignore", invalid="ignore"):
-        boxes = _box_ratios(vals, thetas, _BOX_LENGTHS, p)
+        boxes = _box_ratios(vals, _BOX_LENGTHS, p)
         for used, value in duality_ascent(
             lambda x: np.convolve(x, vals),
             # np.correlate conjugates vals: the adjoint, on the window alone
@@ -548,13 +546,11 @@ def convolutor_interval(F, p):
             _POWER_ITERATES,
         ):
             ratio = max(ratio, value)
-    consider(boxes[1][0], "delta")
+    consider(boxes[1], "delta")
     for L in _BOX_LENGTHS[1:]:  # the box of length 1 is the delta
-        consider(boxes[L][0], f"box[{L}]")
-    for k in range(_N_FREQUENCIES):
-        for L in _MODULATED_LENGTHS:
-            consider(boxes[L][1 + k], f"modbox[{L},k={k}]")
+        consider(boxes[L], f"box[{L}]")
     consider(ratio, f"power[{used}]")
+    consider(sup, "line-sup")
     return NormInterval(
         best, upper, f"trial:{best_name}({DICTIONARY_VERSION})", upper_method
     )

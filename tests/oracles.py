@@ -15,8 +15,9 @@ ball,
 :func:`recurrence_opnorm_lower` the recurrence-driven compression,
 :func:`masked_phase_power` the all-masked phase power,
 :func:`power_sum_norm` the unmasked ``l^p`` power sum, and
-:func:`cosine_matrix_transform` the full-width cosine table of the
-spherical transform, :func:`uncached_grid_transform` the grid transform
+:func:`loop_abel_coefficients` the per-index double loop of the Abel
+transform, :func:`cosine_matrix_transform` the full-width cosine table of
+the spherical transform, :func:`uncached_grid_transform` the grid transform
 with its cosine table built per call, :func:`uncached_inverse_transform`
 the inverse transform with its weights evaluated per call, to pin the
 faster ones;
@@ -525,6 +526,30 @@ def census_counter(q, radius):
     return rows
 
 
+def loop_abel_coefficients(kernel):
+    """The half ``a_0 .. a_D`` of the Abel transform, one index and one term at a time.
+
+    For each index ``t`` the terms ``(q - 1) q^{i-1} k(t + 2i)`` are added
+    to ``k(t)`` in the order of ``i``, each weight the previous one times
+    ``q``; the sum is then scaled by ``q^{t/2}``.  Returns ``None`` where a
+    coefficient overflows float64.
+    """
+    q = kernel.params.q
+    D = kernel.radius
+    kv = kernel.values
+    reduced = np.empty(D + 1, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(D + 1):
+            acc = kv[t]
+            weight = 1.0
+            for i in range(1, (D - t) // 2 + 1):
+                weight = weight * q if i > 1 else (q - 1.0)
+                acc += weight * kv[t + 2 * i]
+            reduced[t] = acc
+        half = reduced * kernel.params.qpow(np.arange(D + 1) / 2.0)
+    return half if np.isfinite(half).all() else None
+
+
 # ---------------------------------------------------------------------------
 # Exact horocyclic sums (Fraction arithmetic)
 # ---------------------------------------------------------------------------
@@ -754,31 +779,23 @@ def fine_grid_line_sup(q, offset, values, v, n=1 << 16):
 # The symbol interval's trial dictionary, one explicit vector at a time
 # ---------------------------------------------------------------------------
 
-def direct_dictionary_ratios(q, values, p):
-    """Every trial of the ``dict-v2`` dictionary with its exact ratio, in trial order.
+def direct_dictionary_ratios(values, p):
+    """Every trial of the ``dict-v5`` dictionary with its exact ratio, in trial order.
 
-    ``dict-v4`` runs these trials on kernels that change sign or are
-    complex and have more than two nonzero entries, and takes the others
-    to their exact ``l^1`` norm.
+    ``dict-v5`` runs these trials, and the line sup, on kernels that
+    change sign or are complex and have more than two nonzero entries, and
+    takes the others to their exact ``l^1`` norm.
 
     Builds each trial vector explicitly — the delta, the boxes of lengths
-    ``2^1 .. 2^12``, the boxes of lengths ``4^1 .. 4^6`` modulated at the
-    32 equispaced torus frequencies, and the duality-map ascent from the
-    constant vector on a window of ``min(1024, 4 max(m, 16))`` entries, 50
-    iterates at most — and takes
-    ``||f * values||_p / ||f||_p`` by dense ``np.convolve``.  The ascent is
-    one entry ``power[<iterates run>]`` holding its best ratio.  Returns a
-    list of ``(name, ratio)`` pairs.
+    ``2^1 .. 2^12``, and the duality-map ascent from the constant vector on
+    a window of ``min(1024, 4 max(m, 16))`` entries, 50 iterates at most —
+    and takes ``||f * values||_p / ||f||_p`` by dense ``np.convolve``.  The
+    ascent is one entry ``power[<iterates run>]`` holding its best ratio.
+    Returns a list of ``(name, ratio)`` pairs.
     """
     values = np.asarray(values, dtype=complex)
-    log_q = math.log(q)
-    tau = 2.0 * math.pi / log_q
     trials = [("delta", np.ones(1, dtype=complex))]
     trials += [(f"box[{L}]", np.ones(L, dtype=complex)) for L in (2**e for e in range(1, 13))]
-    for k in range(32):
-        s0 = -tau / 2.0 + tau * k / 32
-        for L in (4**e for e in range(1, 7)):
-            trials.append((f"modbox[{L},k={k}]", np.exp(1j * s0 * log_q * np.arange(L))))
     out = [
         (name, power_sum_norm(np.convolve(f, values), p) / power_sum_norm(f, p))
         for name, f in trials

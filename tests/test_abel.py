@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import fraction_slice_sum
+from oracles import fraction_slice_sum, loop_abel_coefficients
 from treeharmonics.abel import (
     abel_bruteforce,
     abel_forward,
@@ -79,6 +79,26 @@ def test_abel_coefficients_that_overflow_are_refused():
     for values in ([0.0, 0.0, 9e307], [9e307, 0.0, 9e307]):
         with pytest.raises(DomainError, match="overflow"):
             abel_forward(radial_kernel(2, values))
+
+
+def test_forward_keeps_the_bytes_of_the_per_index_loop():
+    # one vector add per term must add in the loop's order, and overflow
+    # exactly where it does
+    rng = np.random.default_rng(97)
+    overflowed = 0
+    for i in range(400):
+        q = int(rng.choice([2, 3, 5, 7, 50]))
+        D = int(rng.integers(0, 40))
+        vals = rng.normal(size=D + 1) + (i % 2) * 1j * rng.normal(size=D + 1)
+        kernel = radial_kernel(q, vals * 10.0 ** rng.uniform(-300, 300))
+        want = loop_abel_coefficients(kernel)
+        if want is None:
+            overflowed += 1
+            with pytest.raises(DomainError, match="overflow"):
+                abel_forward(kernel)
+        else:
+            assert abel_forward(kernel).values[kernel.radius :].tobytes() == want.tobytes()
+    assert 0 < overflowed < 400
 
 
 def test_sequence_container_basics():

@@ -48,7 +48,7 @@ from treeharmonics.spherical import (
     spherical_transform_at,
 )
 from treeharmonics.tree import ball_geometry
-from treeharmonics.zline import ZKernel, convolutor_upper
+from treeharmonics.zline import DICTIONARY_VERSION, ZKernel, convolutor_upper
 
 
 def random_kernel(rng, q, D):
@@ -817,14 +817,20 @@ def test_overflowing_trial_ratios_certify_nothing():
     # p = 50) trials overflow: an infinite ratio once tripped the sandwich,
     # and the clamp to the upper end reported it as a collapsed interval.
     # The shifted coefficients of these kernels change sign, so the
-    # dictionary runs.
-    for values, p, radius in (([1e100, -1e100], 1.5, 5), ([1e7, -1e7], 50.0, None)):
+    # dictionary runs; its lower end is the line sup, which needs no power
+    # sum, and the symbols attain ||F||_1, so the intervals collapse
+    cases = (
+        ([1e100, -1e100], 1.5, 5, "3.8473221018630725e+100"),
+        ([1e7, -1e7], 50.0, None, "39864248.88776747"),
+    )
+    for values, p, radius, lower in cases:
         k = radial_kernel(2, values)
         with np.errstate(over="ignore"):
             rep = bounds_report(k, p, radius=radius)
             interval, _ = symbol_norm_report(k, p)
         assert 0.0 <= rep.compression_lower <= rep.total_upper < math.inf
-        assert interval.lower < interval.upper
+        assert repr(rep.symbol_lower) == repr(interval.lower) == lower
+        assert interval.lower_method == f"trial:line-sup({DICTIONARY_VERSION})"
     # one-sign kernels of the same size have the exact, finite l1 norm
     # (at [1e7, 1e7], p = 50 the dictionary's lower end was 0.0)
     for values, p in (([1e100, 1e100], 1.5), ([1e7, 1e7], 50.0)):

@@ -61,6 +61,10 @@ def test_every_name_the_benchmark_pins_exists():
                 assert fname in vars(getattr(module, owner)), f"{layer}.{attr}"
             else:
                 assert callable(getattr(module, fname, None)), f"{layer}.{attr}"
+    # a counter keyed by a span no traced name records would read 0 unseen
+    spans = {f"{layer}.{attr.rpartition('.')[2]}" for layer, names in tracer.TRACED.items()
+             for attr in names}
+    assert set(tracer.COUNTERS) <= spans
     workloads = _load_by_path("_bench_workloads", bench / "workloads.py")
     fields = {f.name for f in dataclasses.fields(BoundsReport)}
     assert set(workloads._REPORT_FLOATS) <= fields

@@ -113,7 +113,7 @@ def test_report_json_preserves_field_order():
     text = report_to_json(rep)
     obj = json.loads(text)
     assert list(obj) == list(rep.to_json_dict())
-    assert obj["dictionary_version"] == "dict-v4"
+    assert obj["dictionary_version"] == "dict-v5"
     assert text.endswith("\n")
 
 

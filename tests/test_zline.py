@@ -318,7 +318,7 @@ def test_convolutor_interval_is_deterministic():
 def test_convolutor_interval_keeps_its_pinned_bytes():
     # repr of both ends and both methods, so that a change of evaluation order
     # that moves a last bit fails here: a signed real and a complex kernel at
-    # three exponents, with boxes and the ascent winning in turn; a kernel
+    # three exponents, with the line sup and the ascent winning in turn; a kernel
     # whose entries sum to 0, so the image of the first iterate, the all-ones
     # window, is exactly 0 away from its edges; and a kernel longer than the
     # ascent's window of 1024 entries
@@ -330,11 +330,11 @@ def test_convolutor_interval_keeps_its_pinned_bytes():
     half, third = "theta=0.5,grid=1024", "theta=0.333333,grid=1024"
     pinned = [
         (real, 4.0 / 3.0, "6.679545050249671", "7.504959433525212", "power[50]", half),
-        (real, 1.5, "6.619716690276515", "7.199133882415711", "modbox[4096,k=3]", third),
-        (real, 3.0, "6.619268857385751", "7.199133882415711", "modbox[4096,k=3]", third),
-        (cplx, 4.0 / 3.0, "6.73547704854828", "7.639712716378873", "power[50]", half),
-        (cplx, 1.5, "6.733193860054035", "7.360840340133835", "power[50]", third),
-        (cplx, 3.0, "6.725835222544376", "7.360840340133835", "modbox[4096,k=5]", third),
+        (real, 1.5, "6.624361927538003", "7.199133882415711", "line-sup", third),
+        (real, 3.0, "6.624361927538003", "7.199133882415711", "line-sup", third),
+        (cplx, 4.0 / 3.0, "6.8332630278006805", "7.639712716378873", "line-sup", half),
+        (cplx, 1.5, "6.8332630278006805", "7.360840340133835", "line-sup", third),
+        (cplx, 3.0, "6.8332630278006805", "7.360840340133835", "line-sup", third),
         (cancel, 1.5, "13.603608822057083", "14.584020725485317", "power[50]", third),
         (long, 3.0, "135.7751954739106", "261.1744662204586", "power[24]",
          "theta=0.333333,grid=4096"),
@@ -378,33 +378,37 @@ def dictionary_cases():
 def test_box_trials_and_the_winner_match_the_dense_dictionary():
     lengths = [2**e for e in range(13)]
     for F in dictionary_cases():
-        tau, log_q = F.params.period, F.params.log_q
-        thetas = np.concatenate([[0.0], (-tau / 2.0 + tau * np.arange(32) / 32) * log_q])
         rounding = 1e-12 * F.l1()
         for p in (1.1, 1.5, 2.5, 4.0):
-            direct = direct_dictionary_ratios(F.params.q, F.values, p)
-            ratios = dict(direct)
-            closed = _box_ratios(F.values, thetas, lengths, p)
+            candidates = direct_dictionary_ratios(F.values, p) + [("line-sup", _line_sup(F)[0])]
+            ratios = dict(candidates)
+            closed = _box_ratios(F.values, lengths, p)
             assert sorted(closed) == lengths
-            assert abs(closed[1][0] - ratios["delta"]) <= rounding
+            assert abs(closed[1] - ratios["delta"]) <= rounding
             for L in lengths[1:]:
-                assert abs(closed[L][0] - ratios[f"box[{L}]"]) <= rounding
-                if L in (4, 16, 64, 256, 1024, 4096):
-                    for k in range(32):
-                        assert abs(closed[L][1 + k] - ratios[f"modbox[{L},k={k}]"]) <= rounding
+                assert abs(closed[L] - ratios[f"box[{L}]"]) <= rounding
 
             iv = convolutor_interval(F, p)
             name = iv.lower_method.removeprefix("trial:").removesuffix(f"({DICTIONARY_VERSION})")
-            best_name, best = direct[0]
-            for trial, ratio in direct[1:]:
+            best_name, best = candidates[0]
+            for trial, ratio in candidates[1:]:
                 if ratio > best:
                     best_name, best = trial, ratio
             assert abs(iv.lower - min(best, iv.upper)) <= rounding
+            # an l^p multiplier norm is at least the l^2 one, the sup of the symbol
+            assert iv.lower >= ratios["line-sup"]
             # the first strictly greatest ratio wins; trials tied to within
             # rounding may fall either way
             assert ratios[name] >= best - rounding
-            if best - max(r for t, r in direct if t != best_name) > rounding:
+            if best - max(r for t, r in candidates if t != best_name) > rounding:
                 assert name == best_name
+
+
+def test_a_modulated_one_sign_kernel_reaches_its_exact_norm():
+    # [1, 1j, -1] is |[1, 1, 1]| modulated by 1j per step: its norm is ||F||_1 = 3
+    iv = convolutor_interval(zkernel(2, [1, 1j, -1]), 1.5)
+    assert (iv.lower, iv.upper) == (3.0, 3.0)
+    assert iv.lower_method == f"trial:line-sup({DICTIONARY_VERSION})"
 
 
 def one_sign_cases():
@@ -429,8 +433,8 @@ def test_one_sign_kernels_have_the_exact_l1_norm():
             iv = convolutor_interval(F, p)
             assert iv.lower == iv.upper == l1
             assert iv.lower_method == f"exact:one-sign({DICTIONARY_VERSION})"
-            # at least every dict-v2 trial ratio, and the old interpolated upper end
-            for _, ratio in direct_dictionary_ratios(F.params.q, F.values, p):
+            # at least every dictionary trial ratio, and the old interpolated upper end
+            for _, ratio in direct_dictionary_ratios(F.values, p):
                 assert ratio <= l1 + 1e-12 * l1
             assert abs(convolutor_upper(F, p)[0] - l1) <= 1e-12 * l1
 
