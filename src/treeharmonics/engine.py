@@ -9,7 +9,8 @@ certifies attained Rayleigh quotients.  :func:`bounds_report` assembles
 both sides and *asserts* the sandwich ``compression_lower <= total_upper``
 — a violation is a soundness bug, not a data condition, and raises
 :class:`SoundnessError`.  :func:`line_profile` computes the
-reconstruction profile itself on a trapezoid grid, off the report path.
+reconstruction profile itself as a finite geometric sum, off the report
+path.
 
 ``p = 2`` is excluded throughout the pipeline: there the transform theory
 gives the exact operator norm directly, exposed separately as
@@ -28,9 +29,8 @@ from .params import (
     check_exponent,
     dual_exponent,
     strip_halfwidth,
-    torus_grid,
 )
-from .spherical import RadialKernel, c_inverse_shifted
+from .spherical import RadialKernel
 from .abel import abel_forward, weyl_residual
 from .tree import opnorm_lower, shell_masses
 from .zline import (
@@ -39,8 +39,6 @@ from .zline import (
     _powers,
     convolutor_interval,
     convolutor_upper,
-    fourier_z,
-    inverse_fourier_z,
 )
 
 
@@ -51,36 +49,23 @@ _SCOPE_MESSAGE = (
 )
 
 
-#: Trapezoid grid bounds of :func:`line_profile`; at the cap one q=2 profile
-#: takes about 0.6 s and 128 MB (2-core x86, numpy 2.4).
-_MIN_GRID, _MAX_GRID = 512, 1 << 20
-
-
-def _profile_grid(kernel, p):
-    """Half-width ``L`` and trapezoid grid size ``n`` of :func:`line_profile`."""
-    L = kernel.radius + math.ceil(40.0 / (2.0 * strip_halfwidth(p) * kernel.params.log_q))
-    n = max(_MIN_GRID, 1 << (2 * L + 1).bit_length())
-    if n > _MAX_GRID:
-        raise DomainError(f"p={p:g} is too close to 2: the line profile needs {n} > 2^20 points")
-    return L, n
-
-
 def line_profile(kernel, p):
     """Contour-shifted reconstruction profile ``phi`` on the integers.
 
-    For ``p in [1, 2)`` the shifted symbol is evaluated *algebraically* —
-    the Abel coefficients ``a_j`` are reweighted to ``a_j q^{j delta(p)}``
-    by :meth:`~treeharmonics.zline.ZKernel.shifted`, which is exact
-    for finitely supported kernels — then multiplied by the regularized
-    reciprocal c-function on the shifted line and inverted by an
-    ``n``-point trapezoid sum.  The result, returned as a two-sided kernel
-    on ``[-L, L]``, satisfies ``phi(d) = q^{d/p} k(d)`` for
-    ``0 <= d <= D``, vanishes for ``D < d <= L``, and decays like
-    ``q^{2 delta(p) l}`` into negative indices.  The half-width ``L`` is
-    the kernel radius plus a 40-e-folding tail, so the discarded tail is
-    below ``1e-12`` of the sup bound.  ``n`` is the least power of two
-    ``>= 2 L + 2`` (so periodic aliasing is below double precision) and at
-    least 512.  ``n > 2^20``, or a profile that overflows float64, raises
+    For ``p in [1, 2)`` the Abel coefficients ``a_j`` are reweighted to
+    ``F(j) = a_j q^{j delta(p)}`` (:meth:`~treeharmonics.zline.ZKernel.shifted`).
+    On the line ``Im z = -delta(p)`` the regularized reciprocal c-function
+    is a geometric series in ``rho = q^{-(1 + 2 delta(p))}``, so the
+    profile is one correlation of ``F`` with finitely many weights:
+
+        phi(d) = F(d) - (q - 1) sum_{n >= 1} rho^n F(d + 2n).
+
+    Returned as a two-sided kernel on ``[-L, L]``, it satisfies
+    ``phi(d) = q^{d/p} k(d)`` for ``0 <= d <= D``, is exactly zero for
+    ``D < d <= L``, and is geometric below ``-D``, ``phi(d - 2) = rho
+    phi(d)`` for ``d < -D``: it decays like ``q^{(1/2 + delta(p)) l}``, at
+    a rate that does not slow down as ``p -> 2``.  ``L`` is ``D`` plus 40
+    e-foldings of that tail.  A profile that overflows float64 raises
     :class:`~treeharmonics.params.DomainError`.
 
     Parameters
@@ -99,13 +84,16 @@ def line_profile(kernel, p):
             "handle p > 2 by duality before calling"
         )
     delta = strip_halfwidth(p)
-    L, n = _profile_grid(kernel, p)
-    shifted = abel_forward(kernel).shifted(delta)
-    s = torus_grid(params, n)
+    D = kernel.radius
+    L = D + 2 * math.ceil(40.0 / ((1.0 + 2.0 * delta) * params.log_q))
+    N = (L + D) // 2  # phi(-L) reaches F(D) through the weight rho^N
+    weights = np.zeros(2 * N + 1)
+    weights[0] = 1.0
+    weights[2::2] = (1.0 - params.q) * params.qpow(-(1.0 + 2.0 * delta) * np.arange(1, N + 1))
+    padded = np.zeros(2 * (L + N) + 1, dtype=complex)
+    padded[L - D : L + D + 1] = abel_forward(kernel).shifted(delta).values
     with np.errstate(over="ignore", invalid="ignore"):
-        g = fourier_z(shifted, s) * c_inverse_shifted(params, s, delta)
-        ell = np.arange(-L, L + 1)
-        vals = 2.0 * params.plancherel_const * params.period * inverse_fourier_z(g, ell)
+        vals = np.correlate(padded, weights, "valid")
     if not np.isfinite(vals).all():
         raise DomainError("the line profile overflows float64: the kernel values are too large")
     return ZKernel(params, -L, vals)

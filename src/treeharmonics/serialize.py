@@ -69,6 +69,7 @@ def read_kernel(path):
 # ---------------------------------------------------------------------------
 
 def _read_rows(path, header):
+    """The data rows as a float array, with the file line number of each row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -79,7 +80,7 @@ def _read_rows(path, header):
             raise DomainError(
                 f"{path}: bad header {','.join(first)!r}, expected {','.join(header)!r}"
             )
-        rows = []
+        rows, linenos = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -89,9 +90,10 @@ def _read_rows(path, header):
                 rows.append([float(x) for x in row])
             except ValueError as exc:
                 raise DomainError(f"{path}:{lineno}: {exc}") from exc
+            linenos.append(lineno)
     if not rows:
         raise DomainError(f"{path}: no data rows")
-    return rows
+    return np.asarray(rows, dtype=float), linenos
 
 
 def symbol_to_csv(symbol):
@@ -104,13 +106,20 @@ def symbol_to_csv(symbol):
 def read_symbol(q, path):
     """Read a symbol CSV sampled on the standard grid of its row count."""
     params = tree_params(q)
-    rows = _read_rows(path, ("s", "re", "im"))
-    n = check_grid(len(rows))
-    data = np.asarray(rows, dtype=float)
+    data, linenos = _read_rows(path, ("s", "re", "im"))
+    n = check_grid(len(data))
     grid = torus_grid(params, n)
-    if np.max(np.abs(data[:, 0] - grid)) > 1e-9 * params.period:
+    # a NaN frequency fails this comparison rather than passing it
+    if not (np.abs(data[:, 0] - grid) <= 1e-9 * params.period).all():
         raise DomainError(
             f"{path}: frequency column does not match the standard {n}-point grid for q={params.q}"
+        )
+    finite = np.isfinite(data[:, 1:]).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError(
+            f"{path}:{linenos[i]}: symbol values must be finite, "
+            f"got re={_fmt(data[i, 1])}, im={_fmt(data[i, 2])}"
         )
     return TorusSymbol(params, data[:, 1] + 1j * data[:, 2])
 

@@ -256,6 +256,37 @@ def test_invert_of_an_overflowing_symbol_exits_with_two(tmp_path, capsys):
     assert "inverse spherical transform overflows" in err
 
 
+def _symbol_csv_with(tmp_path, row, column, text):
+    # the 64-row symbol CSV of the unit mass at the origin, one cell replaced
+    lines = symbol_to_csv(TorusSymbol(2, np.ones(64))).splitlines()
+    cells = lines[row].split(",")
+    cells[column] = text
+    lines[row] = ",".join(cells)
+    path = tmp_path / "sym.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_invert_of_a_nan_frequency_exits_with_two(tmp_path, capsys):
+    # max(|s - grid|) > tol is False for a NaN, which once let this file through
+    sym = _symbol_csv_with(tmp_path, 17, 0, "nan")
+    assert main(["invert", "--kernel", sym, "--q", "2", "--radius", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "frequency column does not match" in captured.err
+
+
+@pytest.mark.parametrize("column, text", [(1, "nan"), (2, "inf"), (1, "-inf")])
+def test_invert_of_a_non_finite_symbol_value_names_its_line(tmp_path, column, text, capsys):
+    # line 1 is the header, so data row 17 is on line 18
+    sym = _symbol_csv_with(tmp_path, 17, column, text)
+    assert main(["invert", "--kernel", sym, "--q", "2", "--radius", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sym.csv:18: symbol values must be finite, got " in captured.err
+    assert text in captured.err and "overflow" not in captured.err
+
+
 def test_invert_past_the_grid_resolution_exits_with_two(tmp_path, ball1, capsys):
     sym = tmp_path / "sym.csv"
     assert main(["transform", "--kernel", ball1, "--grid", "64", "--out", str(sym)]) == 0

@@ -20,6 +20,7 @@ from oracles import (
     profile_strip_constant,
     recurrence_spherical,
     split_kernel,
+    trapezoid_line_profile,
 )
 from treeharmonics.abel import abel_forward
 from treeharmonics.engine import (
@@ -100,10 +101,66 @@ def test_line_profile_rejects_out_of_scope_exponents():
             line_profile(k, p)
 
 
-def test_line_profile_refuses_a_grid_past_the_cap():
-    # p = 1.9999 needs a 2^22-point profile grid; the cap is 2^20
-    with pytest.raises(DomainError, match="2\\^20"):
-        line_profile(ball_kernel(2, 2), 1.9999)
+def test_line_profile_that_overflows_is_refused():
+    # every shifted Abel coefficient is finite (F(1) = 1.6e308, F(3) =
+    # -1.6e308 at p = 1), but phi(1) = 2 k(1) = 2e308 is not; warnings are
+    # errors in the suite, so this also asserts none is raised
+    k = radial_kernel(2, [0.0, 1e308, 0.0, -2e307])
+    with pytest.raises(DomainError, match="line profile overflows"):
+        line_profile(k, 1.0)
+
+
+def test_line_profile_reconstructs_the_kernel_next_to_two():
+    # the half-width L stays below D + 2 + 80 / log q as p -> 2, so no
+    # exponent below 2 is refused
+    rng = np.random.default_rng(229)
+    for q in (2, 3):
+        for p in (1.999, 1.9999, 1.99999999):
+            for k in (ball_kernel(q, 2), random_kernel(rng, q, 5)):
+                phi = line_profile(k, p)
+                want = k.params.qpow(np.arange(k.radius + 1) / p) * k.values
+                got = phi.values[-phi.offset : -phi.offset + k.radius + 1]
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (q, p)
+
+
+def test_line_profile_is_the_trapezoid_sum_in_closed_form():
+    # on the union of the two windows, the entries one of them does not
+    # store compare with zero: both tails are below e^-40 there
+    rng = np.random.default_rng(233)
+    for q in (2, 3, 5, 7):
+        for p in (1.0, 1.01, 1.1, 4.0 / 3.0, 1.5, 1.8, 1.9, 1.99):
+            for D in range(12):
+                k = random_kernel(rng, q, D)
+                phi = line_profile(k, p)
+                ref = trapezoid_line_profile(k, p)
+                L = max(-phi.offset, -ref.offset)
+                a, b = np.zeros(2 * L + 1, complex), np.zeros(2 * L + 1, complex)
+                a[L + phi.offset : L - phi.offset + 1] = phi.values
+                b[L + ref.offset : L - ref.offset + 1] = ref.values
+                assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), (q, p, D)
+
+
+def test_line_profile_is_zero_above_the_support_and_geometric_below():
+    # exact zeros for D < d <= L: no tail is summed there.  Below -D every
+    # entry is rho times the one two steps up, rho = q^{-(1 + 2 delta)}: to
+    # 1e-14 of the tail's largest entry, but entry by entry only to 1e-12,
+    # since each weight is one exp of an argument up to about 50 (as many
+    # ulps) and some entries are sums that cancel
+    rng = np.random.default_rng(239)
+    for q in (2, 3, 5):
+        for p in (1.0, 1.1, 1.5, 1.9, 1.99):
+            for D in range(6):
+                k = random_kernel(rng, q, D)
+                phi = line_profile(k, p)
+                L = -phi.offset
+                assert phi.values.size == 2 * L + 1
+                assert not phi.values[L + D + 1 :].any()
+                rho = k.params.qpow(-(1.0 + 2.0 * strip_halfwidth(p)))
+                below = phi.values[: L - D]  # d = -L, ..., -D - 1
+                step = rho * below[2:]
+                error = np.abs(below[:-2] - step)
+                assert error.max() <= 1e-14 * np.abs(below).max(), (q, p, D)
+                assert (error <= 1e-12 * np.abs(step)).all(), (q, p, D)
 
 
 def test_profile_strip_constant_is_homogeneous():
@@ -143,8 +200,8 @@ def test_negative_height_bound_needs_p_below_two():
 def test_affine_oracle_is_the_shell_series_in_closed_form():
     # alpha * M_0 + H * M_1, with the horocyclic moments M_l summed term by
     # term in high precision, alpha the l = 0 truncation bound and H the
-    # strip constant.  The p = 1.9 profile derives a grid of 4096 at q = 2
-    # and 2048 at q = 3.
+    # strip constant.  The p = 1.9 profile spans [-L, L] with L = D + 110
+    # at q = 2 and L = D + 70 at q = 3.
     rng = np.random.default_rng(131)
     for q in (2, 3):
         kernels = (ball_kernel(q, 2), sphere_kernel(q, 3), random_kernel(rng, q, 3))
@@ -232,7 +289,8 @@ def test_negative_half_ascent_never_exceeds_the_shell_series():
 
 
 def test_line_profile_builds_no_dense_phase_matrix():
-    # L = 1099 at q = 2, p = 1.9: a (2L + 1) x n complex phase matrix alone is 144 MB
+    # L = 112 at q = 2, p = 1.9: the closed form allocates a few vectors of
+    # about 3L entries, and no (2L + 1) x n phase matrix of a frequency grid
     tracemalloc.start()
     try:
         line_profile(ball_kernel(2, 2), 1.9)

@@ -1,5 +1,6 @@
-"""Package surface: the lazy export map and the import order."""
+"""Package surface: the lazy export map, the import order and unused imports."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -68,3 +69,19 @@ def test_every_name_the_benchmark_pins_exists():
     workloads = _load_by_path("_bench_workloads", bench / "workloads.py")
     fields = {f.name for f in dataclasses.fields(BoundsReport)}
     assert set(workloads._REPORT_FLOATS) <= fields
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # no lint tool runs on the package; a name bound by an import and never
+    # read again is left behind when its last caller goes
+    unused = []
+    for path in sorted((SRC / "treeharmonics").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert not unused
