@@ -39,7 +39,7 @@ class TreeParams:
     ----------
     q : int
         Branching number; every vertex has ``q + 1`` neighbours.  Must be
-        an integer ``>= 2``.
+        an integer ``>= 2`` that float64 holds, below ``2**1024``.
     """
 
     q: int
@@ -50,6 +50,11 @@ class TreeParams:
         if self.q < 2:
             raise DomainError(f"branching number must be >= 2, got {self.q}")
         object.__setattr__(self, "q", int(self.q))
+        if self.q >= 1 << 1024:
+            # no float64 holds q; the digits of such a q may be too many to print
+            raise DomainError(
+                f"branching number must be below 2**1024, got one of {self.q.bit_length()} bits"
+            )
 
     @property
     def log_q(self):

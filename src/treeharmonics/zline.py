@@ -13,8 +13,8 @@ certified *intervals*.  One attained sup of the symbol on the real line
 serves both ends: the upper end interpolates between the exact ``l^1``
 norm and that sup, and the sup is itself a lower end at every ``p``,
 since an ``l^p`` multiplier norm is at least the ``l^2`` one.  The other
-lower candidates are trial vectors whose convolution ratios are computed
-exactly (the boxes in closed form).
+lower candidates are the delta and the iterates of a duality-map ascent,
+trial vectors whose convolution ratios are computed exactly.
 
 The trial dictionary is versioned (:data:`DICTIONARY_VERSION`); any change
 to its contents must bump the version string, which is quoted in every
@@ -37,9 +37,8 @@ from .params import (
 
 #: Version tag of the lower-bound trial dictionary.  Bump when the trial
 #: set changes, so stored reports remain attributable.
-DICTIONARY_VERSION = "dict-v5"
+DICTIONARY_VERSION = "dict-v6"
 
-_BOX_LENGTHS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 _POWER_ITERATES = 50
 _POWER_WINDOW = 1024
 _EVAL_CHUNK = 2048  # frequencies per phase matrix in _eval_symbol
@@ -432,47 +431,6 @@ def duality_ascent(apply, adjoint, norm, x, p, iters):
         x = phase_power(adjoint(phase_power(y, p - 1.0, mag)), pd - 1.0)
 
 
-def _box_ratios(vals, lengths, p):
-    """``||f * vals||_p / ||f||_p`` for the boxes ``f = 1_[0, L)``.
-
-    Returns ``{L: ratio}`` for ``1 <= p < inf``, without forming ``f`` or
-    the convolution.  With ``a = min(L, m)`` (``m`` the kernel length), the
-    entries of ``f * vals`` have the moduli of the ``a - 1`` prefix sums of
-    ``vals``, its ``a - 1`` suffix sums, and, each ``max(L - m + 1, 1)``
-    times, its sliding width-``a`` sums; ``||f||_p = L^{1/p}``.  The sums
-    depend on ``L`` only through ``a``, so every ``L >= m`` shares one set.
-    Every sum is built by additions only (the sliding sums by doubling the
-    window), never as a difference of partial sums, which would cancel.
-    """
-    m = vals.size
-    sums = {}
-    out = {}
-    for L in lengths:
-        a = min(L, m)
-        if a not in sums:
-            head = np.cumsum(vals[: a - 1])
-            tail = np.cumsum(vals[: m - a : -1])
-            # sliding sums of width a: window[i] sums vals[i : i + width], widths doubling
-            count = m - a + 1
-            middle, start, window, width = 0.0, 0, vals, 1
-            while True:
-                if a & width:
-                    middle = middle + window[start : start + count]
-                    start += width
-                if 2 * width > a:
-                    break
-                window = window[:-width] + window[width:]
-                width *= 2
-            sums[a] = (
-                np.sum(np.abs(head) ** p) + np.sum(np.abs(tail) ** p),
-                np.sum(np.abs(middle) ** p),
-            )
-        edges, middle = sums[a]
-        power = edges + max(L - m + 1, 1) * middle
-        out[L] = float(power ** (1.0 / p) / L ** (1.0 / p))
-    return out
-
-
 def convolutor_interval(F, p):
     """Certified two-sided bracket for the ``l^p`` convolution norm of ``F``.
 
@@ -492,13 +450,12 @@ def convolutor_interval(F, p):
     end at every ``p``: convolution by ``F`` has the same norm on ``l^p``
     and ``l^{p'}``, so Riesz-Thorin bounds the ``l^2`` norm, the sup, by
     the ``l^p`` norm (``M_p`` lies in ``M_2 = L^inf``).  At ``p == 2`` both
-    ends are the sup.  Elsewhere the lower end is the best of the sup,
-    named ``line-sup``, and the exact convolution ratios of the delta, the
-    dyadic boxes and the iterates of :func:`duality_ascent`, named
-    ``power[<iterates run>]``; the delta and the boxes are evaluated in
-    closed form (:func:`_box_ratios`).  A ratio that overflows certifies
-    nothing and is skipped.  An ``l^1`` norm that overflows float64 raises
-    :class:`~treeharmonics.params.DomainError`.
+    ends are the sup.  Elsewhere the lower end is the first strictly
+    greatest of the exact convolution ratio of the delta, ``||F||_p``,
+    that of the iterates of :func:`duality_ascent`, named
+    ``power[<iterates run>]``, and the sup, named ``line-sup``.  A ratio
+    that overflows certifies nothing and is skipped.  An ``l^1`` norm that
+    overflows float64 raises :class:`~treeharmonics.params.DomainError`.
     """
     p = check_exponent(p)
     F = F.trimmed()
@@ -521,21 +478,12 @@ def convolutor_interval(F, p):
     if p == 2.0:
         return NormInterval(upper, upper, upper_method, upper_method)
 
-    best = 0.0
-    best_name = "none"
-
-    def consider(ratio, name):
-        nonlocal best, best_name
-        if best < ratio < math.inf:
-            best = ratio
-            best_name = name
-
     window = min(_POWER_WINDOW, 4 * max(vals.size, 16))
     used, ratio = 0, 0.0
     # power sums and iterates may overflow at large p or near the float64 limit;
-    # consider() skips a ratio that is not finite, and the ascent stops before one
+    # a ratio that is not finite is skipped below, and the ascent stops before one
     with np.errstate(over="ignore", invalid="ignore"):
-        boxes = _box_ratios(vals, _BOX_LENGTHS, p)
+        delta = _modulus_norm(np.abs(vals), p)
         for used, value in duality_ascent(
             lambda x: np.convolve(x, vals),
             # np.correlate conjugates vals: the adjoint, on the window alone
@@ -546,11 +494,10 @@ def convolutor_interval(F, p):
             _POWER_ITERATES,
         ):
             ratio = max(ratio, value)
-    consider(boxes[1], "delta")
-    for L in _BOX_LENGTHS[1:]:  # the box of length 1 is the delta
-        consider(boxes[L], f"box[{L}]")
-    consider(ratio, f"power[{used}]")
-    consider(sup, "line-sup")
+    best, best_name = 0.0, "none"
+    for value, name in ((delta, "delta"), (ratio, f"power[{used}]"), (sup, "line-sup")):
+        if best < value < math.inf:
+            best, best_name = value, name
     return NormInterval(
         best, upper, f"trial:{best_name}({DICTIONARY_VERSION})", upper_method
     )

@@ -782,18 +782,21 @@ def fine_grid_line_sup(q, offset, values, v, n=1 << 16):
 # ---------------------------------------------------------------------------
 
 def direct_dictionary_ratios(values, p):
-    """Every trial of the ``dict-v5`` dictionary with its exact ratio, in trial order.
+    """The trials of the ``dict-v6`` dictionary, and dense boxes, with their exact ratios.
 
-    ``dict-v5`` runs these trials, and the line sup, on kernels that
-    change sign or are complex and have more than two nonzero entries, and
-    takes the others to their exact ``l^1`` norm.
+    ``dict-v6`` runs the delta, the ascent and the line sup on kernels
+    that change sign or are complex and have more than two nonzero
+    entries, and takes the others to their exact ``l^1`` norm.  The boxes
+    of lengths ``2^1 .. 2^12`` were trials up to ``dict-v5``; they stay
+    here as a reference that no box ratio beats the lower end.
 
-    Builds each trial vector explicitly — the delta, the boxes of lengths
-    ``2^1 .. 2^12``, and the duality-map ascent from the constant vector on
-    a window of ``min(1024, 4 max(m, 16))`` entries, 50 iterates at most —
-    and takes ``||f * values||_p / ||f||_p`` by dense ``np.convolve``.  The
-    ascent is one entry ``power[<iterates run>]`` holding its best ratio.
-    Returns a list of ``(name, ratio)`` pairs.
+    Builds each trial vector explicitly — the delta, the boxes, named
+    ``box[<length>]``, and the duality-map ascent from the constant vector
+    on a window of ``min(1024, 4 max(m, 16))`` entries, 50 iterates at
+    most — and takes ``||f * values||_p / ||f||_p`` by dense
+    ``np.convolve``.  The ascent is one entry ``power[<iterates run>]``
+    holding its best ratio.  Returns a list of ``(name, ratio)`` pairs in
+    that order.
     """
     values = np.asarray(values, dtype=complex)
     trials = [("delta", np.ones(1, dtype=complex))]

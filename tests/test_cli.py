@@ -139,6 +139,17 @@ def test_non_finite_kernel_file_exits_with_two(tmp_path):
     assert main(["check", "--kernel", str(bad), "--p", "1.5", "--radius", "5"]) == 2
 
 
+@pytest.mark.parametrize("command", [["check", "--p", "1.5"], ["transform"], ["norms", "--p", "1.5"]])
+def test_a_degree_float64_cannot_hold_exits_with_two(tmp_path, command, capsys):
+    path = tmp_path / "bigq.json"
+    path.write_text(json.dumps({"q": 10**309, "values": [[1.0, 0.0], [0.5, 0.0]]}))
+    assert main([*command, "--kernel", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: branching number must be below 2**1024")
+    assert "Traceback" not in err
+
+
 @pytest.fixture(params=[1e308], ids=["1e308"])
 def huge(tmp_path, request):
     path = tmp_path / "huge.json"

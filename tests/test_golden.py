@@ -1,7 +1,8 @@
 """Byte-exact regression against checked-in reference reports.
 
-``report_sweep.jsonl`` holds one compact report per ``(q, kernel, p, R)``
-case of :func:`sweep_cases`, and ``shell_series.jsonl`` the ``repr`` of
+``report_q2_p15_R10_ball2.json`` holds the report of :func:`golden_report`,
+``report_sweep.jsonl`` one compact report per ``(q, kernel, p, R)`` case
+of :func:`sweep_cases`, and ``shell_series.jsonl`` the ``repr`` of
 :func:`~treeharmonics.engine.negative_height_bound` per case of
 :func:`shell_series_cases`.  A change that moves any byte of them must
 regenerate the files and say which values moved and why::
@@ -36,9 +37,13 @@ SHELL = GOLDEN_DIR / "shell_series.jsonl"
 SHELL_EXPONENTS = (1.0, 1.01, 1.1, 4.0 / 3.0, 1.5, 1.8, 1.99)
 
 
+def golden_report():
+    """The report of the ball of radius 2 on the tree with q = 2, at p = 1.5 and R = 10."""
+    return report_to_json(bounds_report(ball_kernel(2, 2), 1.5, radius=10))
+
+
 def test_reference_report_is_byte_stable():
-    rep = bounds_report(ball_kernel(2, 2), 1.5, radius=10)
-    assert report_to_json(rep) == GOLDEN.read_text()
+    assert golden_report() == GOLDEN.read_text()
 
 
 def sweep_cases():
@@ -47,7 +52,7 @@ def sweep_cases():
     Every kernel runs at every exponent of :data:`SWEEP_EXPONENTS` and at
     the radii ``D + 1``, ``D + 3`` and ``D + 6``, so the sweep reaches the
     trials, the ascents and both parity blocks of the compression, and the
-    ascent and the box trials of the symbol interval.
+    delta, the ascent and the line sup of the symbol interval.
     """
     rng = np.random.default_rng(2024)
     for q in (2, 3, 5):
@@ -124,6 +129,8 @@ def test_shell_series_is_byte_stable():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
         sys.exit(f"usage: python {sys.argv[0]} --regen")
+    GOLDEN.write_text(golden_report())
+    print(f"wrote {GOLDEN}")
     for path, lines in ((SWEEP, sweep_lines()), (SHELL, shell_series_lines())):
         path.write_text("".join(line + "\n" for line in lines))
         print(f"wrote {path}")

@@ -29,6 +29,14 @@ def test_tree_params_rejects_bad_degrees():
             TreeParams(bad)
 
 
+def test_tree_params_refuses_a_degree_float64_cannot_hold():
+    # q - 1.0 and every spectral constant need q as a float64
+    assert tree_params(2**1023).q == 2**1023
+    for bad in (2**1024, 10**309, 10**5000):
+        with pytest.raises(DomainError, match="below 2\\*\\*1024"):
+            TreeParams(bad)
+
+
 def test_tree_params_idempotent_coercion():
     params = tree_params(3)
     assert tree_params(params) is params

@@ -22,6 +22,7 @@ from treeharmonics.serialize import (
 )
 from treeharmonics.spherical import ball_kernel, radial_kernel, spherical_transform
 from treeharmonics.tree import ball_geometry
+from treeharmonics.zline import DICTIONARY_VERSION
 
 
 def test_kernel_json_roundtrip_is_lossless(tmp_path):
@@ -113,7 +114,7 @@ def test_report_json_preserves_field_order():
     text = report_to_json(rep)
     obj = json.loads(text)
     assert list(obj) == list(rep.to_json_dict())
-    assert obj["dictionary_version"] == "dict-v5"
+    assert obj["dictionary_version"] == DICTIONARY_VERSION
     assert text.endswith("\n")
 
 

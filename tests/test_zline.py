@@ -24,7 +24,6 @@ from treeharmonics.spherical import ball_kernel, radial_kernel
 from treeharmonics.zline import (
     DICTIONARY_VERSION,
     ZKernel,
-    _box_ratios,
     _grid_symbol,
     _line_sup,
     _modulus_norm,
@@ -375,20 +374,21 @@ def dictionary_cases():
         yield ZKernel(tree_params(q), int(rng.integers(-20, 21)), vals)
 
 
-def test_box_trials_and_the_winner_match_the_dense_dictionary():
-    lengths = [2**e for e in range(13)]
+def test_no_dense_box_beats_the_lower_end_and_the_winner_matches_the_dictionary():
     for F in dictionary_cases():
         rounding = 1e-12 * F.l1()
         for p in (1.1, 1.5, 2.5, 4.0):
-            candidates = direct_dictionary_ratios(F.values, p) + [("line-sup", _line_sup(F)[0])]
-            ratios = dict(candidates)
-            closed = _box_ratios(F.values, lengths, p)
-            assert sorted(closed) == lengths
-            assert abs(closed[1] - ratios["delta"]) <= rounding
-            for L in lengths[1:]:
-                assert abs(closed[L] - ratios[f"box[{L}]"]) <= rounding
-
+            dense = direct_dictionary_ratios(F.values, p)
             iv = convolutor_interval(F, p)
+            # the boxes are no trials: the delta, the ascent and the line sup
+            # reach every dense box ratio
+            for trial, ratio in dense:
+                if trial.startswith("box["):
+                    assert ratio <= iv.lower + rounding, (trial, p)
+
+            candidates = [(t, r) for t, r in dense if not t.startswith("box[")]
+            candidates.append(("line-sup", _line_sup(F)[0]))
+            ratios = dict(candidates)
             name = iv.lower_method.removeprefix("trial:").removesuffix(f"({DICTIONARY_VERSION})")
             best_name, best = candidates[0]
             for trial, ratio in candidates[1:]:
