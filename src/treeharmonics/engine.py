@@ -5,7 +5,11 @@ in horocyclic coordinates.  The negative-height half is the finite shell
 series of :func:`negative_height_bound`, whose rows the reconstruction
 identity gives exactly; the nonnegative-height half is a weighted Abel
 sum.  The lower bound compresses the convolutor to a finite ball and
-certifies attained Rayleigh quotients.  :func:`bounds_report` assembles
+certifies attained Rayleigh quotients.  Where the split exponent is 1
+(``p`` in ``{1, inf}``) or the kernel has radius 0, both sides are the
+exact tree ``l1`` norm, so the sandwich compares that norm with itself;
+the tests cross-check it on explicit balls, where the delta and a
+phase-matched row attain it.  :func:`bounds_report` assembles
 both sides and *asserts* the sandwich ``compression_lower <= total_upper``
 — a violation is a soundness bug, not a data condition, and raises
 :class:`SoundnessError`.  :func:`line_profile` computes the
@@ -109,9 +113,9 @@ def negative_height_bound(kernel, p):
     exactly: ``row_m(u) = q^{u/p} k(u)`` for ``2m+1 <= u <= D`` and zero
     beyond, so the series is the finite sum over ``m <= (D-1)/2`` of
     ``mu_m q^{-2m/p} ||row_m||``, each row norm certified by
-    :func:`~treeharmonics.zline.convolutor_upper` (exact for a row with at
-    most two nonzero entries).  The same series per unit ``||f||_p`` is
-    the ``rhs`` of :func:`transference_check`.
+    :func:`~treeharmonics.zline.convolutor_upper` (exact for a one-sign
+    row and for a row with at most two nonzero entries).  The same series
+    per unit ``||f||_p`` is the ``rhs`` of :func:`transference_check`.
 
     Every row is a suffix of row 0, ``q^{u/p} k(u)`` for ``1 <= u <= D``,
     which is scaled once.  Kernels supported at the origin only have an
@@ -173,6 +177,11 @@ def spectral_sup(kernel):
     return value
 
 
+def _split_exponent(p):
+    """The exponent of the height split: ``p`` below 2, and above 2 the dual, of the same norm."""
+    return p if p < 2.0 else dual_exponent(p)
+
+
 def tree_norm_upper(kernel, p):
     """Certified upper bound for the ``L^p`` convolutor norm on the tree.
 
@@ -190,7 +199,7 @@ def tree_norm_upper(kernel, p):
     p = check_exponent(p)
     if p == 2.0:
         raise ScopeError(_SCOPE_MESSAGE)
-    pe = p if p < 2.0 else dual_exponent(p)
+    pe = _split_exponent(p)
     if pe == 1.0:
         return kernel.l1_on_tree(), None, None
     step1 = negative_height_bound(kernel, pe)
@@ -203,15 +212,19 @@ def tree_norm_upper(kernel, p):
 def tree_norm_lower(kernel, p, radius=None):
     """Certified lower bound by compression to a ball of the given radius.
 
-    Every reported value is an attained Rayleigh quotient of the exact
-    ball convolution of a radial trial function, computed on the radial
-    quotient of the ball by :func:`~treeharmonics.tree.opnorm_lower`,
-    hence a true lower bound for the convolutor norm.  The value is
-    clamped to the tree ``l1`` norm, which bounds every ``L^p`` norm, so
-    that rounding never lifts it above the exact norm at ``p = 1``.
-    Returns ``(value, method)``.  The ball must strictly contain the
-    kernel support (``radius >= D + 1`` so the central column is
-    complete); the default ``D + 3`` leaves room for window trials.
+    Where the split exponent is 1 — ``p`` in ``{1, inf}``, or a ``p``
+    whose dual rounds to 1 — or the kernel has radius 0, the convolutor
+    norm is the tree ``l1`` norm, returned as ``exact:l1`` without a
+    compression.  Otherwise every reported value is an attained Rayleigh
+    quotient of the exact ball convolution of a radial trial function,
+    computed on the radial quotient of the ball by
+    :func:`~treeharmonics.tree.opnorm_lower`, hence a true lower bound for
+    the convolutor norm.  That value is clamped to the tree ``l1`` norm,
+    which bounds every ``L^p`` norm: for ``p`` next to 1 the best trial
+    can round above the exact norm.  Returns ``(value, method)``.  The
+    ball must strictly contain the kernel support (``radius >= D + 1`` so
+    the central column is complete), at every ``p``; the default ``D + 3``
+    leaves room for window trials.
     """
     p = check_exponent(p)
     D = kernel.radius
@@ -223,6 +236,8 @@ def tree_norm_lower(kernel, p, radius=None):
             f"compression radius {radius} must be at least D+1 = {D + 1} "
             "so the central column is complete"
         )
+    if D == 0 or _split_exponent(p) == 1.0:
+        return kernel.l1_on_tree(), "exact:l1"
     value, method = opnorm_lower(kernel, p, radius)
     try:
         value = min(value, kernel.l1_on_tree())

@@ -24,18 +24,19 @@ runs the same recurrence on the radial quotient: ``R + 1`` per-sphere
 values, rescaled so that no sphere size is formed at any radius.  It
 runs that recurrence once per operator, on one comb per residue class
 modulo ``2D + 1``, to build the quotient operator as a band of ``2D + 1``
-diagonals.  The closed-form trials then go through one band product, as
-the rows of one matrix, and every ascent iterate is one ``O(R * D)``
-band product each way.  The tree is bipartite, so a kernel supported on
-distances of one parity maps the even spheres and the odd spheres to
-disjoint sets of spheres; its norm is the larger of two block norms, and
-the ascent runs once inside each block instead of waiting for the weaker
-block to die out.  The explicit :class:`TreeBall` (at most
-:data:`MAX_BALL_VERTICES` vertices) serves the transference check and the
-tests; the census command uses the closed form :func:`census_cells`.  The
-transference check runs no convolution on it: every vertex has one
-neighbour a height above it and the rest a height below, and the ball's
-up-gather and down-sum, read off the level offsets, walk the geodesics.
+diagonals.  The three closed-form trials and every ascent iterate then
+go through one ``O(R * D)`` band product each way; at ``p`` in ``{1,
+inf}``, where the norm is the tree ``l^1`` norm, it does not run.  The
+tree is bipartite, so a kernel supported on distances of one parity maps
+the even spheres and the odd spheres to disjoint sets of spheres; its
+norm is the larger of two block norms, and the ascent runs once inside
+each block instead of waiting for the weaker block to die out.  The
+explicit :class:`TreeBall` (at most :data:`MAX_BALL_VERTICES` vertices)
+serves the transference check and the tests; the census command uses the
+closed form :func:`census_cells`.  The transference check runs no
+convolution on it: every vertex has one neighbour a height above it and
+the rest a height below, and the ball's up-gather and down-sum, read off
+the level offsets, walk the geodesics.
 """
 
 import math
@@ -380,18 +381,12 @@ def _radial_convolve(kv, h, q, p):
 def _radial_norm(mag, q, p):
     """``l^p`` norm on the tree of a radial function whose scaled values have moduli ``mag``.
 
-    A 2-d ``mag`` holds one function per row and gives the list of their
-    norms.  numpy's array ``pow`` and its scalar ``pow`` can differ in the
-    last bit, so each power here keeps its kind whatever the shape: the
-    tail ``mag[1:] ** p`` is an array power, and the head ``mag[0] ** p``
-    and the root are scalar powers, taken row by row.
+    numpy's array ``pow`` and its scalar ``pow`` can differ in the last
+    bit, so each power here keeps its kind: the tail ``mag[1:] ** p`` is
+    an array power, and the head ``mag[0] ** p`` and the root are scalar
+    powers.
     """
-    if math.isinf(p):
-        return mag.max(axis=-1).tolist()
-    tails = np.add.reduce(mag[..., 1:] ** p, axis=-1)
-    if mag.ndim == 1:
-        return float((mag[0] ** p + (q + 1) * tails) ** (1.0 / p))
-    return [float((h**p + (q + 1) * t) ** (1.0 / p)) for h, t in zip(mag[:, 0], tails)]
+    return float((mag[0] ** p + (q + 1) * np.add.reduce(mag[1:] ** p)) ** (1.0 / p))
 
 
 def _scale_rows(tops, n, q, p):
@@ -435,26 +430,25 @@ def _radial_band(kv, q, p, radius, columns, rows):
     return image[i, (i - D + np.arange(width)) % width]
 
 
-def _band_product(band, scale, batch=()):
-    """``x -> scale * sum_k band[i, k] x[..., i - D + k]`` at each ``i``, ``x`` zero-padded.
+def _band_product(band, scale):
+    """``x -> scale * sum_k band[i, k] x[i - D + k]`` at each ``i``, ``x`` zero-padded.
 
-    ``x`` has shape ``batch + (n,)``, one vector per row, with the same
-    ``n`` at every call, so the zero padding is written once.  Each
-    product writes ``x`` into one preallocated buffer and runs one
-    ``einsum`` over its sliding windows: ``O(rows * D)`` per vector, and no
-    BLAS call, so its bytes depend neither on the thread count nor on the
-    batch.  The windows are one strided view of the buffer, built once:
-    window ``i`` starts at entry ``i`` and steps one entry at a time.
+    ``x`` has the same length at every call, so the zero padding is
+    written once.  Each product writes ``x`` into one preallocated buffer
+    and runs one ``einsum`` over its sliding windows: ``O(rows * D)``, and
+    no BLAS call, so its bytes do not depend on the thread count.  The
+    windows are one strided view of the buffer, built once: window ``i``
+    starts at entry ``i`` and steps one entry at a time.
     """
     rows, width = band.shape
     D = width // 2
-    buf = np.zeros(batch + (rows + width - 1,), dtype=complex)
-    step = buf.strides[-1]
-    windows = np.ndarray(batch + (rows, width), complex, buf, 0, buf.strides[:-1] + (step, step))
+    buf = np.zeros(rows + width - 1, dtype=complex)
+    step = buf.strides[0]
+    windows = np.ndarray((rows, width), complex, buf, 0, (step, step))
 
     def product(x):
-        buf[..., D : D + x.shape[-1]] = x
-        out = np.einsum("ij,...ij->...i", band, windows)
+        buf[D : D + x.size] = x
+        out = np.einsum("ij,ij->i", band, windows)
         if scale != 1.0:
             out *= scale
         return out
@@ -465,7 +459,7 @@ def _band_product(band, scale, batch=()):
 # an overflowing ratio is skipped, so its float64 overflow needs no warning
 @np.errstate(over="ignore", invalid="ignore")
 def opnorm_lower(kernel, p, radius):
-    """Best certified lower bound for the ``l^p`` norm of radial convolution.
+    """Best certified lower bound for the ``l^p`` norm of radial convolution, ``1 < p < inf``.
 
     Works on the radial quotient of the ball of the given radius: a
     radial function is its ``radius + 1`` sphere values, and the ball
@@ -477,29 +471,29 @@ def opnorm_lower(kernel, p, radius):
     ``O(radius * D)`` memory, and the comb and image each is built from
     are freed once it is built: no ``(radius + 1)``-square matrix is ever
     formed.  Every candidate ``f`` is supported in the ball of radius
-    ``radius - D``,
-    where the ball convolution is exact, so every ratio
+    ``radius - D``, where the ball convolution is exact, so every ratio
     ``||k * f||_p / ||f||_p`` is a true lower bound for the operator norm
-    on the whole tree.  Candidates, all radial: the point mass at the
-    base vertex (``delta``, sharp at ``p = 1``), ball indicators at
-    dyadic radii (``ball[r]``), a phase-matched profile concentrated at
-    the base vertex (``matched-row``, sharp at ``p = inf`` once the window
-    holds the kernel), all three kinds zero-padded to the window as the
-    rows of one matrix and applied in one band product, each ratio's
-    denominator taken over the trial's own length; and the first
-    :data:`_TREE_POWER_ITERATES` iterates of
-    :func:`~treeharmonics.zline.duality_ascent` (for ``1 < p < inf``),
-    named ``power[k]`` after the first iterate to reach the best ratio.
-    The ascent starts from the window's indicator; for a one-parity
-    kernel (``D >= 1`` and ``k(d) = 0`` whenever ``d - D`` is odd) it runs
-    twice, from that indicator on the even spheres and then on the odd
-    ones, since both bands vanish exactly at offsets of the other parity
-    and each run stays in its block; ``k`` counts the iterates of its own
-    run.  A candidate whose ratio overflows certifies nothing and is
-    skipped.
+    on the whole tree.  Candidates, all radial and each run through the
+    ascent's own band product: the point mass at the base vertex
+    (``delta``), the indicator of the window (``ball[window]``), a
+    phase-matched profile concentrated at the base vertex
+    (``matched-row``), each ratio's denominator taken over the trial's
+    own length; and the first :data:`_TREE_POWER_ITERATES` iterates of
+    :func:`~treeharmonics.zline.duality_ascent`, named ``power[k]`` after
+    the first iterate to reach the best ratio.  The ascent starts from the
+    window's indicator; for a one-parity kernel (``D >= 1`` and ``k(d) =
+    0`` whenever ``d - D`` is odd) it runs twice, from that indicator on
+    the even spheres and then on the odd ones, since both bands vanish
+    exactly at offsets of the other parity and each run stays in its
+    block; ``k`` counts the iterates of its own run.  A candidate whose
+    ratio overflows certifies nothing and is skipped.  At ``p`` in
+    ``{1, inf}``, where the norm is the tree ``l^1`` norm, it raises
+    :class:`~treeharmonics.params.DomainError`, as the ascent does.
     Returns ``(bound, method)``.
     """
     p = check_exponent(p)
+    if not 1.0 < p < math.inf:
+        raise DomainError(f"the compression runs at 1 < p < inf, got p={p:g}")
     q = kernel.params.q
     kv = kernel.values
     D = kernel.radius
@@ -516,7 +510,11 @@ def opnorm_lower(kernel, p, radius):
     # the product does not: an infinite entry times a zero of a trial
     # vector would give NaN.
     scale = 2.0 ** max(0, math.frexp(float(np.abs(kv).max()))[1] - 1)
-    band = _radial_band(kv / scale, q, p, radius, nw, radius + 1)
+    forward = _band_product(_radial_band(kv / scale, q, p, radius, nw, radius + 1), scale)
+    # In scaled coordinates the adjoint of convolution by k is convolution
+    # by conj(k) at the dual exponent.
+    conj_band = _radial_band(np.conj(kv) / scale, q, dual_exponent(p), radius, radius + 1, nw)
+    adjoint = _band_product(conj_band, scale)
 
     best = 0.0
     best_name = "none"
@@ -527,45 +525,27 @@ def opnorm_lower(kernel, p, radius):
             best = ratio
             best_name = name
 
-    # the closed-form trials, each zero-padded to the window, as the rows of
-    # one matrix through one band product
-    r = 1
-    radii = []
-    while r < window:
-        radii.append(r)
-        r *= 2
-    if window >= 1:
-        radii.append(window)
-    # phase-matched row conj(k) |k|^{1/(p-1) - 1}; the bare phase at p = 1 and p = inf
+    # the closed-form trials, zero-padded to the window; at window 0 the
+    # window's indicator is the delta, and a tie never wins
     rmatch = min(D, window)
-    expo = 1.0 / (p - 1.0) if 1.0 < p < math.inf else 0.0
-    names = ["delta", *(f"ball[{r}]" for r in radii), "matched-row"]
-    tops = [0, *radii, rmatch]
+    tops = (0, window, rmatch)
     trials = _scale_rows(tops, nw, q, p).astype(complex)
-    trials[-1, : rmatch + 1] *= phase_power(np.conj(kv[: rmatch + 1]), expo)
-    images = _radial_norm(np.abs(_band_product(band, scale, (len(tops),))(trials)), q, p)
-    for name, top, trial, image in zip(names, tops, np.abs(trials), images):
+    trials[2, : rmatch + 1] *= phase_power(np.conj(kv[: rmatch + 1]), 1.0 / (p - 1.0))
+    for name, top, trial in zip(("delta", f"ball[{window}]", "matched-row"), tops, trials):
         # over the trial's own length: padding zeros would regroup the sum
-        denom = _radial_norm(trial[: top + 1], q, p)
+        denom = _radial_norm(np.abs(trial[: top + 1]), q, p)
         if denom != 0.0:
-            consider(image / denom, name)
+            consider(_radial_norm(np.abs(forward(trial)), q, p) / denom, name)
 
-    if 1.0 < p < math.inf:
-        # In scaled coordinates the adjoint of convolution by k is
-        # convolution by conj(k) at the dual exponent.
-        conj_band = _radial_band(np.conj(kv) / scale, q, dual_exponent(p), radius, radius + 1, nw)
-        adjoint = _band_product(conj_band, scale)
-        start = trials[len(radii)]  # the row of ball[window], or of the delta at window 0
-        starts = [start]
-        if D >= 1 and not kv[(D + 1) % 2 :: 2].any():
-            # Both bands are exactly 0 at offsets of the other parity, so the
-            # even and the odd spheres are invariant blocks: one ascent each.
-            odd = np.arange(nw) % 2 == 1
-            starts = [np.where(odd, 0.0, start), np.where(odd, start, 0.0)]
-        forward = _band_product(band, scale)
-        for x0 in starts:
-            for k, value in duality_ascent(
-                forward, adjoint, lambda mag: _radial_norm(mag, q, p), x0, p, _TREE_POWER_ITERATES
-            ):
-                consider(value, f"power[{k}]")
+    starts = [trials[1]]
+    if D >= 1 and not kv[(D + 1) % 2 :: 2].any():
+        # Both bands are exactly 0 at offsets of the other parity, so the
+        # even and the odd spheres are invariant blocks: one ascent each.
+        odd = np.arange(nw) % 2 == 1
+        starts = [np.where(odd, 0.0, trials[1]), np.where(odd, trials[1], 0.0)]
+    for x0 in starts:
+        for k, value in duality_ascent(
+            forward, adjoint, lambda mag: _radial_norm(mag, q, p), x0, p, _TREE_POWER_ITERATES
+        ):
+            consider(value, f"power[{k}]")
     return best, best_name

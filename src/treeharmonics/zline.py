@@ -9,9 +9,10 @@ values of the symbol
 a trigonometric polynomial in ``z`` with period ``2*pi/log(q)`` that
 extends holomorphically to every horizontal strip.  Exact values of the
 ``l^p`` operator norm are unknown in general, so this module reports
-certified *intervals*.  One attained sup of the symbol on the real line
-serves both ends: the upper end interpolates between the exact ``l^1``
-norm and that sup, and the sup is itself a lower end at every ``p``,
+certified *intervals*; where the ``l^1`` norm is exact (:func:`_l1_exact`)
+both ends are that norm.  Otherwise one attained sup of the symbol on the
+real line serves both ends: the upper end interpolates between the exact
+``l^1`` norm and that sup, and the sup is itself a lower end at every ``p``,
 since an ``l^p`` multiplier norm is at least the ``l^2`` one.  The other
 lower candidates are the delta and the iterates of a duality-map ascent,
 trial vectors whose convolution ratios are computed exactly.
@@ -282,23 +283,41 @@ class NormInterval:
         object.__setattr__(self, "lower", min(self.lower, self.upper))
 
 
+def _l1_exact(F, p):
+    """Why the bound ``||F||_1`` is exact for convolution by ``F`` on ``l^p``, or ``None``.
+
+    ``one-sign``: at most one nonzero entry, or real entries of one sign,
+    which the boxes ``1_[0, L)`` attain as ``L -> oo``.  ``two-entry``:
+    two nonzero entries, whose phases align somewhere on the real line, so
+    the ``l^2`` norm, the sup of the symbol, is already ``||F||_1``, and
+    the ``l^p`` norm lies between the two.  ``endpoint``: ``p`` in ``{1,
+    inf}``, where the delta and a matched-sign trial attain it.
+    """
+    vals = F.values
+    nonzero = np.count_nonzero(vals)
+    real = vals.real
+    if nonzero <= 1 or (not vals.imag.any() and ((real >= 0.0).all() or (real <= 0.0).all())):
+        return "one-sign"
+    if nonzero == 2:
+        return "two-entry"
+    if p == 1.0 or math.isinf(p):
+        return "endpoint"
+    return None
+
+
 def convolutor_upper(F, p):
     """Certified upper bound for the norm of convolution by ``F`` on ``l^p``.
 
-    Returns ``(value, method)``.  At ``p`` in ``{1, inf}`` the bound is the
-    exact ``l^1`` norm.  So it is at every ``p`` for a kernel with at most
-    two nonzero entries: the two phases align somewhere on the real line,
-    so the ``l^2`` norm, the sup of the symbol, already equals ``||F||_1``,
-    and the ``l^p`` norm lies between the two; interpolating with a grid
-    sup would land up to an ulp below it.  Otherwise the bound is
-    :func:`_sup_upper`'s.  An ``l^1`` norm that overflows float64 raises
-    :class:`~treeharmonics.params.DomainError`.
+    Returns ``(value, method)``.  Where :func:`_l1_exact` gives a reason,
+    the bound is the exact ``||F||_1``, named ``l1-exact(<reason>)``;
+    interpolating with a grid sup would land up to an ulp below it.
+    Otherwise the bound is :func:`_sup_upper`'s.  An ``l^1`` norm that
+    overflows float64 raises :class:`~treeharmonics.params.DomainError`.
     """
     p = check_exponent(p)
-    if p == 1.0 or math.isinf(p):
-        return F.l1(), "l1-exact"
-    if np.count_nonzero(F.values) <= 2:
-        return F.l1(), "l1-exact(two-entry)"
+    exact = _l1_exact(F, p)
+    if exact:
+        return F.l1(), f"l1-exact({exact})"
     return _sup_upper(F, p)[:2]
 
 
@@ -434,16 +453,9 @@ def duality_ascent(apply, adjoint, norm, x, p, iters):
 def convolutor_interval(F, p):
     """Certified two-sided bracket for the ``l^p`` convolution norm of ``F``.
 
-    A kernel with one nonzero entry, or with real entries of one sign, has
-    the exact norm ``||F||_1`` at every ``p``: Young's inequality bounds
-    the norm by it, and the boxes ``1_[0, L)`` attain it as ``L -> oo``.
-    Both ends are then that norm, named ``exact:one-sign`` and
-    ``l1-exact(one-sign)``.  With two nonzero entries both ends are
-    :func:`convolutor_upper`'s ``||F||_1``, the lower named
-    ``exact:two-entry``: the two phases align at some frequency, where the
-    boxes modulated there attain ``||F||_1`` as ``L -> oo``.  For ``p`` in
-    ``{1, inf}`` both ends are the exact ``l^1`` norm, which the delta
-    trial and a matched-sign trial attain.
+    Where :func:`_l1_exact` gives a reason, both ends are the exact
+    ``||F||_1``, named ``exact:<reason>`` and ``l1-exact(<reason>)``, as
+    in :func:`convolutor_upper`.
 
     Every other kernel reads one line sup (:func:`_line_sup`) at both
     ends.  The upper end is :func:`_sup_upper`'s.  The sup is also a lower
@@ -459,25 +471,15 @@ def convolutor_interval(F, p):
     """
     p = check_exponent(p)
     F = F.trimmed()
-    vals = F.values
-    real = vals.real
-    if vals.size == 1 or (not vals.imag.any() and ((real >= 0.0).all() or (real <= 0.0).all())):
+    exact = _l1_exact(F, p)
+    if exact:
         l1 = F.l1()
-        return NormInterval(
-            l1, l1, f"exact:one-sign({DICTIONARY_VERSION})", "l1-exact(one-sign)"
-        )
-    two_entry = np.count_nonzero(vals) == 2
-    if two_entry or p == 1.0 or math.isinf(p):
-        upper, upper_method = convolutor_upper(F, p)
-        if two_entry:
-            method = "exact:two-entry"
-        else:
-            method = "trial:delta" if p == 1.0 else "trial:matched-sign"
-        return NormInterval(upper, upper, f"{method}({DICTIONARY_VERSION})", upper_method)
+        return NormInterval(l1, l1, f"exact:{exact}({DICTIONARY_VERSION})", f"l1-exact({exact})")
     upper, upper_method, sup = _sup_upper(F, p)
     if p == 2.0:
         return NormInterval(upper, upper, upper_method, upper_method)
 
+    vals = F.values
     window = min(_POWER_WINDOW, 4 * max(vals.size, 16))
     used, ratio = 0, 0.0
     # power sums and iterates may overflow at large p or near the float64 limit;

@@ -250,9 +250,11 @@ def ball_opnorm_lower(ball, kernel, p, seed=0, iters=200):
     """Compression lower bound on an explicit ball, vertex by vertex.
 
     The explicit-ball form of ``tree.opnorm_lower``: the same trials
-    (``delta``, ``ball[r]``, ``matched-row``, the ``power[k]`` duality
-    ascent, run once per parity block of spheres for a one-parity kernel)
-    plus eight seeded non-radial sign vectors, every convolution
+    (``delta``, ``ball[window]``, ``matched-row``, the ``power[k]``
+    duality ascent, run once per parity block of spheres for a one-parity
+    kernel) plus trials the compression does not run, the ball indicators
+    at the dyadic radii below the window (``ball[r]``) and eight seeded
+    non-radial sign vectors, every convolution
     run over all ``O(q^R)`` vertices by ``TreeBall.convolve`` (itself
     checked against :func:`dense_convolve`) rather than on the radial
     quotient.  Returns ``(bound, method)``.
@@ -372,19 +374,17 @@ def scaled(g, q, p):
 def _oracle_radial_norm(h, q, p):
     """``l^p`` norm on the tree of the radial function with scaled sphere values ``h``."""
     mag = np.abs(h)
-    if math.isinf(p):
-        return float(mag.max())
     return float((mag[0] ** p + (q + 1) * np.sum(mag[1:] ** p)) ** (1.0 / p))
 
 
 def recurrence_opnorm_lower(kernel, p, radius):
     """The radial-quotient compression with one sphere-sum recurrence per product.
 
-    The earlier form of ``tree.opnorm_lower``: the same trials, run in the
-    same order and evaluated one at a time, but every convolution (each
-    trial, and both products of each ascent iterate) is the recurrence
-    ``tree._radial_convolve`` on ``radius + 1`` zero-padded sphere values
-    instead of a product with a prebuilt band.  The ascent is its own
+    The earlier form of ``tree.opnorm_lower``, for ``1 < p < inf``: the
+    same trials, run in the same order and evaluated one at a time, but
+    every convolution (each trial, and both products of each ascent
+    iterate) is the recurrence ``tree._radial_convolve`` on ``radius + 1``
+    zero-padded sphere values instead of a product with a prebuilt band.  The ascent is its own
     loop, the earlier form of ``zline.duality_ascent``: normalise, apply,
     take the norm, then :func:`masked_phase_power` twice, with every norm
     and phase map taking its own modulus.  Returns ``(bound, method)``.
@@ -419,43 +419,33 @@ def recurrence_opnorm_lower(kernel, p, radius):
 
     with np.errstate(over="ignore", invalid="ignore"):
         trial(np.ones(1, dtype=complex), "delta")
-        radii = []
-        r = 1
-        while r < window:
-            radii.append(r)
-            r *= 2
-        if window >= 1:
-            radii.append(window)
-        for r in radii:
-            trial(scaled(np.ones(r + 1, dtype=complex), q, p), f"ball[{r}]")
-        expo = 1.0 / (p - 1.0) if 1.0 < p < math.inf else 0.0
-        matched = masked_phase_power(np.conj(kv[: min(D, window) + 1]), expo)
+        trial(scaled(np.ones(nw, dtype=complex), q, p), f"ball[{window}]")
+        matched = masked_phase_power(np.conj(kv[: min(D, window) + 1]), 1.0 / (p - 1.0))
         trial(scaled(matched, q, p), "matched-row")
 
-        if 1.0 < p < math.inf:
-            pd = dual_exponent(p)
-            conj_kv = np.conj(kv)
-            start = scaled(np.ones(nw, dtype=complex), q, p)
-            starts = [start]
-            if D >= 1 and not np.any(kv[(D + 1) % 2 :: 2]):
-                starts = [start * (np.arange(nw) % 2 == b) for b in (0, 1)]
-            for x0 in starts:
-                x, prev = padded(x0), -1.0
-                for k in range(1, _TREE_POWER_ITERATES + 1):
-                    nx = norm(x)
-                    if nx == 0.0:
-                        break
-                    x = x / nx
-                    y = _radial_convolve(kv, x, q, p)
-                    est = norm(y)
-                    if not math.isfinite(est):
-                        break
-                    consider(est, f"power[{k}]")
-                    if prev >= 0.0 and abs(est - prev) <= 1e-10 * max(est, 1e-300):
-                        break
-                    prev = est
-                    w = _radial_convolve(conj_kv, masked_phase_power(y, p - 1.0), q, pd)
-                    x = masked_phase_power(padded(w[:nw]), pd - 1.0)
+        pd = dual_exponent(p)
+        conj_kv = np.conj(kv)
+        start = scaled(np.ones(nw, dtype=complex), q, p)
+        starts = [start]
+        if D >= 1 and not np.any(kv[(D + 1) % 2 :: 2]):
+            starts = [start * (np.arange(nw) % 2 == b) for b in (0, 1)]
+        for x0 in starts:
+            x, prev = padded(x0), -1.0
+            for k in range(1, _TREE_POWER_ITERATES + 1):
+                nx = norm(x)
+                if nx == 0.0:
+                    break
+                x = x / nx
+                y = _radial_convolve(kv, x, q, p)
+                est = norm(y)
+                if not math.isfinite(est):
+                    break
+                consider(est, f"power[{k}]")
+                if prev >= 0.0 and abs(est - prev) <= 1e-10 * max(est, 1e-300):
+                    break
+                prev = est
+                w = _radial_convolve(conj_kv, masked_phase_power(y, p - 1.0), q, pd)
+                x = masked_phase_power(padded(w[:nw]), pd - 1.0)
     return best, best_name
 
 

@@ -125,6 +125,17 @@ def test_huge_exponent_next_to_the_pole_guard_reports(tmp_path, capsys):
     assert 0.0 < report["compression_lower"] <= report["total_upper"] < math.inf
 
 
+@pytest.mark.parametrize("p", ["1", "inf"])
+def test_a_radius_inside_the_kernel_exits_with_two_at_the_endpoints(tmp_path, ball1, p, capsys):
+    # the l1 norm is the exact lower end at p in {1, inf}, and the radius is still checked
+    delta = tmp_path / "delta.json"
+    write_kernel(radial_kernel(2, [3.0]), delta)
+    for kernel, radius in ((ball1, "1"), (str(delta), "0")):
+        assert main(["check", "--kernel", kernel, "--p", p, "--radius", radius]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "compression radius" in captured.err
+
+
 def test_io_errors_exit_with_two(tmp_path):
     missing = str(tmp_path / "missing.json")
     assert main(["transform", "--kernel", missing]) == 2

@@ -48,7 +48,7 @@ from treeharmonics.spherical import (
     spherical_transform,
     spherical_transform_at,
 )
-from treeharmonics.tree import ball_geometry
+from treeharmonics.tree import ball_geometry, opnorm_lower
 from treeharmonics.zline import DICTIONARY_VERSION, ZKernel, convolutor_upper
 
 
@@ -404,14 +404,41 @@ def test_tree_norm_sandwich_on_small_examples():
 
 
 def test_tree_norm_lower_is_clamped_to_the_l1_norm():
-    # the best trials round one ulp above the exact norm, 1.9 and 2.5
-    assert tree_norm_lower(radial_kernel(2, [1, 0.3]), 1, 9)[0] == 1.9
-    assert tree_norm_lower(radial_kernel(2, [0.1, 0.2, 0.3]), 1, 5)[0] == 2.5
+    # next to p = 1 the best trials round one ulp above the exact norm, 3.4 and 4.0
+    p = 1.0 + 2.0**-52
+    for vals, l1 in (([1.0, 0.6], 3.4), ([0.8, 0.8], 4.0)):
+        kernel = radial_kernel(3, vals)
+        assert opnorm_lower(kernel, p, 4)[0] > l1
+        assert tree_norm_lower(kernel, p, 4)[0] == l1
     rep = bounds_report(delta_kernel(2), 1.9)
     assert rep.compression_lower == rep.total_upper == 1.0
     # an l1 norm that overflows clamps nothing and raises nothing
     value, _ = tree_norm_lower(radial_kernel(2, [0.0] * 10 + [1e306]), 1.5, 13)
     assert 0.0 <= value < math.inf
+
+
+def test_tree_norm_lower_is_the_l1_norm_where_the_split_exponent_is_one():
+    # p = 1e16 and 1e300 have the dual exponent 1.0; the compression's
+    # trials fell short there, at 1.0000000000000002 and 1.0 for ball2
+    for p in (1.0, 1e16, 1e300, math.inf):
+        rep = bounds_report(ball_kernel(2, 2), p)
+        assert rep.compression_lower == rep.total_upper == 10.0, p
+    # sphere3 at q = 5 got 5.0 from the trials at R = D + 1
+    rep = bounds_report(sphere_kernel(5, 3), math.inf, radius=4)
+    assert rep.compression_lower == rep.total_upper == 150.0
+    rng = np.random.default_rng(83)
+    kernels = [delta_kernel(3), radial_kernel(3, [-2.5j])]
+    kernels += [random_kernel(rng, q, D) for q in (2, 3, 5) for D in (1, 3)]
+    for kernel in kernels:
+        D = kernel.radius
+        for p in (1.0, math.inf):
+            assert tree_norm_lower(kernel, p, D + 1) == (kernel.l1_on_tree(), "exact:l1")
+            with pytest.raises(DomainError):
+                tree_norm_lower(kernel, p, D)
+        # at D = 0 the kernel is a multiple of the identity at every p
+        if D == 0:
+            for p in (1.1, 1.5, 3.0):
+                assert tree_norm_lower(kernel, p) == (kernel.l1_on_tree(), "exact:l1")
 
 
 def test_tree_norm_equality_at_p_one():

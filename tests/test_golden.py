@@ -126,11 +126,54 @@ def test_shell_series_is_byte_stable():
     _assert_lines_match(shell_series_lines(), SHELL)
 
 
+def _flat(obj, prefix=""):
+    """The leaves of a JSON object, keyed by their dotted path."""
+    leaves = {}
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            leaves.update(_flat(value, f"{prefix}{key}."))
+        else:
+            leaves[f"{prefix}{key}"] = value
+    return leaves
+
+
+def _moved_lines(old, new):
+    """``(case, [(key, old value, new value), ...])`` for each line of ``new`` that moved.
+
+    ``old`` and ``new`` are lists of JSON lines with a ``case`` name, or one
+    JSON document each, named ``report``.  Lines are matched by position; a
+    line with no old counterpart has every key move from ``None``.
+    """
+    moved = []
+    for i, line in enumerate(new):
+        was = old[i] if i < len(old) else None
+        if line == was:
+            continue
+        now = _flat(json.loads(line))
+        before = _flat(json.loads(was)) if was is not None else {}
+        keys = [k for k in now if k != "case" and now[k] != before.get(k)]
+        moved.append((now.get("case", "report"), [(k, before.get(k), now[k]) for k in keys]))
+    return moved
+
+
+def regenerate():
+    """Rewrite every golden file, printing each moved case and each of its changed keys."""
+    for path, lines in (
+        (GOLDEN, [golden_report()]),
+        (SWEEP, list(sweep_lines())),
+        (SHELL, list(shell_series_lines())),
+    ):
+        old = path.read_text() if path.exists() else ""
+        old = [old] if path == GOLDEN else old.splitlines()
+        moved = _moved_lines(old, lines)
+        print(f"{path.name}: {len(moved)} of {len(lines)} lines moved")
+        for case, changes in moved:
+            print(f"  {case}: " + "; ".join(f"{k} {v!r} -> {w!r}" for k, v, w in changes))
+        path.write_text(lines[0] if path == GOLDEN else "".join(line + "\n" for line in lines))
+        print(f"wrote {path}")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
         sys.exit(f"usage: python {sys.argv[0]} --regen")
-    GOLDEN.write_text(golden_report())
-    print(f"wrote {GOLDEN}")
-    for path, lines in ((SWEEP, sweep_lines()), (SHELL, shell_series_lines())):
-        path.write_text("".join(line + "\n" for line in lines))
-        print(f"wrote {path}")
+    regenerate()

@@ -42,7 +42,7 @@ from treeharmonics.tree import (
     opnorm_lower,
     shell_masses,
 )
-from treeharmonics.zline import _modulus_norm, duality_ascent
+from treeharmonics.zline import _modulus_norm, duality_ascent, phase_power
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +261,44 @@ def test_ball_geometry_refuses_balls_over_the_vertex_budget():
 # ---------------------------------------------------------------------------
 
 def test_opnorm_lower_is_exact_for_delta():
-    for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+    for p in (1.01, 1.5, 2.0, 3.0, 100.0):
         bound, method = opnorm_lower(delta_kernel(2), p, 4)
         assert bound == pytest.approx(1.0, abs=1e-12)
         assert isinstance(method, str) and method
 
 
-def test_opnorm_lower_attains_l1_norm_at_p_one():
-    for q, r in ((2, 1), (3, 2)):
-        kernel = ball_kernel(q, r)
-        bound, method = opnorm_lower(kernel, 1.0, r + 1)
-        assert bound == pytest.approx(kernel.l1_on_tree(), rel=1e-12)
-        assert method == "delta"
+def test_endpoint_trials_attain_the_l1_norm_on_explicit_balls():
+    # the theorem behind the exact lower end at p in {1, inf}: the delta at
+    # p = 1, and at p = inf the phase-matched row once the window B_{R-D}
+    # holds the kernel, attain the tree l1 norm, checked vertex by vertex
+    rng = np.random.default_rng(61)
+    for q, D in itertools.product((2, 3), range(4)):
+        kernels = [
+            ball_kernel(q, D),
+            sphere_kernel(q, D),
+            radial_kernel(q, rng.normal(size=D + 1)),
+            radial_kernel(q, rng.normal(size=D + 1) + 1j * rng.normal(size=D + 1)),
+        ]
+        for kernel, R in itertools.product(kernels, (max(2 * D, 1), 2 * D + 2)):
+            l1 = kernel.l1_on_tree()
+            ball = ball_geometry(q, R)
+            delta = np.zeros(ball.size, dtype=complex)
+            delta[0] = 1.0
+            assert power_sum_norm(ball.convolve(kernel, delta), 1.0) == pytest.approx(l1, rel=1e-12)
+            row = kernel.values[ball.depth[: ball.level_start[D + 1]]]
+            matched = np.zeros(ball.size, dtype=complex)
+            matched[: row.size] = phase_power(np.conj(row), 0.0)
+            ratio = power_sum_norm(ball.convolve(kernel, matched), math.inf) / power_sum_norm(
+                matched, math.inf
+            )
+            assert ratio == pytest.approx(l1, rel=1e-12), (q, kernel.values, R)
+
+
+def test_opnorm_lower_refuses_the_endpoints():
+    # at p in {1, inf} the norm is the tree l1 norm, reported by tree_norm_lower
+    for p in (1.0, math.inf):
+        with pytest.raises(DomainError):
+            opnorm_lower(ball_kernel(2, 2), p, 5)
 
 
 def test_opnorm_lower_never_exceeds_l1():
@@ -282,7 +308,7 @@ def test_opnorm_lower_never_exceeds_l1():
         D = int(rng.integers(0, 3))
         vals = rng.normal(size=D + 1)
         kernel = radial_kernel(q, vals)
-        for p in (1.0, 4.0 / 3.0, 2.0, 4.0):
+        for p in (1.01, 4.0 / 3.0, 2.0, 4.0):
             bound, _ = opnorm_lower(kernel, p, D + 3)
             assert bound <= kernel.l1_on_tree() * (1.0 + 1e-10)
 
@@ -366,7 +392,7 @@ def test_opnorm_lower_matches_the_recurrence_form_on_a_seeded_sweep():
             vals = vals + 1j * rng.normal(size=D + 1)
         kernel = radial_kernel(q, vals)
         R = int(rng.integers(D + 1, 3 * D + 21))
-        for p in (1.0, 1.1, 4.0 / 3.0, 1.5, 3.0, math.inf):
+        for p in (1.1, 4.0 / 3.0, 1.5, 3.0, 7.0):
             bound, method = opnorm_lower(kernel, p, R)
             expected, expected_method = recurrence_opnorm_lower(kernel, p, R)
             assert bound == pytest.approx(expected, rel=1e-14, abs=0.0), (vals, p, R)
@@ -447,11 +473,15 @@ def test_opnorm_lower_builds_one_band_per_operator(monkeypatch):
         return _radial_convolve(kv, h, q, p)
 
     monkeypatch.setattr(tree, "_radial_convolve", counted)
-    for p, expected in ((1.0, 1), (1.5, 2), (3.0, 2), (math.inf, 1)):
+    for p in (1.5, 3.0):
         calls.clear()
         opnorm_lower(sphere_kernel(3, 3), p, 12)
         # one recurrence per band, on the (R + 1) x (2D + 1) comb
-        assert calls == [(13, 7)] * expected, p
+        assert calls == [(13, 7)] * 2, p
+    for p in (1.0, math.inf):
+        with pytest.raises(DomainError):
+            opnorm_lower(sphere_kernel(3, 3), p, 12)
+    assert calls == [(13, 7)] * 2  # the refused exponents build no band
 
 
 def test_opnorm_lower_at_a_large_radius_keeps_a_band_not_a_matrix():
@@ -471,7 +501,7 @@ def test_opnorm_lower_near_the_float64_limit_matches_the_recurrence_form():
     for vals in ([1e308, 1e308], [1e308, 0.0, 1e308], [5e307, 1e308j, 3e307], [1.0, 1e308]):
         for q in (2, 3):
             kernel = radial_kernel(q, vals)
-            for p in (1.0, 1.5, math.inf):
+            for p in (1.01, 1.5, 7.0):
                 R = kernel.radius + 3
                 bound, method = opnorm_lower(kernel, p, R)
                 expected, expected_method = recurrence_opnorm_lower(kernel, p, R)
@@ -483,8 +513,7 @@ def test_norms_keep_the_kind_of_each_power_byte_for_byte():
     # numpy's array pow and its scalar pow differ in the last bit on some
     # entries, so a norm that raised its head entry, or took its root, as an
     # array power would move bytes here: random moduli with a dominant entry
-    # 0, exact zeros and subnormals, one vector at a time and as the rows of
-    # one matrix
+    # 0, exact zeros and subnormals
     rng = np.random.default_rng(29)
     mags = np.abs(rng.normal(size=(400, 9)))
     mags[:, 0] *= 10.0 ** rng.integers(1, 4, size=400)
@@ -492,11 +521,9 @@ def test_norms_keep_the_kind_of_each_power_byte_for_byte():
     mags[5::7, 1:] *= 1e-310
     mags[6::7, 3] = 5e-324
     for p in (4.0 / 3.0, 1.5, 3.0, 7.0):
-        for q in (2, 3):
-            rows = _radial_norm(mags, q, p)
-            for mag, row in zip(mags, rows):
-                want = repr(_oracle_radial_norm(mag, q, p))
-                assert (repr(_radial_norm(mag, q, p)), repr(row)) == (want, want), (mag, q, p)
+        for q, mag in itertools.product((2, 3), mags):
+            want = repr(_oracle_radial_norm(mag, q, p))
+            assert repr(_radial_norm(mag, q, p)) == want, (mag, q, p)
         for mag in mags:
             assert repr(_modulus_norm(mag, p)) == repr(power_sum_norm(mag, p)), (mag, p)
 

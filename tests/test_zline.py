@@ -19,7 +19,8 @@ from oracles import (
 )
 
 from treeharmonics.params import DomainError, SoundnessError, dual_exponent, torus_grid, tree_params
-from treeharmonics.engine import bounds_report
+from treeharmonics.abel import abel_forward
+from treeharmonics.engine import bounds_report, spectral_sup
 from treeharmonics.spherical import ball_kernel, radial_kernel
 from treeharmonics.zline import (
     DICTIONARY_VERSION,
@@ -204,17 +205,21 @@ def test_powers_pad_with_zeros_and_keep_the_plain_bytes():
 def test_convolutor_upper_exact_at_one_and_infinity():
     F = zkernel(2, [1.0, -2.0, 0.5])
     for p in (1.0, math.inf):
-        val, method = convolutor_upper(F, p)
-        assert val == pytest.approx(3.5, rel=1e-15)
-        assert method == "l1-exact"
+        assert convolutor_upper(F, p) == (3.5, "l1-exact(endpoint)")
+        iv = convolutor_interval(F, p)
+        assert (iv.lower, iv.upper) == (3.5, 3.5)
+        assert iv.lower_method == f"exact:endpoint({DICTIONARY_VERSION})"
+        assert iv.upper_method == "l1-exact(endpoint)"
 
 
 def test_convolutor_upper_spectral_value_for_two_point_kernel():
-    # symbol of [1, 1] is 1 + q^{-iz}: sup modulus 2 at frequency 0, which
-    # is the l1 norm, returned exactly with no grid; three points take the grid
-    F = zkernel(2, [1.0, 1.0])
+    # symbol of [1, 1j] is 1 + 1j q^{-iz}: sup modulus 2 where the phases
+    # align, which is the l1 norm, returned exactly with no grid; three
+    # points of more than one sign take the grid
+    F = zkernel(2, [1.0, 1j])
     assert convolutor_upper(F, 2.0) == (2.0, "l1-exact(two-entry)")
-    val, method = convolutor_upper(zkernel(2, [1.0, 1.0, 1.0]), 2.0)
+    assert convolutor_upper(zkernel(2, [1.0, 1.0]), 2.0) == (2.0, "l1-exact(one-sign)")
+    val, method = convolutor_upper(zkernel(2, [1.0, 1j, -1.0]), 2.0)
     assert val == pytest.approx(3.0, abs=1e-9)
     assert method.startswith("spectral-sup")
 
@@ -256,7 +261,7 @@ def test_convolutor_upper_interpolates_between_extremes():
             val, method = convolutor_upper(F, p)
             assert sup - 1e-12 <= val <= l1 + 1e-12
             if np.count_nonzero(F.values) <= 2:
-                assert (val, method) == (l1, "l1-exact(two-entry)")
+                assert val == l1 and method in ("l1-exact(one-sign)", "l1-exact(two-entry)")
             else:
                 assert method.startswith("interp")
 
@@ -409,6 +414,23 @@ def test_a_modulated_one_sign_kernel_reaches_its_exact_norm():
     iv = convolutor_interval(zkernel(2, [1, 1j, -1]), 1.5)
     assert (iv.lower, iv.upper) == (3.0, 3.0)
     assert iv.lower_method == f"trial:line-sup({DICTIONARY_VERSION})"
+
+
+def test_one_sign_kernels_have_the_l1_norm_as_their_upper_end():
+    # interpolating with a grid sup landed up to 4.2e-16 below ||F||_1 on
+    # some of these kernels, an upper end below the exact norm
+    rng = np.random.default_rng(3000)
+    for i in range(3000):
+        q = (2, 3, 5, 7)[i % 4]
+        vals = rng.random(int(rng.integers(3, 12))) * 10.0 ** rng.uniform(-5.0, 5.0)
+        F = ZKernel(tree_params(q), int(rng.integers(-6, 7)), vals)
+        p = (1.1, 4.0 / 3.0, 1.5, 1.8, 1.99, 3.0)[i % 6]
+        assert convolutor_upper(F, p) == (F.l1(), "l1-exact(one-sign)"), (q, vals, p)
+    # the Abel transform of a ball indicator is one-sign: its spectral sup is
+    # ||abel||_1 exactly, where the grid gave 138.5307436087194 at q = 3, r = 5
+    for q, r in ((2, 1), (2, 4), (3, 5), (5, 3)):
+        kernel = ball_kernel(q, r)
+        assert spectral_sup(kernel) == abel_forward(kernel).l1(), (q, r)
 
 
 def one_sign_cases():
