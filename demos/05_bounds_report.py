@@ -1,8 +1,11 @@
 """End-to-end certified bounds report for a radial convolution kernel.
 
-Assembles the two-part height-splitting upper bound, the ball-compression
-lower bound, and the shifted-symbol norm interval for the radius-2 ball
+Assembles the two-part height-splitting upper bound, the certified lower
+bound, and the shifted-symbol norm interval for the radius-2 ball
 indicator, then prints the report JSON and the resulting necessity ratio.
+The ball indicator is nonnegative, so its lower bound is Herz's exact
+norm ``|FT k(i delta(p))|``, rounded down past its rounding error, with
+no ball compression run; the slack printed is that rounding.
 """
 
 from treeharmonics.engine import bounds_report, spectral_sup

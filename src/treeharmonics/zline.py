@@ -283,22 +283,29 @@ class NormInterval:
         object.__setattr__(self, "lower", min(self.lower, self.upper))
 
 
+def _one_sign(vals):
+    """Whether the array ``vals`` has at most one nonzero entry, or real entries of one sign."""
+    if np.count_nonzero(vals) <= 1:
+        return True
+    real = vals.real
+    return not vals.imag.any() and bool((real >= 0.0).all() or (real <= 0.0).all())
+
+
 def _l1_exact(F, p):
     """Why the bound ``||F||_1`` is exact for convolution by ``F`` on ``l^p``, or ``None``.
 
-    ``one-sign``: at most one nonzero entry, or real entries of one sign,
-    which the boxes ``1_[0, L)`` attain as ``L -> oo``.  ``two-entry``:
-    two nonzero entries, whose phases align somewhere on the real line, so
-    the ``l^2`` norm, the sup of the symbol, is already ``||F||_1``, and
-    the ``l^p`` norm lies between the two.  ``endpoint``: ``p`` in ``{1,
-    inf}``, where the delta and a matched-sign trial attain it.
+    ``one-sign``: at most one nonzero entry, or real entries of one sign
+    (:func:`_one_sign`), which the boxes ``1_[0, L)`` attain as ``L ->
+    oo``.  ``two-entry``: two nonzero entries, whose phases align
+    somewhere on the real line, so the ``l^2`` norm, the sup of the
+    symbol, is already ``||F||_1``, and the ``l^p`` norm lies between the
+    two.  ``endpoint``: ``p`` in ``{1, inf}``, where the delta and a
+    matched-sign trial attain it.
     """
     vals = F.values
-    nonzero = np.count_nonzero(vals)
-    real = vals.real
-    if nonzero <= 1 or (not vals.imag.any() and ((real >= 0.0).all() or (real <= 0.0).all())):
+    if _one_sign(vals):
         return "one-sign"
-    if nonzero == 2:
+    if np.count_nonzero(vals) == 2:
         return "two-entry"
     if p == 1.0 or math.isinf(p):
         return "endpoint"

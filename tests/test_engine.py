@@ -22,6 +22,7 @@ from oracles import (
     split_kernel,
     trapezoid_line_profile,
 )
+from test_golden import sweep_cases
 from treeharmonics.abel import abel_forward
 from treeharmonics.engine import (
     BoundsReport,
@@ -403,18 +404,79 @@ def test_tree_norm_sandwich_on_small_examples():
             assert lower <= total * (1.0 + 1e-10)
 
 
+def herz_gamma(kernel):
+    """The relative rounding-down of the exact:herz route, ``4 (D (1 + ln q) + 3) 2^-53``."""
+    return 4.0 * (kernel.radius * (1.0 + math.log(kernel.params.q)) + 3.0) * 2.0**-53
+
+
 def test_tree_norm_lower_is_clamped_to_the_l1_norm():
-    # next to p = 1 the best trials round one ulp above the exact norm, 3.4 and 4.0
+    # next to p = 1 the best trials round one ulp above the exact norm, 3.4
+    # and 4.0; the clamp guards the compression, and these one-sign kernels
+    # take Herz's norm, rounded down, instead
     p = 1.0 + 2.0**-52
     for vals, l1 in (([1.0, 0.6], 3.4), ([0.8, 0.8], 4.0)):
         kernel = radial_kernel(3, vals)
         assert opnorm_lower(kernel, p, 4)[0] > l1
-        assert tree_norm_lower(kernel, p, 4)[0] == l1
+        value, method = tree_norm_lower(kernel, p, 4)
+        assert method == "exact:herz"
+        assert l1 * (1.0 - herz_gamma(kernel)) <= value <= l1
     rep = bounds_report(delta_kernel(2), 1.9)
     assert rep.compression_lower == rep.total_upper == 1.0
     # an l1 norm that overflows clamps nothing and raises nothing
     value, _ = tree_norm_lower(radial_kernel(2, [0.0] * 10 + [1e306]), 1.5, 13)
     assert 0.0 <= value < math.inf
+
+
+# the sweep's one-sign kernels of radius D >= 1, and its signed ones
+ONE_SIGN = ("ball1", "ball2", "sphere3")
+SIGNED = ("real3", "complex3", "parity3")
+
+
+def interior_sweep_cases(kernels):
+    """``(name, kernel, p, R)`` for the sweep cases of the named kernels with ``1 < p < inf``."""
+    cases = [
+        case
+        for case in sweep_cases()
+        if case[0].split()[1] in kernels and 1.0 < case[2] < math.inf
+    ]
+    assert len(cases) == 45 * len(kernels)
+    return cases
+
+
+def test_herz_route_is_never_below_the_compression():
+    for name, kernel, p, R in interior_sweep_cases(ONE_SIGN):
+        value, method = tree_norm_lower(kernel, p, R)
+        assert method == "exact:herz", name
+        assert opnorm_lower(kernel, p, R)[0] <= value <= tree_norm_upper(kernel, p)[0], name
+
+
+def test_one_sign_reports_run_no_compression(monkeypatch):
+    # a guard on the route, with no timing: the compression is not called
+    # for a one-sign kernel, and still is for every other
+    import treeharmonics.engine as engine
+
+    class Called(Exception):
+        pass
+
+    def refuse(kernel, p, radius):
+        raise Called
+
+    monkeypatch.setattr(engine, "opnorm_lower", refuse)
+    for name, kernel, p, R in interior_sweep_cases(ONE_SIGN):
+        bounds_report(kernel, p, radius=R)
+    for name, kernel, p, R in interior_sweep_cases(SIGNED):
+        with pytest.raises(Called):
+            bounds_report(kernel, p, radius=R)
+
+
+@pytest.mark.parametrize("p", [1e14, 1e15])
+def test_compression_lower_next_to_p_inf_is_herz_norm(p):
+    # the split exponent is not 1 here, and the compression's trials
+    # collapsed to 1.000000000000023 and 1.0000000000000022 against 10
+    rep = bounds_report(ball_kernel(2, 2), p)
+    assert tree_norm_lower(ball_kernel(2, 2), p)[1] == "exact:herz"
+    assert rep.compression_lower == pytest.approx(rep.total_upper, rel=1e-12)
+    assert rep.compression_lower < rep.total_upper < 10.0
 
 
 def test_tree_norm_lower_is_the_l1_norm_where_the_split_exponent_is_one():
@@ -788,7 +850,9 @@ def test_bounds_report_frozen_unit_ball_example():
     assert rep.step1_upper == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-14)
     assert rep.step2_upper == pytest.approx(2.259921049894873, rel=1e-13)
     assert rep.total_upper == pytest.approx(1.0 + 2.0 ** (1.0 / 3.0) + 2.0 ** (2.0 / 3.0), rel=1e-14)
-    assert rep.compression_lower == pytest.approx(3.6934726077316076, rel=1e-10)
+    # the lower end is Herz's norm too, rounded down by at most gamma
+    herz = 1.0 + 2.0 ** (1.0 / 3.0) + 2.0 ** (2.0 / 3.0)
+    assert rep.compression_lower == pytest.approx(herz, rel=herz_gamma(ball_kernel(2, 1)))
     assert rep.symbol_lower <= rep.symbol_upper
     assert rep.weyl_residual == 0.0
     assert rep.compression_lower <= rep.total_upper

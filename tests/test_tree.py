@@ -21,7 +21,9 @@ from oracles import (
     scaled,
 )
 from treeharmonics import tree, zline
-from treeharmonics.params import DomainError, dual_exponent
+from treeharmonics.abel import abel_forward
+from treeharmonics.engine import tree_norm_lower
+from treeharmonics.params import DomainError, dual_exponent, strip_halfwidth
 from treeharmonics.spherical import (
     ball_kernel,
     delta_kernel,
@@ -292,6 +294,36 @@ def test_endpoint_trials_attain_the_l1_norm_on_explicit_balls():
                 matched, math.inf
             )
             assert ratio == pytest.approx(l1, rel=1e-12), (q, kernel.values, R)
+
+
+def test_herz_trials_tend_to_the_herz_norm_through_the_radial_band():
+    # the theorem behind the exact:herz lower end: f_W(x) = q^{-|x|/p} 1[|x| <= W]
+    # is an eigenfunction away from the origin, so its Rayleigh ratio, taken
+    # through the radial band on the ball of radius W + D, stays below Herz's
+    # ||F||_1 and closes on it like 1/W
+    kernels = (
+        ball_kernel(2, 2),
+        sphere_kernel(3, 3),
+        radial_kernel(5, [0.3, 1.0, 0.0, 2.0]),
+        radial_kernel(2, [-1.0, -0.5]),
+    )
+    for kernel, p in itertools.product(kernels, (1.1, 1.5, 3.0, 7.0)):
+        q, D = kernel.params.q, kernel.radius
+        herz = abel_forward(kernel).shifted(strip_halfwidth(p)).l1()
+        gaps = []
+        for W in (10**3, 10**4):
+            band = _radial_band(kernel.values, q, p, W + D, W + 1, W + D + 1)
+            # in scaled coordinates f_W is 1 at the origin and q^{-1/p} on every sphere
+            trial = np.full(W + 1, float(q) ** (-1.0 / p), dtype=complex)
+            trial[0] = 1.0
+            image = _band_product(band, 1.0)(trial)
+            ratio = _radial_norm(np.abs(image), q, p) / _radial_norm(np.abs(trial), q, p)
+            assert ratio <= herz * (1.0 + 1e-12), (q, D, p, W)
+            gaps.append(herz - ratio)
+        assert 9.5 < gaps[0] / gaps[1] < 10.5, (q, D, p, gaps)
+        # the exact route lies above every finite trial
+        assert tree_norm_lower(kernel, p) == (pytest.approx(herz, rel=1e-13), "exact:herz")
+        assert tree_norm_lower(kernel, p)[0] > herz - gaps[1]
 
 
 def test_opnorm_lower_refuses_the_endpoints():
