@@ -17,7 +17,16 @@ the rows and the Abel sum: two computations of one value.  The tests
 cross-check it against the Rayleigh quotients of the radial trials that
 attain it.  :func:`bounds_report` assembles both sides and *asserts* the
 sandwich ``compression_lower <= total_upper`` — a violation is a
-soundness bug, not a data condition, and raises :class:`SoundnessError`.  :func:`line_profile` computes the
+soundness bug, not a data condition, and raises :class:`SoundnessError`.
+
+Every side reads one object, the kernel's Abel sequence ``seq``, shifted
+to ``F`` on the line ``Im z = delta(p)``; :func:`bounds_report` computes
+the pair once and passes it to each stage as ``abel``.  The nonnegative
+half of the upper bound reads ``seq`` (``Abel |k| = |seq|`` for a real
+one-sign kernel; any other kernel transforms ``|k|`` once more), Herz's
+lower bound reads ``F``, and :func:`symbol_norm_report` runs the norm
+interval on ``F`` and the evenness residual on ``seq``.  A stage called
+alone computes what it reads.  :func:`line_profile` computes the
 reconstruction profile itself as a finite geometric sum, off the report
 path.
 
@@ -57,6 +66,17 @@ _SCOPE_MESSAGE = (
     "isometry there up to the Plancherel weight — use spectral_sup for the "
     "exact L2 operator norm"
 )
+
+
+def _shifted_abel(kernel, p):
+    """``(seq, F)``: the Abel sequence of ``kernel`` and its shift to ``Im z = delta(p)``.
+
+    ``F(j) = a_j q^{j delta(p)}`` (:meth:`~treeharmonics.zline.ZKernel.shifted`).
+    Coefficients or a shift that overflow float64 raise
+    :class:`~treeharmonics.params.DomainError`.
+    """
+    seq = abel_forward(kernel)
+    return seq, seq.shifted(strip_halfwidth(p))
 
 
 def line_profile(kernel, p):
@@ -101,7 +121,7 @@ def line_profile(kernel, p):
     weights[0] = 1.0
     weights[2::2] = (1.0 - params.q) * params.qpow(-(1.0 + 2.0 * delta) * np.arange(1, N + 1))
     padded = np.zeros(2 * (L + N) + 1, dtype=complex)
-    padded[L - D : L + D + 1] = abel_forward(kernel).shifted(delta).values
+    padded[L - D : L + D + 1] = _shifted_abel(kernel, p)[1].values
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.correlate(padded, weights, "valid")
     if not np.isfinite(vals).all():
@@ -124,9 +144,13 @@ def negative_height_bound(kernel, p):
     per unit ``||f||_p`` is the ``rhs`` of :func:`transference_check`.
 
     Every row is a suffix of row 0, ``q^{u/p} k(u)`` for ``1 <= u <= D``,
-    which is scaled once.  Kernels supported at the origin only have an
-    identically vanishing negative half, reported as exactly ``0.0``.  A
-    row that overflows float64 makes the series infinite.
+    which is scaled once.  Where row 0 is one-sign
+    (:func:`~treeharmonics.zline._one_sign`), so is every suffix, and each
+    row norm is the exact ``l1`` sum of its moduli, as
+    :func:`~treeharmonics.zline.convolutor_upper` would return it, with no
+    row built.  Kernels supported at the origin only have an identically
+    vanishing negative half, reported as exactly ``0.0``.  A row that
+    overflows float64 makes the series infinite.
     """
     p = check_exponent(p)
     if p >= 2.0:
@@ -142,17 +166,22 @@ def negative_height_bound(kernel, p):
         scaled = kernel.values[1:] * params.qpow(np.arange(1, D + 1) / p)
         if not np.isfinite(scaled).all():
             return math.inf
+        moduli = np.abs(scaled) if _one_sign(scaled) else None
         for m in range(max_shell + 1):
-            row = ZKernel(params, 2 * m + 1, scaled[2 * m :])
-            try:
-                row_norm, _ = convolutor_upper(row, p)
-            except DomainError:
-                return math.inf  # the row's l1 norm overflows
+            if moduli is not None:
+                row_norm = float(np.sum(moduli[2 * m :]))
+                if not math.isfinite(row_norm):
+                    return math.inf  # the row's l1 norm overflows
+            else:
+                try:
+                    row_norm, _ = convolutor_upper(ZKernel(params, 2 * m + 1, scaled[2 * m :]), p)
+                except DomainError:
+                    return math.inf  # the row's l1 norm overflows
             series += masses[m] * params.qpow(-2.0 * m / p) * row_norm
     return float(series)
 
 
-def nonnegative_height_bound(kernel, p):
+def nonnegative_height_bound(kernel, p, *, abel=None):
     """Weighted Abel sum bounding the nonnegative-relative-height half.
 
     Returns ``sum_{j >= 0} q^{-j delta(p)} (Abel |k|)(j)``, the horocycle
@@ -160,17 +189,26 @@ def nonnegative_height_bound(kernel, p):
     for every finitely supported kernel and nondecreasing in ``p`` on
     ``(1, 2)`` for fixed nonnegative ``k``.  A sum that overflows float64
     is ``inf``.
+
+    ``abel`` is the pair ``(seq, F)`` of :func:`bounds_report`, of which
+    this half reads ``seq = abel_forward(k)``.  For real ``k`` of one sign,
+    ``|k| = +-k`` entry for entry, and the Abel transform takes the same
+    steps on both with every sign flipped, which rounding respects, so
+    ``Abel |k| = |seq|`` bit for bit.  Any other kernel, or ``abel=None``,
+    transforms ``|k|`` itself.
     """
     p = check_exponent(p)
     if not 1.0 < p < 2.0:
         raise DomainError(f"nonnegative-height bound requires p in (1, 2), got p={p:g}")
     params = kernel.params
+    D = kernel.radius
     delta = strip_halfwidth(p)
-    absk = RadialKernel(params, np.abs(kernel.values))
-    seq = abel_forward(absk)
-    terms = [
-        params.qpow(-j * delta) * seq.at(j).real for j in range(kernel.radius + 1)
-    ]
+    kv = kernel.values
+    if abel is not None and not kv.imag.any() and _one_sign(kv):
+        abs_seq = np.abs(abel[0].values.real)
+    else:
+        abs_seq = abel_forward(RadialKernel(params, np.abs(kv))).values.real
+    terms = [params.qpow(-j * delta) * abs_seq[D + j] for j in range(D + 1)]
     try:
         return math.fsum(terms)
     except OverflowError:
@@ -188,7 +226,7 @@ def _split_exponent(p):
     return p if p < 2.0 else dual_exponent(p)
 
 
-def tree_norm_upper(kernel, p):
+def tree_norm_upper(kernel, p, *, abel=None):
     """Certified upper bound for the ``L^p`` convolutor norm on the tree.
 
     Returns ``(total, step1, step2)``.  The bound is the two-part height
@@ -200,7 +238,10 @@ def tree_norm_upper(kernel, p):
     ``{1, inf}``, or a ``p`` whose dual rounds to 1 — the bound is the
     exact tree ``l1`` norm and the step fields are ``None``.  ``p = 2`` is
     out of scope.  A bound that overflows float64 raises
-    :class:`~treeharmonics.params.DomainError`.
+    :class:`~treeharmonics.params.DomainError`.  ``abel``, the pair
+    ``(seq, F)`` of :func:`bounds_report`, goes to
+    :func:`nonnegative_height_bound`; ``None`` lets it transform the kernel
+    itself.
     """
     p = check_exponent(p)
     if p == 2.0:
@@ -209,13 +250,13 @@ def tree_norm_upper(kernel, p):
     if pe == 1.0:
         return kernel.l1_on_tree(), None, None
     step1 = negative_height_bound(kernel, pe)
-    step2 = nonnegative_height_bound(kernel, pe)
+    step2 = nonnegative_height_bound(kernel, pe, abel=abel)
     if not math.isfinite(step1 + step2):
         raise DomainError("the height-split bound overflows float64")
     return step1 + step2, step1, step2
 
 
-def _herz_lower(kernel, p):
+def _herz_lower(kernel, p, abel):
     """Herz's exact norm of a one-sign kernel, rounded down past its rounding error.
 
     For a kernel whose values are real and of one sign, or that has one
@@ -260,7 +301,9 @@ def _herz_lower(kernel, p):
     ``0.17 gamma``.  The model needs every nonzero intermediate
     far from the subnormals: each is at least ``min(1, min |k|) q^{-D/2}``
     in modulus, and below ``2^-1000`` the route gives way (``None``), as
-    it does where the sum overflows float64.
+    it does where the sum overflows float64.  ``F`` is read from the pair
+    ``abel = (seq, F)`` of :func:`bounds_report`, or computed where
+    ``abel`` is ``None``.
     """
     params = kernel.params
     D = kernel.radius
@@ -269,13 +312,13 @@ def _herz_lower(kernel, p):
     if np.abs(kv[kv != 0.0]).min(initial=1.0) * params.qpow(-D / 2.0) < 2.0**-1000:
         return None
     try:
-        herz = abel_forward(kernel).shifted(strip_halfwidth(p)).l1()
+        herz = (abel or _shifted_abel(kernel, p))[1].l1()
     except DomainError:
         return None
     return herz * (1.0 - 4.0 * (D * (1.0 + params.log_q) + 3.0) * 2.0**-53)
 
 
-def tree_norm_lower(kernel, p, radius=None):
+def tree_norm_lower(kernel, p, radius=None, *, abel=None):
     """Certified lower bound: an exact norm where the theory gives one, else a compression.
 
     Where the split exponent is 1 — ``p`` in ``{1, inf}``, or a ``p``
@@ -295,7 +338,9 @@ def tree_norm_lower(kernel, p, radius=None):
     can round above the exact norm.  Returns ``(value, method)``.  The
     ball must strictly contain the kernel support (``radius >= D + 1`` so
     the central column is complete), at every ``p`` and on every route;
-    the default ``D + 3`` leaves room for window trials.
+    the default ``D + 3`` leaves room for window trials.  The Herz route
+    reads ``F`` from ``abel``, the pair ``(seq, F)`` of
+    :func:`bounds_report`; ``None`` computes it.
     """
     p = check_exponent(p)
     D = kernel.radius
@@ -310,7 +355,7 @@ def tree_norm_lower(kernel, p, radius=None):
     if D == 0 or _split_exponent(p) == 1.0:
         return kernel.l1_on_tree(), "exact:l1"
     if _one_sign(kernel.values):
-        herz = _herz_lower(kernel, p)
+        herz = _herz_lower(kernel, p, abel)
         if herz is not None:
             return herz, "exact:herz"
     value, method = opnorm_lower(kernel, p, radius)
@@ -321,7 +366,7 @@ def tree_norm_lower(kernel, p, radius=None):
     return value, method
 
 
-def symbol_norm_report(kernel, p):
+def symbol_norm_report(kernel, p, *, abel=None):
     """Two-sided norm interval for the shifted symbol's coefficients on ℤ.
 
     Builds the kernel ``(a_j q^{j delta(p)})_j`` from the Abel
@@ -330,14 +375,14 @@ def symbol_norm_report(kernel, p):
     certified :func:`~treeharmonics.zline.convolutor_interval` at ``p``
     and the residual is the evenness defect
     :func:`~treeharmonics.abel.weyl_residual` of the coefficients (exactly
-    ``0`` for every radial kernel).  ``p = 2`` is out of scope.
+    ``0`` for every radial kernel).  ``p = 2`` is out of scope.  ``abel``
+    is the pair ``(seq, F)`` of :func:`bounds_report`; ``None`` computes it.
     """
     p = check_exponent(p)
     if p == 2.0:
         raise ScopeError(_SCOPE_MESSAGE)
-    seq = abel_forward(kernel)
-    interval = convolutor_interval(seq.shifted(strip_halfwidth(p)), p)
-    return interval, weyl_residual(seq)
+    seq, F = abel or _shifted_abel(kernel, p)
+    return convolutor_interval(F, p), weyl_residual(seq)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +532,15 @@ def bounds_report(kernel, p, radius=None):
     interval into a :class:`BoundsReport`.  A certified
     lower bound exceeding the certified upper bound (beyond rounding
     slack), or either side being NaN, raises :class:`SoundnessError`.
+
+    The kernel is Abel-transformed once: ``seq = abel_forward(kernel)``
+    and ``F = seq.shifted(delta(p))`` go to every stage as ``abel``.  The
+    upper side reads ``seq``, as ``Abel |k| = |seq|`` for a real one-sign
+    kernel (any other kernel transforms ``|k|`` once more); the Herz lower
+    side reads ``F``; the symbol interval runs on ``F`` and the evenness
+    residual on ``seq``.  Where ``seq`` or ``F`` overflows float64 the
+    stages get ``None`` and compute what they read themselves, so each
+    raises or falls back as it does alone.
     """
     p = check_exponent(p)
     if p == 2.0:
@@ -494,9 +548,13 @@ def bounds_report(kernel, p, radius=None):
     if radius is None:
         radius = kernel.radius + 3
     radius = int(radius)
-    total, step1, step2 = tree_norm_upper(kernel, p)
-    lower, _ = tree_norm_lower(kernel, p, radius=radius)
-    interval, weyl = symbol_norm_report(kernel, p)
+    try:
+        abel = _shifted_abel(kernel, p)
+    except DomainError:
+        abel = None  # each stage then meets the overflow where it would alone
+    total, step1, step2 = tree_norm_upper(kernel, p, abel=abel)
+    lower, _ = tree_norm_lower(kernel, p, radius=radius, abel=abel)
+    interval, weyl = symbol_norm_report(kernel, p, abel=abel)
     if not lower <= total + 1e-10 * max(1.0, total):
         raise SoundnessError(
             f"certified lower bound {lower!r} exceeds certified upper bound "

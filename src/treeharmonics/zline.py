@@ -421,6 +421,20 @@ def _masked_phase_power(y, mag, expo):
     return out
 
 
+def _phase_power_in_place(y, expo, mag):
+    """:func:`phase_power` of the complex array ``y``, written over ``y`` where it can be.
+
+    Where every modulus ``mag`` is normal this is :func:`phase_power`'s
+    fast path, the same two operations done in place; any zero or
+    subnormal modulus goes through :func:`phase_power` itself.
+    """
+    if np.minimum.reduce(mag, initial=math.inf) >= 2.0**-1022:
+        y /= mag
+        y *= mag**expo
+        return y
+    return phase_power(y, expo, mag)
+
+
 def duality_ascent(apply, adjoint, norm, x, p, iters):
     """Duality-map ascent for the ``l^p -> l^p`` ratio of a linear map.
 
@@ -435,16 +449,22 @@ def duality_ascent(apply, adjoint, norm, x, p, iters):
     ``iters`` iterates, when two successive values agree to a relative
     ``1e-10``, when an iterate vanishes, or before yielding a non-finite
     value.
+
+    ``x`` is copied once, as a complex vector; the normalization and both
+    phase powers then write over the iterate and the image.  So ``apply``
+    and ``adjoint`` must return fresh complex arrays, never a view of their
+    argument or of state they keep.
     """
     if p <= 1.0 or math.isinf(p):
         raise DomainError("duality-map iteration needs 1 < p < inf")
     pd = dual_exponent(p)
     prev = -1.0
+    x = np.array(x, dtype=complex)
     for k in range(1, iters + 1):
         nx = norm(np.abs(x))
         if nx == 0.0:
             return
-        x = x / nx
+        x /= nx
         y = apply(x)
         mag = np.abs(y)
         est = norm(mag)
@@ -454,7 +474,8 @@ def duality_ascent(apply, adjoint, norm, x, p, iters):
         if prev >= 0.0 and abs(est - prev) <= 1e-10 * max(est, 1e-300):
             return
         prev = est
-        x = phase_power(adjoint(phase_power(y, p - 1.0, mag)), pd - 1.0)
+        w = adjoint(_phase_power_in_place(y, p - 1.0, mag))
+        x = _phase_power_in_place(w, pd - 1.0, np.abs(w))
 
 
 def convolutor_interval(F, p):
@@ -497,7 +518,8 @@ def convolutor_interval(F, p):
             lambda x: np.convolve(x, vals),
             # np.correlate conjugates vals: the adjoint, on the window alone
             lambda w: np.correlate(w, vals, "valid"),
-            lambda mag: _modulus_norm(mag, p),
+            # 0 ** p is 0, so zero moduli need no mask
+            lambda mag: float(np.add.reduce(mag**p) ** (1.0 / p)),
             np.ones(window, dtype=complex),
             p,
             _POWER_ITERATES,

@@ -1,5 +1,6 @@
 """Certified bounds engine: profiles, height splitting, reports, transference."""
 
+import collections
 import math
 import tracemalloc
 import warnings
@@ -467,6 +468,63 @@ def test_one_sign_reports_run_no_compression(monkeypatch):
     for name, kernel, p, R in interior_sweep_cases(SIGNED):
         with pytest.raises(Called):
             bounds_report(kernel, p, radius=R)
+
+
+def test_a_report_transforms_a_one_sign_kernel_once(monkeypatch):
+    # a guard on the shared Abel sequence, with no timing: the stages run
+    # once each, and only a signed or complex kernel transforms |k| as well
+    import treeharmonics.engine as engine
+
+    calls = collections.Counter()
+
+    def counted(name):
+        original = getattr(engine, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    stages = ("tree_norm_upper", "tree_norm_lower", "symbol_norm_report")
+    for name in ("abel_forward", *stages):
+        monkeypatch.setattr(engine, name, counted(name))
+    for kernels, transforms in ((("delta", *ONE_SIGN), 1), (SIGNED, 2)):
+        for name, kernel, p, R in interior_sweep_cases(kernels):
+            calls.clear()
+            bounds_report(kernel, p, radius=R)
+            assert calls == {"abel_forward": transforms, **dict.fromkeys(stages, 1)}, name
+
+
+def test_stages_alone_give_the_report_fields_on_the_sweep():
+    # without the shared sequence every stage computes its own, to the same bytes
+    for name, kernel, p, R in sweep_cases():
+        rep = bounds_report(kernel, p, radius=R)
+        upper = tree_norm_upper(kernel, p)
+        assert repr(upper) == repr((rep.total_upper, rep.step1_upper, rep.step2_upper)), name
+        assert repr(tree_norm_lower(kernel, p, R)[0]) == repr(rep.compression_lower), name
+        interval, weyl = symbol_norm_report(kernel, p)
+        got = (interval.lower, interval.upper, weyl)
+        assert repr(got) == repr((rep.symbol_lower, rep.symbol_upper, rep.weyl_residual)), name
+
+
+def test_a_real_one_sign_kernel_shares_its_abel_sequence_with_the_nonnegative_half():
+    # Abel |k| = |Abel k| bit for bit: the transform takes the same steps on
+    # k and -k with every sign flipped, signed zeros and extreme scales included
+    rng = np.random.default_rng(29)
+    for case in range(1000):
+        q = int(rng.choice([2, 3, 5, 7, 1000]))
+        D = int(rng.integers(0, 12))
+        vals = rng.random(D + 1) * 10.0 ** float(rng.integers(-300, 300))
+        vals[rng.random(D + 1) < 0.3] = (0.0, -0.0)[case % 2]
+        vals[-1] = 1.0
+        kernel = radial_kernel(q, (1.0, -1.0)[case % 3 % 2] * vals)
+        seq = abel_forward(kernel)
+        mirror = abel_forward(radial_kernel(q, np.abs(kernel.values)))
+        assert np.abs(seq.values.real).tobytes() == mirror.values.real.tobytes(), case
+        p = float(rng.uniform(1.01, 1.99))
+        shared = nonnegative_height_bound(kernel, p, abel=(seq, None))
+        assert repr(shared) == repr(nonnegative_height_bound(kernel, p)), case
 
 
 @pytest.mark.parametrize("p", [1e14, 1e15])
@@ -996,7 +1054,9 @@ def test_soundness_error_is_a_runtime_error():
 def test_nan_upper_bound_fails_the_sandwich(monkeypatch):
     import treeharmonics.engine as engine
 
-    monkeypatch.setattr(engine, "tree_norm_upper", lambda kernel, p: (math.nan, None, None))
+    monkeypatch.setattr(
+        engine, "tree_norm_upper", lambda kernel, p, **shared: (math.nan, None, None)
+    )
     with pytest.raises(SoundnessError):
         bounds_report(ball_kernel(2, 1), 1.5, radius=5)
 

@@ -19,6 +19,7 @@ from test_golden import sweep_cases
 
 from treeharmonics import engine
 from treeharmonics.params import SoundnessError
+from treeharmonics.zline import ZKernel
 
 EPSILONS = (1e-12, 1e-9, 1e-3, 0.1)
 
@@ -29,27 +30,36 @@ def interior_cases():
 
 
 def planted(name, eps):
-    """The engine function ``name`` with its bound scaled toward a false sandwich by ``eps``.
+    """The engine function ``name`` with its output scaled toward a false sandwich by ``eps``.
 
     The upper bounds are scaled by ``1 - eps``, the lower bound by ``1 + eps``.
+    The Abel sequence is scaled by ``1 + eps``: the report shares it, so it
+    raises the nonnegative half and the Herz lower end, but not the shell
+    series of the negative half.
     """
     original = getattr(engine, name)
     if name == "tree_norm_upper":
 
-        def scaled(kernel, p):
-            total, step1, step2 = original(kernel, p)
+        def scaled(kernel, p, **shared):
+            total, step1, step2 = original(kernel, p, **shared)
             return total * (1.0 - eps), step1, step2
 
     elif name == "tree_norm_lower":
 
-        def scaled(kernel, p, radius=None):
-            value, method = original(kernel, p, radius=radius)
+        def scaled(kernel, p, radius=None, **shared):
+            value, method = original(kernel, p, radius=radius, **shared)
             return value * (1.0 + eps), method
+
+    elif name == "abel_forward":
+
+        def scaled(kernel):
+            seq = original(kernel)
+            return ZKernel(seq.params, seq.offset, seq.values * (1.0 + eps))
 
     else:  # one half of the height split
 
-        def scaled(kernel, p):
-            return original(kernel, p) * (1.0 - eps)
+        def scaled(kernel, p, **shared):
+            return original(kernel, p, **shared) * (1.0 - eps)
 
     return scaled
 
@@ -63,6 +73,10 @@ FLOORS = {
     "negative_height_bound": (0, 135, 135, 137),
     "nonnegative_height_bound": (0, 174, 180, 180),
     "tree_norm_lower": (0, 180, 180, 184),  # the lower end: exact or a compression
+    # the one-sign kernels of radius >= 1, whose Herz lower end and
+    # nonnegative half both read the sequence: the shell series, which does
+    # not, keeps them apart; the delta's exact:l1 ends read no sequence
+    "abel_forward": (0, 135, 135, 135),
 }
 
 
