@@ -121,7 +121,7 @@ def line_profile(kernel, p):
     weights[0] = 1.0
     weights[2::2] = (1.0 - params.q) * params.qpow(-(1.0 + 2.0 * delta) * np.arange(1, N + 1))
     padded = np.zeros(2 * (L + N) + 1, dtype=complex)
-    padded[L - D : L + D + 1] = _shifted_abel(kernel, p)[1].values
+    padded[L - D : L + D + 1] = abel_forward(kernel).shifted(delta).values
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.correlate(padded, weights, "valid")
     if not np.isfinite(vals).all():
@@ -190,12 +190,12 @@ def nonnegative_height_bound(kernel, p, *, abel=None):
     ``(1, 2)`` for fixed nonnegative ``k``.  A sum that overflows float64
     is ``inf``.
 
-    ``abel`` is the pair ``(seq, F)`` of :func:`bounds_report`, of which
-    this half reads ``seq = abel_forward(k)``.  For real ``k`` of one sign,
-    ``|k| = +-k`` entry for entry, and the Abel transform takes the same
-    steps on both with every sign flipped, which rounding respects, so
-    ``Abel |k| = |seq|`` bit for bit.  Any other kernel, or ``abel=None``,
-    transforms ``|k|`` itself.
+    For real ``k`` of one sign, ``|k| = +-k`` entry for entry, and the
+    Abel transform takes the same steps on both with every sign flipped,
+    which rounding respects, so ``Abel |k| = |seq|`` bit for bit with
+    ``seq = abel_forward(k)``.  Such a kernel reads ``seq``: from ``abel``,
+    the pair ``(seq, F)`` of :func:`bounds_report`, or computed where
+    ``abel`` is ``None``.  Any other kernel transforms ``|k|`` itself.
     """
     p = check_exponent(p)
     if not 1.0 < p < 2.0:
@@ -204,8 +204,9 @@ def nonnegative_height_bound(kernel, p, *, abel=None):
     D = kernel.radius
     delta = strip_halfwidth(p)
     kv = kernel.values
-    if abel is not None and not kv.imag.any() and _one_sign(kv):
-        abs_seq = np.abs(abel[0].values.real)
+    if not kv.imag.any() and _one_sign(kv):
+        seq = abel[0] if abel is not None else abel_forward(kernel)
+        abs_seq = np.abs(seq.values.real)
     else:
         abs_seq = abel_forward(RadialKernel(params, np.abs(kv))).values.real
     terms = [params.qpow(-j * delta) * abs_seq[D + j] for j in range(D + 1)]

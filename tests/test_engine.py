@@ -520,11 +520,13 @@ def test_a_real_one_sign_kernel_shares_its_abel_sequence_with_the_nonnegative_ha
         vals[-1] = 1.0
         kernel = radial_kernel(q, (1.0, -1.0)[case % 3 % 2] * vals)
         seq = abel_forward(kernel)
-        mirror = abel_forward(radial_kernel(q, np.abs(kernel.values)))
+        absk = radial_kernel(q, np.abs(kernel.values))
+        mirror = abel_forward(absk)
         assert np.abs(seq.values.real).tobytes() == mirror.values.real.tobytes(), case
         p = float(rng.uniform(1.01, 1.99))
         shared = nonnegative_height_bound(kernel, p, abel=(seq, None))
         assert repr(shared) == repr(nonnegative_height_bound(kernel, p)), case
+        assert repr(shared) == repr(nonnegative_height_bound(absk, p)), case
 
 
 @pytest.mark.parametrize("p", [1e14, 1e15])
