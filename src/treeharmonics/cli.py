@@ -3,6 +3,8 @@
 Numerical modules are imported inside the command handlers, so that
 ``treeharm --help`` and argument errors answer without loading numpy and
 the engine, in about a third of the start-up time of a command that runs.
+A known command's flags are parsed by that command's own parser; the
+top-level parser answers help, unknown commands and leftover arguments.
 Output does not depend on the size of the BLAS/OpenMP thread pools; cap
 them with ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` if needed.  Exit
 codes: ``0`` success, ``2`` I/O or parse error, ``3`` scope violation
@@ -71,6 +73,7 @@ _COMMANDS = (
 
 @functools.cache
 def _build_parser():
+    """The top-level parser and each command's own parser, keyed by name."""
     parser = argparse.ArgumentParser(
         prog="treeharm",
         description="Spherical harmonic analysis and certified convolutor bounds "
@@ -81,7 +84,7 @@ def _build_parser():
         cmd = sub.add_parser(name, help=help_text, description=help_text)
         for flag, kwargs in specs + _COMMON:
             cmd.add_argument(flag, **kwargs)
-    return parser
+    return parser, sub.choices
 
 
 def _emit(text, out):
@@ -213,7 +216,14 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if command is None or extra:
+        # help, an unknown command or an unrecognized flag, with the top-level messages
+        args = parser.parse_args(argv)
     from .params import DomainError, ScopeError, SoundnessError
 
     try:

@@ -163,13 +163,14 @@ def negative_height_bound(kernel, p):
     masses = shell_masses(params.q, max_shell)
     series = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
+        weights = masses * params.qpow(-2.0 * np.arange(max_shell + 1) / p)
         scaled = kernel.values[1:] * params.qpow(np.arange(1, D + 1) / p)
         if not np.isfinite(scaled).all():
             return math.inf
         moduli = np.abs(scaled) if _one_sign(scaled) else None
         for m in range(max_shell + 1):
             if moduli is not None:
-                row_norm = float(np.sum(moduli[2 * m :]))
+                row_norm = float(np.add.reduce(moduli[2 * m :]))
                 if not math.isfinite(row_norm):
                     return math.inf  # the row's l1 norm overflows
             else:
@@ -177,7 +178,7 @@ def negative_height_bound(kernel, p):
                     row_norm, _ = convolutor_upper(ZKernel(params, 2 * m + 1, scaled[2 * m :]), p)
                 except DomainError:
                     return math.inf  # the row's l1 norm overflows
-            series += masses[m] * params.qpow(-2.0 * m / p) * row_norm
+            series += weights[m] * row_norm
     return float(series)
 
 
@@ -209,9 +210,9 @@ def nonnegative_height_bound(kernel, p, *, abel=None):
         abs_seq = np.abs(seq.values.real)
     else:
         abs_seq = abel_forward(RadialKernel(params, np.abs(kv))).values.real
-    terms = [params.qpow(-j * delta) * abs_seq[D + j] for j in range(D + 1)]
+    terms = params.qpow(-np.arange(D + 1) * delta) * abs_seq[D:]
     try:
-        return math.fsum(terms)
+        return math.fsum(terms.tolist())
     except OverflowError:
         return math.inf  # the terms are nonnegative, so the sum overflows to +inf
 

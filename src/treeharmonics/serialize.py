@@ -35,14 +35,13 @@ def kernel_to_json(kernel):
 def kernel_from_json(text):
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DomainError(f"malformed kernel JSON: {exc}") from exc
     if not isinstance(obj, dict) or set(obj) != {"q", "values"}:
         raise DomainError('kernel JSON must be an object with exactly "q" and "values"')
     rows = obj["values"]
     if not isinstance(rows, list) or not rows:
         raise DomainError('"values" must be a nonempty list of [re, im] pairs')
-    vals = np.empty(len(rows), dtype=complex)
     for i, row in enumerate(rows):
         if (
             not isinstance(row, list)
@@ -50,7 +49,15 @@ def kernel_from_json(text):
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
         ):
             raise DomainError(f'"values"[{i}] must be an [re, im] pair of numbers')
-        vals[i] = complex(row[0], row[1])
+    try:
+        # each number rounds to float64 as complex(re, im) rounds it
+        vals = np.array(rows, dtype=float).view(complex).ravel()
+    except OverflowError:  # an integer past the float64 range: name its pair
+        for i, row in enumerate(rows):
+            try:
+                complex(*row)
+            except OverflowError:
+                raise DomainError(f'"values"[{i}] holds an integer that float64 cannot hold') from None
     return RadialKernel(obj["q"], vals)
 
 
@@ -146,8 +153,16 @@ def census_to_csv(rows):
 # Structured JSON records
 # ---------------------------------------------------------------------------
 
+_FLAT = json.JSONEncoder(allow_nan=False, separators=(",\n  ", ": "))
+
+
+def _flat_json(obj):
+    """``json.dumps(obj, indent=2, allow_nan=False) + "\\n"`` for a dict of scalars, by the C encoder."""
+    return "{\n  " + _FLAT.encode(obj)[1:-1] + "\n}\n"
+
+
 def interval_to_json(interval):
-    return json.dumps(asdict(interval), indent=2, allow_nan=False) + "\n"
+    return _flat_json(asdict(interval))
 
 
 def report_to_json(report):
@@ -155,4 +170,4 @@ def report_to_json(report):
     obj = report.to_json_dict()
     if math.isinf(obj["p"]):
         obj["p"] = "inf"  # float("inf") reads it back
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    return _flat_json(obj)

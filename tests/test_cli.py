@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from treeharmonics import cli
 from treeharmonics.cli import main
 from treeharmonics.abel import abel_forward
 from treeharmonics.serialize import (
@@ -148,6 +149,30 @@ def test_non_finite_kernel_file_exits_with_two(tmp_path):
     bad = tmp_path / "nan.json"
     bad.write_text('{"q": 2, "values": [[1.0, 0.0], [NaN, 0.0]]}')
     assert main(["check", "--kernel", str(bad), "--p", "1.5", "--radius", "5"]) == 2
+
+
+#: Kernel files that no command can read: each must exit 2 with an ``error:`` line.
+UNREADABLE_KERNELS = {
+    "huge-int": '{"q": 2, "values": [[1.0, 0.0], [1' + "0" * 400 + ', 0]]}',
+    "deep-nesting": "[" * 200_000,
+    "nan": '{"q": 2, "values": [[NaN, 0.0]]}',
+    "bool": '{"q": 2, "values": [[true, 0.0]]}',
+    "string": '{"q": 2, "values": [["1.0", 0.0]]}',
+}
+
+
+@pytest.mark.parametrize("text", UNREADABLE_KERNELS.values(), ids=UNREADABLE_KERNELS)
+@pytest.mark.parametrize(
+    "command", [["check", "--p", "1.5"], ["transform"], ["abel"], ["norms", "--p", "1.5"]],
+    ids=lambda command: command[0],
+)
+def test_an_unreadable_kernel_file_exits_with_two(tmp_path, command, text, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main([*command, "--kernel", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", [["check", "--p", "1.5"], ["transform"], ["norms", "--p", "1.5"]])
@@ -432,3 +457,69 @@ def test_bad_flag_values_are_rejected():
         with pytest.raises(SystemExit) as exc:
             main(["census", "--q", "2", "--radius", "2"] + flag)
         assert exc.value.code == 2
+
+
+def _dispatch_table(tmp_path):
+    """``(argv, valid)``: a valid line per command, help, and the parser's error cases."""
+    kernel = tmp_path / "k.json"
+    write_kernel(radial_kernel(3, [1.0, -0.5 + 0.25j, 0.125]), kernel)
+    symbol = tmp_path / "s.csv"
+    symbol.write_text(symbol_to_csv(TorusSymbol(2, np.linspace(1.0, 2.0, 64))))
+    k = ["--kernel", str(kernel)]
+    valid = [
+        ["transform", *k, "--grid", "64"],
+        ["invert", "--kernel", str(symbol), "--q", "2", "--radius", "2"],
+        ["abel", *k],
+        ["norms", *k, "--p", "1.5"],
+        ["check", *k, "--p", "3", "--radius", "5"],
+        ["census", "--q", "2", "--radius", "2"],
+        ["transference", "--q", "2", "--radius", "3", "--instances", "2", "--seed", "1"],
+        ["hilbert", "--q", "3", "--grid", "8", "16"],
+        ["check", *k, "--p", "2"],  # parsed, then refused by the handler with exit 3
+    ]
+    invalid = [
+        [], ["--help"], ["-h"], ["bogus"], ["--bogus"], ["chec"],
+        *([name, "--help"] for name, _, _ in cli._COMMANDS),
+        ["check", *k],  # --p is required
+        ["check", "--p", "1.5"],  # --kernel is required
+        ["census", "--q", "2"],
+        ["check", *k, "--p", "1.5", "--bogus"],
+        ["check", *k, "--p", "1.5", "extra"],
+        ["census", "--q", "2", "--radius", "2", "--threads", "1"],
+        ["check", "--bogus", *k],  # unrecognized and a required flag missing
+        ["check", *k, "--p", "x"],
+        ["transference", "--radius", "0"],
+    ]
+    return [(argv, True) for argv in valid] + [(argv, False) for argv in invalid]
+
+
+def _run_main(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_each_command_parser_answers_as_the_top_level_parser(tmp_path, monkeypatch, capsys):
+    """``main`` gives the exit code, stdout and stderr of the top-level parser and handler.
+
+    The reference run hides every command parser from ``main``, so each
+    argv goes through the top-level parser alone.
+    """
+    parser, commands = cli._build_parser()
+    table = _dispatch_table(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_build_parser", lambda: (parser, {}))
+        want = [_run_main(argv, capsys) for argv, _ in table]
+    for (argv, valid), expected in zip(table, want):
+        assert _run_main(argv, capsys) == expected, argv
+        assert isinstance(expected[0], int) == valid, argv  # the parser exits on the rest
+    seen = []
+    for name in commands:
+        monkeypatch.setitem(cli._HANDLERS, name, lambda args: seen.append(args) or 0)
+    for argv, valid in table:
+        if valid:
+            assert main(argv) == 0
+            assert seen.pop() == parser.parse_args(argv), argv

@@ -1,9 +1,12 @@
 """Wire formats: lossless roundtrips and strict validation."""
 
 import json
+import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from test_golden import sweep_cases
 
 from treeharmonics.abel import abel_forward
 from treeharmonics.engine import bounds_report, symbol_norm_report
@@ -59,6 +62,24 @@ def test_kernel_json_rejects_malformed_input():
     for text in bad:
         with pytest.raises(DomainError):
             kernel_from_json(text)
+
+
+def test_kernel_json_rounds_each_number_as_complex_does():
+    """The values are the bytes of ``complex(re, im)`` per pair, integers and subnormals included."""
+    numbers = [
+        2**53 + 1, -(2**53 + 1), 2**63, 2**64 + 1, 10**300, -(10**300), 0, -0.0, 0.1,
+        5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308, 3,
+    ]
+    rows = [[re, im] for re, im in zip(numbers, numbers[1:] + numbers[:1])]
+    kernel = kernel_from_json(json.dumps({"q": 2, "values": rows}))
+    want = np.array([complex(re, im) for re, im in rows])
+    assert kernel.values.tobytes() == want.tobytes()
+
+
+def test_kernel_json_names_the_pair_float64_cannot_hold():
+    text = '{"q": 2, "values": [[1.0, 0.0], [Infinity, 0], [2, -1%s]]}' % ("0" * 400)
+    with pytest.raises(DomainError, match=r'^"values"\[2\] holds an integer'):
+        kernel_from_json(text)
 
 
 def test_symbol_csv_roundtrip(tmp_path):
@@ -136,3 +157,16 @@ def test_empty_csv_is_rejected(tmp_path):
     path.write_text("s,re,im\n")
     with pytest.raises(DomainError):
         read_symbol(2, path)
+
+
+def test_json_records_are_json_dumps_with_indent_two():
+    """Reports and symbol intervals over the sweep, ``None`` steps and ``p = inf`` included."""
+    for _, kernel, p, R in sweep_cases():
+        report = bounds_report(kernel, p, radius=R)
+        obj = report.to_json_dict()
+        if math.isinf(p):
+            obj["p"] = "inf"
+        assert report_to_json(report) == json.dumps(obj, indent=2, allow_nan=False) + "\n"
+        interval, _ = symbol_norm_report(kernel, p)
+        want = json.dumps(asdict(interval), indent=2, allow_nan=False) + "\n"
+        assert interval_to_json(interval) == want
