@@ -32,6 +32,10 @@ def kernel_to_json(kernel):
     return json.dumps({"q": kernel.params.q, "values": pairs}) + "\n"
 
 
+#: The exact types ``json.loads`` gives a number; a bool is of neither.
+_NUMBER = (int, float)
+
+
 def kernel_from_json(text):
     try:
         obj = json.loads(text)
@@ -43,10 +47,9 @@ def kernel_from_json(text):
     if not isinstance(rows, list) or not rows:
         raise DomainError('"values" must be a nonempty list of [re, im] pairs')
     for i, row in enumerate(rows):
-        if (
-            not isinstance(row, list)
-            or len(row) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
+        if not (
+            type(row) is list and len(row) == 2
+            and type(row[0]) in _NUMBER and type(row[1]) in _NUMBER
         ):
             raise DomainError(f'"values"[{i}] must be an [re, im] pair of numbers')
     try:
@@ -57,7 +60,7 @@ def kernel_from_json(text):
             try:
                 complex(*row)
             except OverflowError:
-                raise DomainError(f'"values"[{i}] holds an integer that float64 cannot hold') from None
+                raise DomainError(f'"values"[{i}] holds an integer float64 cannot hold') from None
     return RadialKernel(obj["q"], vals)
 
 
@@ -157,7 +160,11 @@ _FLAT = json.JSONEncoder(allow_nan=False, separators=(",\n  ", ": "))
 
 
 def _flat_json(obj):
-    """``json.dumps(obj, indent=2, allow_nan=False) + "\\n"`` for a dict of scalars, by the C encoder."""
+    """``json.dumps(obj, indent=2, allow_nan=False) + "\\n"`` for a dict of scalars.
+
+    Any ``indent`` sends ``json.dumps`` to the pure-Python encoder; the
+    indent written into the separators keeps the C encoder.
+    """
     return "{\n  " + _FLAT.encode(obj)[1:-1] + "\n}\n"
 
 

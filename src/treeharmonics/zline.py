@@ -106,7 +106,7 @@ class ZKernel:
         return ZKernel(self.params, self.offset, values)
 
     def trimmed(self):
-        """The kernel without leading/trailing zero entries: itself if neither end is zero, else a copy."""
+        """Without leading/trailing zero entries: itself if neither end is zero, else a copy."""
         if self.values[0] != 0.0 and self.values[-1] != 0.0:
             return self
         nz = np.flatnonzero(np.abs(self.values) != 0.0)

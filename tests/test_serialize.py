@@ -65,7 +65,7 @@ def test_kernel_json_rejects_malformed_input():
 
 
 def test_kernel_json_rounds_each_number_as_complex_does():
-    """The values are the bytes of ``complex(re, im)`` per pair, integers and subnormals included."""
+    """The values are the bytes of ``complex(re, im)`` per pair, big integers and subnormals too."""
     numbers = [
         2**53 + 1, -(2**53 + 1), 2**63, 2**64 + 1, 10**300, -(10**300), 0, -0.0, 0.1,
         5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308, 3,
