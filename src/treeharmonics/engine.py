@@ -19,16 +19,12 @@ attain it.  :func:`bounds_report` assembles both sides and *asserts* the
 sandwich ``compression_lower <= total_upper`` — a violation is a
 soundness bug, not a data condition, and raises :class:`SoundnessError`.
 
-Every side reads one object, the kernel's Abel sequence ``seq``, shifted
-to ``F`` on the line ``Im z = delta(p)``; :func:`bounds_report` computes
-the pair once and passes it to each stage as ``abel``.  The nonnegative
-half of the upper bound reads ``seq`` (``Abel |k| = |seq|`` for a real
-one-sign kernel; any other kernel transforms ``|k|`` once more), Herz's
-lower bound reads ``F``, and :func:`symbol_norm_report` runs the norm
-interval on ``F`` and the evenness residual on ``seq``.  A stage called
-alone computes what it reads.  :func:`line_profile` computes the
-reconstruction profile itself as a finite geometric sum, off the report
-path.
+Every side reads the same facts: the split exponent, the kernel's sign
+class and its Abel sequence ``seq``, shifted to ``F`` on ``Im z =
+delta(p)``.  :func:`bounds_report` decides them once, as a :class:`_Plan`
+passed to each stage as ``plan``; a stage called alone makes its own.
+:func:`line_profile` computes the reconstruction profile itself as a
+finite geometric sum, off the report path.
 
 ``p = 2`` is excluded throughout the pipeline: there the transform theory
 gives the exact operator norm directly, exposed separately as
@@ -36,7 +32,7 @@ gives the exact operator norm directly, exposed separately as
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,14 +65,40 @@ _SCOPE_MESSAGE = (
 
 
 def _shifted_abel(kernel, p):
-    """``(seq, F)``: the Abel sequence of ``kernel`` and its shift to ``Im z = delta(p)``.
-
-    ``F(j) = a_j q^{j delta(p)}`` (:meth:`~treeharmonics.zline.ZKernel.shifted`).
-    Coefficients or a shift that overflow float64 raise
-    :class:`~treeharmonics.params.DomainError`.
-    """
+    """``(seq, F)``: the Abel sequence ``a_j`` and ``F(j) = a_j q^{j delta(p)}``; raises on overflow."""
     seq = abel_forward(kernel)
     return seq, seq.shifted(strip_halfwidth(p))
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What every side of a report reads, decided once by :func:`_plan`.
+
+    ``pe`` is the split exponent: ``p`` below 2, and above 2 the dual,
+    of the same norm; at 1 both sides are the tree ``l1`` norm.  ``sign``
+    is ``"one-sign"`` (real values of one sign), ``"one-entry"`` (one
+    nonzero value, not real) or ``"signed"``; the first two take Herz's
+    exact norm as the lower side.  ``abel`` is :func:`_shifted_abel`'s
+    ``(seq, F)``, or ``None`` where it overflows float64, and each stage
+    then meets the overflow as it would alone.  Only a ``"one-sign"``
+    kernel has ``Abel |k| = |seq|`` bit for bit, so only it reuses ``seq``
+    for the nonnegative half: a phase is not a sign.
+    """
+
+    pe: float
+    sign: str
+    abel: object
+
+
+def _plan(kernel, p):
+    """The :class:`_Plan` of ``kernel`` at the checked exponent ``p``."""
+    kv = kernel.values
+    sign = "signed" if not _one_sign(kv) else "one-entry" if kv.imag.any() else "one-sign"
+    try:
+        abel = _shifted_abel(kernel, p)
+    except DomainError:
+        abel = None
+    return _Plan(p if p < 2.0 else dual_exponent(p), sign, abel)
 
 
 def line_profile(kernel, p):
@@ -182,7 +204,7 @@ def negative_height_bound(kernel, p):
     return float(series)
 
 
-def nonnegative_height_bound(kernel, p, *, abel=None):
+def nonnegative_height_bound(kernel, p, *, plan=None):
     """Weighted Abel sum bounding the nonnegative-relative-height half.
 
     Returns ``sum_{j >= 0} q^{-j delta(p)} (Abel |k|)(j)``, the horocycle
@@ -193,10 +215,8 @@ def nonnegative_height_bound(kernel, p, *, abel=None):
 
     For real ``k`` of one sign, ``|k| = +-k`` entry for entry, and the
     Abel transform takes the same steps on both with every sign flipped,
-    which rounding respects, so ``Abel |k| = |seq|`` bit for bit with
-    ``seq = abel_forward(k)``.  Such a kernel reads ``seq``: from ``abel``,
-    the pair ``(seq, F)`` of :func:`bounds_report`, or computed where
-    ``abel`` is ``None``.  Any other kernel transforms ``|k|`` itself.
+    which rounding respects, so such a kernel reads ``|seq|`` from ``plan``
+    (:class:`_Plan`).  Any other kernel transforms ``|k|`` itself.
     """
     p = check_exponent(p)
     if not 1.0 < p < 2.0:
@@ -204,12 +224,11 @@ def nonnegative_height_bound(kernel, p, *, abel=None):
     params = kernel.params
     D = kernel.radius
     delta = strip_halfwidth(p)
-    kv = kernel.values
-    if not kv.imag.any() and _one_sign(kv):
-        seq = abel[0] if abel is not None else abel_forward(kernel)
-        abs_seq = np.abs(seq.values.real)
+    plan = plan or _plan(kernel, p)
+    if plan.sign == "one-sign" and plan.abel is not None:
+        abs_seq = np.abs(plan.abel[0].values.real)
     else:
-        abs_seq = abel_forward(RadialKernel(params, np.abs(kv))).values.real
+        abs_seq = abel_forward(RadialKernel(params, np.abs(kernel.values))).values.real
     terms = params.qpow(-np.arange(D + 1) * delta) * abs_seq[D:]
     try:
         return math.fsum(terms.tolist())
@@ -223,42 +242,33 @@ def spectral_sup(kernel):
     return value
 
 
-def _split_exponent(p):
-    """The exponent of the height split: ``p`` below 2, and above 2 the dual, of the same norm."""
-    return p if p < 2.0 else dual_exponent(p)
-
-
-def tree_norm_upper(kernel, p, *, abel=None):
+def tree_norm_upper(kernel, p, *, plan=None):
     """Certified upper bound for the ``L^p`` convolutor norm on the tree.
 
     Returns ``(total, step1, step2)``.  The bound is the two-part height
     splitting :func:`negative_height_bound` +
-    :func:`nonnegative_height_bound` at the split exponent: ``p`` itself
-    below 2, and above 2 the dual exponent, which carries the same norm.
-    For ``k >= 0`` the total is Herz's exact norm ``|FT k(i delta(p))|``
-    up to rounding.  Where the split exponent is 1 — ``p`` in
-    ``{1, inf}``, or a ``p`` whose dual rounds to 1 — the bound is the
-    exact tree ``l1`` norm and the step fields are ``None``.  ``p = 2`` is
-    out of scope.  A bound that overflows float64 raises
-    :class:`~treeharmonics.params.DomainError`.  ``abel``, the pair
-    ``(seq, F)`` of :func:`bounds_report`, goes to
-    :func:`nonnegative_height_bound`; ``None`` lets it transform the kernel
-    itself.
+    :func:`nonnegative_height_bound` at the split exponent of ``plan``
+    (:class:`_Plan`; ``None`` makes it).  For ``k >= 0`` the total is
+    Herz's exact norm ``|FT k(i delta(p))|`` up to rounding.  Where the
+    split exponent is 1 — ``p`` in ``{1, inf}``, or a ``p`` whose dual
+    rounds to 1 — the bound is the exact tree ``l1`` norm and the step
+    fields are ``None``.  ``p = 2`` is out of scope.  A bound that
+    overflows float64 raises :class:`~treeharmonics.params.DomainError`.
     """
     p = check_exponent(p)
     if p == 2.0:
         raise ScopeError(_SCOPE_MESSAGE)
-    pe = _split_exponent(p)
-    if pe == 1.0:
+    plan = plan or _plan(kernel, p)
+    if plan.pe == 1.0:
         return kernel.l1_on_tree(), None, None
-    step1 = negative_height_bound(kernel, pe)
-    step2 = nonnegative_height_bound(kernel, pe, abel=abel)
+    step1 = negative_height_bound(kernel, plan.pe)
+    step2 = nonnegative_height_bound(kernel, plan.pe, plan=plan)
     if not math.isfinite(step1 + step2):
         raise DomainError("the height-split bound overflows float64")
     return step1 + step2, step1, step2
 
 
-def _herz_lower(kernel, p, abel):
+def _herz_lower(kernel, F):
     """Herz's exact norm of a one-sign kernel, rounded down past its rounding error.
 
     For a kernel whose values are real and of one sign, or that has one
@@ -303,9 +313,8 @@ def _herz_lower(kernel, p, abel):
     ``0.17 gamma``.  The model needs every nonzero intermediate
     far from the subnormals: each is at least ``min(1, min |k|) q^{-D/2}``
     in modulus, and below ``2^-1000`` the route gives way (``None``), as
-    it does where the sum overflows float64.  ``F`` is read from the pair
-    ``abel = (seq, F)`` of :func:`bounds_report`, or computed where
-    ``abel`` is ``None``.
+    it does where the sum overflows float64.  ``F`` comes from the
+    :class:`_Plan`.
     """
     params = kernel.params
     D = kernel.radius
@@ -314,50 +323,47 @@ def _herz_lower(kernel, p, abel):
     if np.abs(kv[kv != 0.0]).min(initial=1.0) * params.qpow(-D / 2.0) < 2.0**-1000:
         return None
     try:
-        herz = (abel or _shifted_abel(kernel, p))[1].l1()
+        herz = F.l1()
     except DomainError:
         return None
     return herz * (1.0 - 4.0 * (D * (1.0 + params.log_q) + 3.0) * 2.0**-53)
 
 
-def tree_norm_lower(kernel, p, radius=None, *, abel=None):
+def tree_norm_lower(kernel, p, radius=None, *, plan=None):
     """Certified lower bound: an exact norm where the theory gives one, else a compression.
 
     Where the split exponent is 1 — ``p`` in ``{1, inf}``, or a ``p``
     whose dual rounds to 1 — or the kernel has radius 0, the convolutor
     norm is the tree ``l1`` norm, returned as ``exact:l1``.  Where the
-    kernel values are real and of one sign, or one is nonzero
-    (:func:`~treeharmonics.zline._one_sign`), the norm is Herz's
-    ``|FT k(i delta(p))|``, returned rounded down past its rounding error
-    as ``exact:herz`` (:func:`_herz_lower`); a Herz sum that leaves
-    float64 falls through to the compression.  Neither route runs a
-    compression.  Otherwise every reported value is an attained Rayleigh
-    quotient of the exact ball convolution of a radial trial function,
-    computed on the radial quotient of the ball by
-    :func:`~treeharmonics.tree.opnorm_lower`, hence a true lower bound for
-    the convolutor norm.  That value is clamped to the tree ``l1`` norm,
-    which bounds every ``L^p`` norm: for ``p`` next to 1 the best trial
-    can round above the exact norm.  Returns ``(value, method)``.  The
-    ball must strictly contain the kernel support (``radius >= D + 1`` so
-    the central column is complete), at every ``p`` and on every route;
-    the default ``D + 3`` leaves room for window trials.  The Herz route
-    reads ``F`` from ``abel``, the pair ``(seq, F)`` of
-    :func:`bounds_report`; ``None`` computes it.
+    sign class of ``plan`` (:class:`_Plan`; ``None`` makes it) is not
+    ``"signed"``, the norm is Herz's ``|FT k(i delta(p))|``, returned
+    rounded down past its rounding error as ``exact:herz``
+    (:func:`_herz_lower`); a Herz sum that leaves float64 falls through to
+    the compression.  Neither route runs a compression.  Otherwise every
+    reported value is an attained Rayleigh quotient of the exact ball
+    convolution of a radial trial function, computed on the radial
+    quotient of the ball by :func:`~treeharmonics.tree.opnorm_lower`,
+    hence a true lower bound for the convolutor norm.  That value is
+    clamped to the tree ``l1`` norm, which bounds every ``L^p`` norm: for
+    ``p`` next to 1 the best trial can round above the exact norm.
+    Returns ``(value, method)``.  The ball must strictly contain the
+    kernel support (``radius >= D + 1`` so the central column is
+    complete), at every ``p`` and on every route; the default ``D + 3``
+    leaves room for window trials.
     """
     p = check_exponent(p)
     D = kernel.radius
-    if radius is None:
-        radius = D + 3
-    radius = int(radius)
+    radius = D + 3 if radius is None else int(radius)
     if radius < D + 1:
         raise DomainError(
             f"compression radius {radius} must be at least D+1 = {D + 1} "
             "so the central column is complete"
         )
-    if D == 0 or _split_exponent(p) == 1.0:
+    plan = plan or _plan(kernel, p)
+    if D == 0 or plan.pe == 1.0:
         return kernel.l1_on_tree(), "exact:l1"
-    if _one_sign(kernel.values):
-        herz = _herz_lower(kernel, p, abel)
+    if plan.sign != "signed" and plan.abel is not None:
+        herz = _herz_lower(kernel, plan.abel[1])
         if herz is not None:
             return herz, "exact:herz"
     value, method = opnorm_lower(kernel, p, radius)
@@ -368,7 +374,7 @@ def tree_norm_lower(kernel, p, radius=None, *, abel=None):
     return value, method
 
 
-def symbol_norm_report(kernel, p, *, abel=None):
+def symbol_norm_report(kernel, p, *, plan=None):
     """Two-sided norm interval for the shifted symbol's coefficients on ℤ.
 
     Builds the kernel ``(a_j q^{j delta(p)})_j`` from the Abel
@@ -377,13 +383,17 @@ def symbol_norm_report(kernel, p, *, abel=None):
     certified :func:`~treeharmonics.zline.convolutor_interval` at ``p``
     and the residual is the evenness defect
     :func:`~treeharmonics.abel.weyl_residual` of the coefficients (exactly
-    ``0`` for every radial kernel).  ``p = 2`` is out of scope.  ``abel``
-    is the pair ``(seq, F)`` of :func:`bounds_report`; ``None`` computes it.
+    ``0`` for every radial kernel).  ``p = 2`` is out of scope.  ``plan``
+    is the :class:`_Plan`; ``None`` makes it, and a pair that overflows
+    float64 raises :class:`~treeharmonics.params.DomainError`.
     """
     p = check_exponent(p)
     if p == 2.0:
         raise ScopeError(_SCOPE_MESSAGE)
-    seq, F = abel or _shifted_abel(kernel, p)
+    plan = plan or _plan(kernel, p)
+    if plan.abel is None:
+        _shifted_abel(kernel, p)  # raises the overflow's own DomainError
+    seq, F = plan.abel
     return convolutor_interval(F, p), weyl_residual(seq)
 
 
@@ -521,8 +531,8 @@ class BoundsReport:
         return math.inf if self.compression_lower > 0.0 else 0.0
 
     def to_json_dict(self):
-        # every field is a number, a string or None: a flat copy, no deep copy
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        # every field is a number, a string or None: a flat copy, in field order
+        return dict(vars(self))
 
 
 def bounds_report(kernel, p, radius=None):
@@ -534,29 +544,17 @@ def bounds_report(kernel, p, radius=None):
     interval into a :class:`BoundsReport`.  A certified
     lower bound exceeding the certified upper bound (beyond rounding
     slack), or either side being NaN, raises :class:`SoundnessError`.
-
-    The kernel is Abel-transformed once: ``seq = abel_forward(kernel)``
-    and ``F = seq.shifted(delta(p))`` go to every stage as ``abel``.  The
-    upper side reads ``seq``, as ``Abel |k| = |seq|`` for a real one-sign
-    kernel (any other kernel transforms ``|k|`` once more); the Herz lower
-    side reads ``F``; the symbol interval runs on ``F`` and the evenness
-    residual on ``seq``.  Where ``seq`` or ``F`` overflows float64 the
-    stages get ``None`` and compute what they read themselves, so each
-    raises or falls back as it does alone.
+    One :class:`_Plan` goes to every stage, so the kernel is
+    Abel-transformed once.
     """
     p = check_exponent(p)
     if p == 2.0:
         raise ScopeError(_SCOPE_MESSAGE)
-    if radius is None:
-        radius = kernel.radius + 3
-    radius = int(radius)
-    try:
-        abel = _shifted_abel(kernel, p)
-    except DomainError:
-        abel = None  # each stage then meets the overflow where it would alone
-    total, step1, step2 = tree_norm_upper(kernel, p, abel=abel)
-    lower, _ = tree_norm_lower(kernel, p, radius=radius, abel=abel)
-    interval, weyl = symbol_norm_report(kernel, p, abel=abel)
+    radius = kernel.radius + 3 if radius is None else int(radius)
+    plan = _plan(kernel, p)
+    total, step1, step2 = tree_norm_upper(kernel, p, plan=plan)
+    lower, _ = tree_norm_lower(kernel, p, radius=radius, plan=plan)
+    interval, weyl = symbol_norm_report(kernel, p, plan=plan)
     if not lower <= total + 1e-10 * max(1.0, total):
         raise SoundnessError(
             f"certified lower bound {lower!r} exceeds certified upper bound "

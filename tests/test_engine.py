@@ -4,6 +4,7 @@ import collections
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -28,6 +29,7 @@ from treeharmonics.abel import abel_forward
 from treeharmonics.engine import (
     BoundsReport,
     SoundnessError,
+    _plan,
     bounds_report,
     line_profile,
     negative_height_bound,
@@ -38,7 +40,13 @@ from treeharmonics.engine import (
     tree_norm_lower,
     tree_norm_upper,
 )
-from treeharmonics.params import DomainError, ScopeError, strip_halfwidth, tree_params
+from treeharmonics.params import (
+    DomainError,
+    ScopeError,
+    dual_exponent,
+    strip_halfwidth,
+    tree_params,
+)
 from treeharmonics.serialize import abel_to_csv, report_to_json
 from treeharmonics.spherical import (
     ball_kernel,
@@ -471,14 +479,17 @@ def test_one_sign_reports_run_no_compression(monkeypatch):
 
 
 def test_a_report_transforms_a_one_sign_kernel_once(monkeypatch):
-    # a guard on the shared Abel sequence, with no timing: the stages run
-    # once each, and only a signed or complex kernel transforms |k| as well
+    # a guard on the shared plan, with no timing: one plan and one run of
+    # each stage, and only a signed or complex kernel transforms |k| as well.
+    # A one-sign kernel tests its sign in the plan, on row 0 of the shell
+    # series and in the symbol interval; the delta has no row 0
     import treeharmonics.engine as engine
+    import treeharmonics.zline as zline
 
     calls = collections.Counter()
 
-    def counted(name):
-        original = getattr(engine, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -487,25 +498,36 @@ def test_a_report_transforms_a_one_sign_kernel_once(monkeypatch):
         return wrapper
 
     stages = ("tree_norm_upper", "tree_norm_lower", "symbol_norm_report")
-    for name in ("abel_forward", *stages):
-        monkeypatch.setattr(engine, name, counted(name))
-    for kernels, transforms in ((("delta", *ONE_SIGN), 1), (SIGNED, 2)):
+    for name in ("abel_forward", "_plan", *stages):
+        monkeypatch.setattr(engine, name, counted(engine, name))
+    one_sign = counted(zline, "_one_sign")
+    for module in (engine, zline):
+        monkeypatch.setattr(module, "_one_sign", one_sign)
+    for kernels, transforms, signs in ((("delta",), 1, 2), (ONE_SIGN, 1, 3), (SIGNED, 2, None)):
         for name, kernel, p, R in interior_sweep_cases(kernels):
             calls.clear()
             bounds_report(kernel, p, radius=R)
-            assert calls == {"abel_forward": transforms, **dict.fromkeys(stages, 1)}, name
+            if signs is None:
+                del calls["_one_sign"]  # every signed row of the shell series tests its own
+            else:
+                assert calls.pop("_one_sign") == signs, name
+            assert calls == {"abel_forward": transforms, "_plan": 1, **dict.fromkeys(stages, 1)}, name
+
+
+def assert_stages_alone_give_the_report(kernel, p, R, name):
+    """Each stage, making its own plan, gives the bytes of its field of the report."""
+    rep = bounds_report(kernel, p, radius=R)
+    upper = tree_norm_upper(kernel, p)
+    assert repr(upper) == repr((rep.total_upper, rep.step1_upper, rep.step2_upper)), name
+    assert repr(tree_norm_lower(kernel, p, R)[0]) == repr(rep.compression_lower), name
+    interval, weyl = symbol_norm_report(kernel, p)
+    got = (interval.lower, interval.upper, weyl)
+    assert repr(got) == repr((rep.symbol_lower, rep.symbol_upper, rep.weyl_residual)), name
 
 
 def test_stages_alone_give_the_report_fields_on_the_sweep():
-    # without the shared sequence every stage computes its own, to the same bytes
     for name, kernel, p, R in sweep_cases():
-        rep = bounds_report(kernel, p, radius=R)
-        upper = tree_norm_upper(kernel, p)
-        assert repr(upper) == repr((rep.total_upper, rep.step1_upper, rep.step2_upper)), name
-        assert repr(tree_norm_lower(kernel, p, R)[0]) == repr(rep.compression_lower), name
-        interval, weyl = symbol_norm_report(kernel, p)
-        got = (interval.lower, interval.upper, weyl)
-        assert repr(got) == repr((rep.symbol_lower, rep.symbol_upper, rep.weyl_residual)), name
+        assert_stages_alone_give_the_report(kernel, p, R, name)
 
 
 def test_a_real_one_sign_kernel_shares_its_abel_sequence_with_the_nonnegative_half():
@@ -524,9 +546,29 @@ def test_a_real_one_sign_kernel_shares_its_abel_sequence_with_the_nonnegative_ha
         mirror = abel_forward(absk)
         assert np.abs(seq.values.real).tobytes() == mirror.values.real.tobytes(), case
         p = float(rng.uniform(1.01, 1.99))
-        shared = nonnegative_height_bound(kernel, p, abel=(seq, None))
+        plan = replace(_plan(kernel, p), abel=(seq, None))
+        assert plan.sign == "one-sign", case
+        shared = nonnegative_height_bound(kernel, p, plan=plan)
         assert repr(shared) == repr(nonnegative_height_bound(kernel, p)), case
         assert repr(shared) == repr(nonnegative_height_bound(absk, p)), case
+
+
+@pytest.mark.parametrize("values", [[0, 0, 2.5j], [0, 0, 0, 0.3 - 0.7j]])
+def test_a_kernel_with_one_complex_value_is_one_sign_for_herz_but_not_for_the_abel_sum(values):
+    # one nonzero value carries one phase, so Herz's norm is exact; but
+    # Abel |k| is not |Abel k| of a complex k: |Re seq| is 0 for an imaginary
+    # one, and |seq| misses Abel |k| in the last bits
+    for q in (2, 3, 7):
+        kernel = radial_kernel(q, values)
+        absk = radial_kernel(q, np.abs(kernel.values))
+        for p in (1.1, 1.5, 3.0):
+            pe = p if p < 2.0 else dual_exponent(p)
+            assert _plan(kernel, p).sign == "one-entry"
+            step2 = nonnegative_height_bound(kernel, pe)
+            assert repr(step2) == repr(nonnegative_height_bound(absk, pe)), (q, p)
+            assert repr(step2) == repr(bounds_report(kernel, p).step2_upper), (q, p)
+            assert tree_norm_lower(kernel, p)[1] == "exact:herz", (q, p)
+            assert_stages_alone_give_the_report(kernel, p, kernel.radius + 3, (q, p))
 
 
 @pytest.mark.parametrize("p", [1e14, 1e15])
