@@ -20,12 +20,12 @@ import numpy as np
 
 from .params import DomainError
 from .spherical import RadialKernel
-from .zline import ZKernel
+from .zline import _built
 
 
 def weyl_residual(seq):
     """Evenness defect ``max |a_j - a_{-j}|`` of a sequence stored on ``[-J, J]``."""
-    return float(np.max(np.abs(seq.values - seq.values[::-1])))
+    return float(np.maximum.reduce(np.abs(seq.values - seq.values[::-1])))
 
 
 def abel_forward(kernel):
@@ -53,7 +53,7 @@ def abel_forward(kernel):
         half = reduced * kernel.params.qpow(np.arange(D + 1) / 2.0)
     if not np.isfinite(half).all():
         raise DomainError("the Abel coefficients overflow float64")
-    return ZKernel(kernel.params, -D, np.concatenate([half[:0:-1], half]))
+    return _built(kernel.params, -D, np.concatenate([half[:0:-1], half]))
 
 
 def abel_inverse(seq):

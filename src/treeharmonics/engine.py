@@ -22,9 +22,10 @@ soundness bug, not a data condition, and raises :class:`SoundnessError`.
 Every side reads the same facts: the split exponent, the kernel's sign
 class and its Abel sequence ``seq``, shifted to ``F`` on ``Im z =
 delta(p)``.  :func:`bounds_report` decides them once, as a :class:`_Plan`
-passed to each stage as ``plan``; a stage called alone makes its own.
-:func:`line_profile` computes the reconstruction profile itself as a
-finite geometric sum, off the report path.
+passed to each stage as ``plan``; a stage called alone makes its own.  So
+an exact-route report builds ``seq`` and ``F`` once, checks each finite
+as it is built, and sums ``||F||_1`` once.  :func:`line_profile` computes
+the reconstruction profile as a finite geometric sum, off the report path.
 
 ``p = 2`` is excluded throughout the pipeline: there the transform theory
 gives the exact operator norm directly, exposed separately as
@@ -49,7 +50,7 @@ from .abel import abel_forward, weyl_residual
 from .tree import opnorm_lower, shell_masses
 from .zline import (
     DICTIONARY_VERSION,
-    ZKernel,
+    _built,
     _one_sign,
     _powers,
     convolutor_interval,
@@ -64,12 +65,6 @@ _SCOPE_MESSAGE = (
 )
 
 
-def _shifted_abel(kernel, p):
-    """``(seq, F)``: the Abel sequence ``a_j`` and ``F(j) = a_j q^{j delta(p)}``; raises on overflow."""
-    seq = abel_forward(kernel)
-    return seq, seq.shifted(strip_halfwidth(p))
-
-
 @dataclass(frozen=True)
 class _Plan:
     """What every side of a report reads, decided once by :func:`_plan`.
@@ -78,11 +73,11 @@ class _Plan:
     of the same norm; at 1 both sides are the tree ``l1`` norm.  ``sign``
     is ``"one-sign"`` (real values of one sign), ``"one-entry"`` (one
     nonzero value, not real) or ``"signed"``; the first two take Herz's
-    exact norm as the lower side.  ``abel`` is :func:`_shifted_abel`'s
-    ``(seq, F)``, or ``None`` where it overflows float64, and each stage
-    then meets the overflow as it would alone.  Only a ``"one-sign"``
-    kernel has ``Abel |k| = |seq|`` bit for bit, so only it reuses ``seq``
-    for the nonnegative half: a phase is not a sign.
+    exact norm as the lower side.  ``abel`` is ``(seq, F)``, ``F(j) =
+    seq(j) q^{j delta(p)}``, or ``None`` where it overflows float64, and
+    each stage then meets the overflow as it would alone.  Only a
+    ``"one-sign"`` kernel has ``Abel |k| = |seq|`` bit for bit, so only it
+    reuses ``seq`` for the nonnegative half: a phase is not a sign.
     """
 
     pe: float
@@ -93,9 +88,10 @@ class _Plan:
 def _plan(kernel, p):
     """The :class:`_Plan` of ``kernel`` at the checked exponent ``p``."""
     kv = kernel.values
-    sign = "signed" if not _one_sign(kv) else "one-entry" if kv.imag.any() else "one-sign"
+    sign = "signed" if not _one_sign(kv) else "one-entry" if np.count_nonzero(kv.imag) else "one-sign"
     try:
-        abel = _shifted_abel(kernel, p)
+        seq = abel_forward(kernel)
+        abel = seq, seq.shifted(strip_halfwidth(p))
     except DomainError:
         abel = None
     return _Plan(p if p < 2.0 else dual_exponent(p), sign, abel)
@@ -148,7 +144,7 @@ def line_profile(kernel, p):
         vals = np.correlate(padded, weights, "valid")
     if not np.isfinite(vals).all():
         raise DomainError("the line profile overflows float64: the kernel values are too large")
-    return ZKernel(params, -L, vals)
+    return _built(params, -L, vals)
 
 
 def negative_height_bound(kernel, p):
@@ -181,27 +177,28 @@ def negative_height_bound(kernel, p):
     D = kernel.radius
     if D == 0:
         return 0.0
-    max_shell = (D - 1) // 2
-    masses = shell_masses(params.q, max_shell)
+    top = 2 * ((D - 1) // 2)  # the last row, m = top / 2, starts at u = top + 1
     series = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = masses * params.qpow(-2.0 * np.arange(max_shell + 1) / p)
-        scaled = kernel.values[1:] * params.qpow(np.arange(1, D + 1) / p)
+        # q^{u/p} by one exp: the shell weights at u = -2m, row 0 at u >= 1
+        powers = params.qpow(np.arange(-top, D + 1) / p)
+        weights = (shell_masses(params, top // 2) * powers[top::-2]).tolist()
+        scaled = kernel.values[1:] * powers[top + 1 :]
         if not np.isfinite(scaled).all():
             return math.inf
         moduli = np.abs(scaled) if _one_sign(scaled) else None
-        for m in range(max_shell + 1):
+        for m, weight in enumerate(weights):
             if moduli is not None:
                 row_norm = float(np.add.reduce(moduli[2 * m :]))
                 if not math.isfinite(row_norm):
                     return math.inf  # the row's l1 norm overflows
             else:
                 try:
-                    row_norm, _ = convolutor_upper(ZKernel(params, 2 * m + 1, scaled[2 * m :]), p)
+                    row_norm, _ = convolutor_upper(_built(params, 2 * m + 1, scaled[2 * m :]), p)
                 except DomainError:
                     return math.inf  # the row's l1 norm overflows
-            series += weights[m] * row_norm
-    return float(series)
+            series += weight * row_norm
+    return series
 
 
 def nonnegative_height_bound(kernel, p, *, plan=None):
@@ -320,7 +317,7 @@ def _herz_lower(kernel, F):
     D = kernel.radius
     kv = kernel.values
     # min(1, min |k|) times q^{-D/2} bounds every nonzero intermediate below
-    if np.abs(kv[kv != 0.0]).min(initial=1.0) * params.qpow(-D / 2.0) < 2.0**-1000:
+    if np.minimum.reduce(np.abs(kv[kv != 0.0]), initial=1.0) * params.qpow(-D / 2.0) < 2.0**-1000:
         return None
     try:
         herz = F.l1()
@@ -392,7 +389,7 @@ def symbol_norm_report(kernel, p, *, plan=None):
         raise ScopeError(_SCOPE_MESSAGE)
     plan = plan or _plan(kernel, p)
     if plan.abel is None:
-        _shifted_abel(kernel, p)  # raises the overflow's own DomainError
+        abel_forward(kernel).shifted(strip_halfwidth(p))  # raises the overflow's DomainError
     seq, F = plan.abel
     return convolutor_interval(F, p), weyl_residual(seq)
 

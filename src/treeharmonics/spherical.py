@@ -109,12 +109,9 @@ def sphere_kernel(q, r):
 
 def sphere_sizes(params, dmax):
     """Sizes ``1, q+1, (q+1)q, ...`` of the spheres of radius ``0 .. dmax``."""
-    params = tree_params(params)
-    q = params.q
-    sizes = np.empty(int(dmax) + 1)
+    q = tree_params(params).q
+    sizes = (q + 1) * float(q) ** np.arange(-1, int(dmax))
     sizes[0] = 1.0
-    if dmax >= 1:
-        sizes[1:] = (q + 1) * float(q) ** np.arange(0, int(dmax))
     return sizes
 
 

@@ -293,14 +293,9 @@ def shell_masses(q, mmax):
     ``mu_m`` is the mass a single horocycle assigns to its merge-``m``
     slice; the masses telescope, ``sum_{m <= j} mu_m = q^j``.
     """
-    params = tree_params(q)
-    q = params.q
-    mmax = int(mmax)
-    mu = np.empty(mmax + 1)
+    q = tree_params(q).q
+    mu = (q - 1) * float(q) ** np.arange(-1, int(mmax))
     mu[0] = 1.0
-    if mmax >= 1:
-        powers = float(q) ** np.arange(0, mmax)
-        mu[1:] = (q - 1) * powers
     return mu
 
 

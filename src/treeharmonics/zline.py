@@ -49,7 +49,7 @@ _EVAL_CHUNK = 2048  # frequencies per phase matrix in _eval_symbol
 class ZKernel:
     """Finitely supported kernel on the integers.
 
-    ``values[i]`` is the kernel value at the integer ``offset + i``.
+    ``values[i]`` is the kernel value at the integer ``offset + i``; the kernel owns a checked copy.
     """
 
     params: object
@@ -57,14 +57,13 @@ class ZKernel:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tree_params(self.params))
-        vals = np.asarray(self.values, dtype=complex)
+        params = tree_params(self.params)
+        vals = np.array(self.values, dtype=complex)
         if vals.ndim != 1 or vals.size == 0:
             raise DomainError("kernel values must form a nonempty 1-d array")
         if not np.isfinite(vals).all():
             raise DomainError("kernel values must be finite (no NaN or infinity)")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "offset", int(self.offset))
+        self.__dict__.update(params=params, offset=int(self.offset), values=vals)
 
     @property
     def support(self):
@@ -73,7 +72,7 @@ class ZKernel:
 
     @property
     def indices(self):
-        return self.offset + np.arange(self.values.size)
+        return np.arange(self.offset, self.offset + self.values.size)
 
     def at(self, d):
         """Kernel value at integer ``d`` (0 outside the stored window)."""
@@ -83,9 +82,10 @@ class ZKernel:
         return 0.0 + 0.0j
 
     def l1(self):
-        """Sum of the moduli of the values; an overflowing sum raises :class:`DomainError`."""
-        with np.errstate(over="ignore"):
-            value = float(np.sum(np.abs(self.values)))
+        """Sum of the moduli of the values, taken once; an overflowed sum raises :class:`DomainError`."""
+        if (value := self.__dict__.get("_l1")) is None:
+            with np.errstate(over="ignore"):
+                value = self.__dict__["_l1"] = float(np.add.reduce(np.abs(self.values)))
         if not math.isfinite(value):
             raise DomainError(
                 "the l1 norm on the integers overflows float64: the kernel values are too large"
@@ -103,7 +103,7 @@ class ZKernel:
             values = self.values * self.params.qpow(self.indices * v)
         if not np.isfinite(values).all():
             raise DomainError(f"the kernel shifted to Im z = {v:g} overflows float64")
-        return ZKernel(self.params, self.offset, values)
+        return _built(self.params, self.offset, values)
 
     def trimmed(self):
         """Without leading/trailing zero entries: itself if neither end is zero, else a copy."""
@@ -111,9 +111,18 @@ class ZKernel:
             return self
         nz = np.flatnonzero(np.abs(self.values) != 0.0)
         if nz.size == 0:
-            return ZKernel(self.params, 0, np.zeros(1, dtype=complex))
+            return _built(self.params, 0, np.zeros(1, dtype=complex))
         lo, hi = nz[0], nz[-1]
-        return ZKernel(self.params, self.offset + int(lo), self.values[lo : hi + 1].copy())
+        return _built(self.params, self.offset + int(lo), self.values[lo : hi + 1].copy())
+
+
+def _built(params, offset, values):
+    """An unchecked :class:`ZKernel`: ``values`` must be a finite complex nonempty 1-d array
+    that the caller built and no longer writes, ``params`` a ``TreeParams``, ``offset`` an ``int``.
+    """
+    kernel = object.__new__(ZKernel)
+    kernel.__dict__.update(params=params, offset=offset, values=values)
+    return kernel
 
 
 def zkernel(q, values, offset=0):
@@ -289,8 +298,9 @@ def _one_sign(vals):
     """Whether the array ``vals`` has at most one nonzero entry, or real entries of one sign."""
     if np.count_nonzero(vals) <= 1:
         return True
-    real = vals.real
-    return not vals.imag.any() and bool((real >= 0.0).all() or (real <= 0.0).all())
+    real, n = vals.real, vals.size  # count_nonzero is several times cheaper than any/all here
+    return not np.count_nonzero(vals.imag) and (
+        np.count_nonzero(real >= 0.0) == n or np.count_nonzero(real <= 0.0) == n)
 
 
 def _l1_exact(F, p):

@@ -482,11 +482,29 @@ def test_a_report_transforms_a_one_sign_kernel_once(monkeypatch):
     # a guard on the shared plan, with no timing: one plan and one run of
     # each stage, and only a signed or complex kernel transforms |k| as well.
     # A one-sign kernel tests its sign in the plan, on row 0 of the shell
-    # series and in the symbol interval; the delta has no row 0
+    # series and in the symbol interval; the delta has no row 0.  Every
+    # array a report builds is checked as it is built, so no report runs
+    # ZKernel.__post_init__.  A call of ZKernel.l1 that finds no sum kept on
+    # its kernel takes one: a one-sign report sums F once, a signed one also
+    # each row of its shell series, and no kernel is summed twice
     import treeharmonics.engine as engine
     import treeharmonics.zline as zline
 
     calls = collections.Counter()
+    summed = []
+    post_init, l1 = zline.ZKernel.__post_init__, zline.ZKernel.l1
+
+    def checked(kernel):
+        calls["__post_init__"] += 1
+        post_init(kernel)
+
+    def summing(kernel):
+        if "_l1" not in vars(kernel):
+            summed.append(kernel)  # held, so that no id is reused within a report
+        return l1(kernel)
+
+    monkeypatch.setattr(zline.ZKernel, "__post_init__", checked)
+    monkeypatch.setattr(zline.ZKernel, "l1", summing)
 
     def counted(module, name):
         original = getattr(module, name)
@@ -503,15 +521,21 @@ def test_a_report_transforms_a_one_sign_kernel_once(monkeypatch):
     one_sign = counted(zline, "_one_sign")
     for module in (engine, zline):
         monkeypatch.setattr(module, "_one_sign", one_sign)
-    for kernels, transforms, signs in ((("delta",), 1, 2), (ONE_SIGN, 1, 3), (SIGNED, 2, None)):
+    for kernels, transforms, signs, sums in (
+        (("delta",), 1, 2, (1,)), (ONE_SIGN, 1, 3, (1,)), (SIGNED, 2, None, (1, 3))
+    ):
         for name, kernel, p, R in interior_sweep_cases(kernels):
             calls.clear()
+            summed.clear()
             bounds_report(kernel, p, radius=R)
             if signs is None:
                 del calls["_one_sign"]  # every signed row of the shell series tests its own
             else:
                 assert calls.pop("_one_sign") == signs, name
             assert calls == {"abel_forward": transforms, "_plan": 1, **dict.fromkeys(stages, 1)}, name
+            # F, and the two rows of a shell series whose row 0 is signed
+            assert len(summed) in sums, name
+            assert len({id(k) for k in summed}) == len(summed), name
 
 
 def assert_stages_alone_give_the_report(kernel, p, R, name):
@@ -528,6 +552,56 @@ def assert_stages_alone_give_the_report(kernel, p, R, name):
 def test_stages_alone_give_the_report_fields_on_the_sweep():
     for name, kernel, p, R in sweep_cases():
         assert_stages_alone_give_the_report(kernel, p, R, name)
+
+
+def test_exact_routes_at_extreme_scales_give_the_report_or_refuse_it_finitely():
+    # the l1 sum kept on F and the arrays built without a second check, at
+    # the edges of float64: each stage alone gives its field of the report,
+    # or the report raises DomainError and no stage returns a NaN or an
+    # infinity in its place.  Real one-sign kernels of both signs, kernels
+    # with one complex value and radius-0 kernels
+    rng = np.random.default_rng(32)
+    refused = 0
+    for case in range(500):
+        q = int(rng.choice([2, 3, 7, 1000]))
+        kind = case % 4
+        D = 0 if kind == 3 else int(rng.integers(0, 9))
+        scale = float(rng.choice([1e150, 1e-150, 1e300, 1e-300]))
+        p = float(rng.choice([1.0 + 1e-9, 1.1, 4.0 / 3.0, 3.0, 1e6]))
+        if kind <= 1:
+            vals = rng.random(D + 1)
+            vals[rng.random(D + 1) < 0.3] = 0.0
+            vals[-1] = 0.5 + rng.random()
+            vals *= (1.0, -1.0)[kind] * scale
+        else:
+            vals = np.zeros(D + 1, dtype=complex)
+            vals[-1] = complex(rng.normal(), rng.normal()) * scale
+        kernel = radial_kernel(q, vals)
+        R = D + 3
+        name = f"case {case}: q={q} D={D} scale={scale:g} p={p!r} k[D]={vals[-1]!r}"
+        try:
+            bounds_report(kernel, p, radius=R)
+        except DomainError:
+            refused += 1
+
+            def symbol_fields():
+                interval, weyl = symbol_norm_report(kernel, p)
+                return interval.lower, interval.upper, weyl
+
+            stages = (
+                lambda: tree_norm_upper(kernel, p),  # the steps are None at split exponent 1
+                lambda: tree_norm_lower(kernel, p, R)[:1],
+                symbol_fields,
+            )
+            for stage in stages:
+                try:
+                    values = [v for v in stage() if v is not None]
+                except DomainError:
+                    continue
+                assert values and all(math.isfinite(v) for v in values), name
+            continue
+        assert_stages_alone_give_the_report(kernel, p, R, name)
+    assert 0 < refused < 100, refused
 
 
 def test_a_real_one_sign_kernel_shares_its_abel_sequence_with_the_nonnegative_half():

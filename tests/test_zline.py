@@ -72,6 +72,23 @@ def test_zkernel_trimming_preserves_alignment():
     assert Z.offset == 0 and Z.values.tolist() == [0.0]
 
 
+def test_a_kernel_keeps_its_l1_sum_and_a_trimmed_copy_takes_its_own():
+    # numpy's pairwise sum groups its terms by the array's length: with a zero
+    # in front, these nine moduli sum to a different last bit
+    vals = [
+        0.6369616873214543, 269.7867137638703, 0.0004097352393619469,
+        1.6527635528529094, 8.132702392002724, 0.0009127555772777217,
+        0.06066357757671799, 729.4965609839984, 0.5436249914654229,
+    ]
+    F, G = zkernel(2, [0.0, *vals]), zkernel(2, vals)
+    assert F.l1() == F.l1() != G.l1()
+    assert repr(F.trimmed().l1()) == repr(G.l1())
+    H = zkernel(2, [1e308, 1e308])
+    for _ in range(2):  # a kept sum that overflowed raises at every call
+        with pytest.raises(DomainError, match="overflows float64"):
+            H.l1()
+
+
 def test_fourier_z_sign_convention():
     params = tree_params(2)
     s = 0.37
