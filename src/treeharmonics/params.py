@@ -10,7 +10,7 @@ multiplier machinery uses throughout.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,8 @@ class TreeParams:
     """
 
     q: int
+    #: ``log(q)``, the frequency scale of every spectral quantity; computed once.
+    log_q: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.q, (int, np.integer)) or isinstance(self.q, bool):
@@ -55,10 +57,7 @@ class TreeParams:
             raise DomainError(
                 f"branching number must be below 2**1024, got one of {self.q.bit_length()} bits"
             )
-
-    @property
-    def log_q(self):
-        return math.log(self.q)
+        object.__setattr__(self, "log_q", math.log(self.q))
 
     @property
     def period(self):

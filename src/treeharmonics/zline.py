@@ -41,6 +41,7 @@ from .params import (
 DICTIONARY_VERSION = "dict-v6"
 
 _POWER_ITERATES = 50
+_POWER_SUM_FLOOR = 2.0**-1000  # below it, subnormal terms may inflate a ratio (duality_ascent)
 _POWER_WINDOW = 1024
 _EVAL_CHUNK = 2048  # frequencies per phase matrix in _eval_symbol
 
@@ -357,12 +358,8 @@ def _sup_upper(F, p):
 
 
 def lp_norm(x, p):
-    """``l^p`` norm of a vector, with ``p = inf`` meaning the max norm."""
-    return _modulus_norm(np.abs(np.asarray(x)), p)
-
-
-def _modulus_norm(mag, p):
-    """``l^p`` norm of a vector whose entrywise modulus is ``mag``, by :func:`_powers`."""
+    """``l^p`` norm of a vector, with ``p = inf`` meaning the max norm, by :func:`_powers`."""
+    mag = np.abs(np.asarray(x))
     if math.isinf(p):
         return float(mag.max()) if mag.size else 0.0
     return float(np.add.reduce(_powers(mag, p, mag.size)) ** (1.0 / p))
@@ -395,56 +392,36 @@ def _powers(mag, p, size):
 
 
 def phase_power(y, expo, mag=None):
-    """``phase(y) * |y|**expo`` entrywise, with 0 mapped to ``+0.0``.
+    """``phase(y) * |y|**expo`` entrywise, with 0 mapped to ``+0.0``, written over ``y``.
 
-    ``mag`` is ``np.abs(y)`` when the caller has it already.  Exact zeros
-    stay on the fast path for ``expo >= 0``: the phase is divided out where
-    the modulus is normal and left ``+0.0`` elsewhere, and ``0 ** expo`` is
-    0 or 1.  Only a nonzero subnormal modulus (or a zero at ``expo < 0``)
-    takes :func:`_masked_phase_power`.
+    A complex array ``y`` is overwritten and returned, so the caller must
+    own it; other input is copied to complex first.  ``mag`` is
+    ``np.abs(y)`` when the caller has it already.  Where every modulus is
+    normal, ``y`` is divided by ``mag`` and multiplied by ``mag**expo`` in
+    place.  Otherwise only the nonzero moduli are raised and divided out,
+    a subnormal one after scaling its entry by ``2**600`` (exact; dividing
+    by a subnormal modulus gives NaN), and every other entry is ``+0.0``;
+    an entry of normal modulus takes the same operations on both paths.
     """
+    if getattr(y, "dtype", None) != complex:
+        y = np.array(y, dtype=complex)
     if mag is None:
         mag = np.abs(y)
     if np.minimum.reduce(mag, initial=math.inf) >= 2.0**-1022:
         # no zero, subnormal or NaN modulus: every entry divides by its modulus
-        out = y / mag
-        out *= mag**expo
-        return out.astype(complex, copy=False)
-    normal = mag >= 2.0**-1022
-    if expo < 0.0 or np.count_nonzero(normal) != np.count_nonzero(mag):
-        return _masked_phase_power(y, mag, expo)
-    out = np.divide(y, mag, out=np.zeros(y.shape, np.result_type(y, mag)), where=normal)
-    out *= mag**expo
-    return out.astype(complex, copy=False)
-
-
-def _masked_phase_power(y, mag, expo):
-    """:func:`phase_power` through masks: a nonzero subnormal modulus, or a zero at ``expo < 0``."""
-    out = np.zeros_like(y, dtype=complex)
+        y /= mag
+        y *= mag**expo
+        return y
     nz = mag > 0.0
     num, den = y[nz], mag[nz]
     power = den**expo
-    # dividing by a subnormal modulus gives NaN; scaling by 2**600 is exact
     small = den < 2.0**-1022
     if small.any():
         num[small] *= 2.0**600
         den[small] = np.abs(num[small])
-    out[nz] = (num / den) * power
-    return out
-
-
-def _phase_power_in_place(y, expo, mag):
-    """:func:`phase_power` of the complex array ``y``, written over ``y`` where it can be.
-
-    Where every modulus ``mag`` is normal this is :func:`phase_power`'s
-    fast path, the same two operations done in place; any zero or
-    subnormal modulus goes through :func:`phase_power` itself.
-    """
-    if np.minimum.reduce(mag, initial=math.inf) >= 2.0**-1022:
-        y /= mag
-        y *= mag**expo
-        return y
-    return phase_power(y, expo, mag)
+    y.fill(0.0)
+    y[nz] = (num / den) * power
+    return y
 
 
 def duality_ascent(apply, adjoint, norm, x, p, iters):
@@ -459,8 +436,16 @@ def duality_ascent(apply, adjoint, norm, x, p, iters):
     is the exact ratio of a concrete trial vector, so each is a certified
     lower bound whether or not the ascent has converged.  Stops after
     ``iters`` iterates, when two successive values agree to a relative
-    ``1e-10``, when an iterate vanishes, or before yielding a non-finite
-    value.
+    ``1e-10``, before yielding a non-finite value, and before yielding a
+    ratio whose normalizing or image ``l^p`` power sum is below ``2**-1000``
+    (a norm below ``2**(-1000/p)``), which covers an iterate that vanishes.
+    Below that floor the ratio need not be exact: each subnormal power
+    ``|x_i|**p`` is rounded to the grid of ``2**-1074``, so a vector of
+    tiny entries can come out of its normalization with a norm well above
+    1, and its ratio inflated as much.  Above the floor, a sum of at most
+    ``2**22`` such terms (the explicit-ball budget ``MAX_BALL_VERTICES``,
+    terms counted with their weights) errs by at most ``2**22 * 2**-1074 =
+    2**-1052``, under one ulp of the sum.
 
     ``x`` is copied once, as a complex vector; the normalization and both
     phase powers then write over the iterate and the image.  So ``apply``
@@ -470,24 +455,24 @@ def duality_ascent(apply, adjoint, norm, x, p, iters):
     if p <= 1.0 or math.isinf(p):
         raise DomainError("duality-map iteration needs 1 < p < inf")
     pd = dual_exponent(p)
+    floor = _POWER_SUM_FLOOR ** (1.0 / p)
     prev = -1.0
     x = np.array(x, dtype=complex)
     for k in range(1, iters + 1):
         nx = norm(np.abs(x))
-        if nx == 0.0:
+        if nx < floor:
             return
         x /= nx
         y = apply(x)
         mag = np.abs(y)
         est = norm(mag)
-        if not math.isfinite(est):
+        if not floor <= est < math.inf:
             return
         yield k, est
         if prev >= 0.0 and abs(est - prev) <= 1e-10 * max(est, 1e-300):
             return
         prev = est
-        w = adjoint(_phase_power_in_place(y, p - 1.0, mag))
-        x = _phase_power_in_place(w, pd - 1.0, np.abs(w))
+        x = phase_power(adjoint(phase_power(y, p - 1.0, mag)), pd - 1.0)
 
 
 def convolutor_interval(F, p):
@@ -506,8 +491,9 @@ def convolutor_interval(F, p):
     greatest of the exact convolution ratio of the delta, ``||F||_p``,
     that of the iterates of :func:`duality_ascent`, named
     ``power[<iterates run>]``, and the sup, named ``line-sup``.  A ratio
-    that overflows certifies nothing and is skipped.  An ``l^1`` norm that
-    overflows float64 raises :class:`~treeharmonics.params.DomainError`.
+    that overflows certifies nothing and is skipped, and so does a delta
+    ratio below the ascent's floor.  An ``l^1`` norm that overflows float64
+    raises :class:`~treeharmonics.params.DomainError`.
     """
     p = check_exponent(p)
     F = F.trimmed()
@@ -525,7 +511,9 @@ def convolutor_interval(F, p):
     # power sums and iterates may overflow at large p or near the float64 limit;
     # a ratio that is not finite is skipped below, and the ascent stops before one
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = _modulus_norm(np.abs(vals), p)
+        delta = lp_norm(vals, p)
+        if delta < _POWER_SUM_FLOOR ** (1.0 / p):
+            delta = 0.0
         for used, value in duality_ascent(
             lambda x: np.convolve(x, vals),
             # np.correlate conjugates vals: the adjoint, on the window alone

@@ -604,6 +604,44 @@ def test_exact_routes_at_extreme_scales_give_the_report_or_refuse_it_finitely():
     assert 0 < refused < 100, refused
 
 
+@pytest.mark.parametrize(
+    "q, D, value, p",
+    [
+        # the ascent's third iterate once reported 5.16e-72 against ||F||_1
+        (2, 2, 3.2737537051835214e-73 + 9.306060415761235e-73j, 3.0),
+        # the delta's ratio ||F||_p once came out above ||F||_1
+        (5, 4, 2.0861476732951788e-297 + 1.4682897120218716e-297j, 1.1),
+    ],
+)
+def test_a_tiny_kernel_reports_no_ratio_from_subnormal_power_sums(q, D, value, p):
+    # the symbol interval's F has several entries of one phase and is not
+    # exact; power sums of its tiny trials below 2**-1000 have subnormal
+    # terms, whose rounding inflated a lower end above ||F||_1
+    rep = bounds_report(radial_kernel(q, [0] * D + [value]), p)
+    assert 0.0 < rep.symbol_lower <= rep.symbol_upper
+    assert rep.compression_lower <= rep.total_upper
+
+
+def test_tiny_kernels_report_soundly():
+    # complex kernels and kernels with one complex value at scales from
+    # 1e-300 to 1e-40, where the trials' power sums reach the subnormals
+    rng = np.random.default_rng(3)
+    for case in range(600):
+        q = int(rng.choice([2, 3, 5]))
+        D = int(rng.integers(1, 7))
+        p = float(rng.choice([1.1, 1.5, 3.0, 7.0]))
+        scale = 10.0 ** rng.uniform(-300, -40)
+        if rng.random() < 0.5:
+            vals = np.zeros(D + 1, dtype=complex)
+            vals[D] = complex(*rng.normal(size=2))
+        else:
+            vals = rng.normal(size=D + 1) + 1j * rng.normal(size=D + 1)
+        try:
+            bounds_report(radial_kernel(q, vals * scale), p)
+        except SoundnessError as err:
+            pytest.fail(f"case {case}: q={q} D={D} p={p} scale={scale:g}: {err}")
+
+
 def test_a_real_one_sign_kernel_shares_its_abel_sequence_with_the_nonnegative_half():
     # Abel |k| = |Abel k| bit for bit: the transform takes the same steps on
     # k and -k with every sign flipped, signed zeros and extreme scales included

@@ -20,7 +20,7 @@ from oracles import (
     recurrence_opnorm_lower,
     scaled,
 )
-from treeharmonics import tree, zline
+from treeharmonics import tree
 from treeharmonics.abel import abel_forward
 from treeharmonics.engine import tree_norm_lower
 from treeharmonics.params import DomainError, dual_exponent, strip_halfwidth
@@ -44,7 +44,7 @@ from treeharmonics.tree import (
     opnorm_lower,
     shell_masses,
 )
-from treeharmonics.zline import _modulus_norm, duality_ascent, phase_power
+from treeharmonics.zline import duality_ascent, lp_norm, phase_power
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +557,7 @@ def test_norms_keep_the_kind_of_each_power_byte_for_byte():
             want = repr(_oracle_radial_norm(mag, q, p))
             assert repr(_radial_norm(mag, q, p)) == want, (mag, q, p)
         for mag in mags:
-            assert repr(_modulus_norm(mag, p)) == repr(power_sum_norm(mag, p)), (mag, p)
+            assert repr(lp_norm(mag, p)) == repr(power_sum_norm(mag, p)), (mag, p)
 
 
 def test_opnorm_lower_keeps_its_pinned_bytes():
@@ -580,20 +580,3 @@ def test_opnorm_lower_keeps_its_pinned_bytes():
     for kernel, p, R, value, method in pinned:
         bound, name = opnorm_lower(kernel, p, R)
         assert (repr(bound), name) == (value, method), (kernel.values, p, R)
-
-
-def test_parity_block_ascents_stay_off_the_masked_phase_power(monkeypatch):
-    # half the entries of an in-block iterate are exact zeros; only a
-    # nonzero subnormal modulus needs the masked path
-    entries = []
-    masked = zline._masked_phase_power
-
-    def counted(y, mag, expo):
-        entries.append(y.size)
-        return masked(y, mag, expo)
-
-    monkeypatch.setattr(zline, "_masked_phase_power", counted)
-    for kernel, p, R in ((sphere_kernel(2, 3), 1.5, 12), (sphere_kernel(3, 2), 4.0 / 3.0, 9)):
-        _, method = opnorm_lower(kernel, p, R)
-        assert method.startswith("power["), method
-    assert entries == []

@@ -27,7 +27,6 @@ from treeharmonics.zline import (
     ZKernel,
     _grid_symbol,
     _line_sup,
-    _modulus_norm,
     _powers,
     convolutor_interval,
     convolutor_upper,
@@ -190,7 +189,7 @@ def test_lp_norm_is_the_power_sum_byte_for_byte():
             for p in (1.0, 1.1, 4.0 / 3.0, 1.5, 2.0, 3.0, 7.0, 50.0):
                 want = repr(power_sum_norm(x, p))
                 assert repr(lp_norm(x, p)) == want, (name, p)
-                assert repr(_modulus_norm(np.abs(x), p)) == want, (name, p)
+                assert repr(lp_norm(np.abs(x), p)) == want, (name, p)
                 if name.startswith("nan"):
                     assert want == "nan", (name, p)
 
@@ -526,7 +525,10 @@ def test_phase_power_of_subnormal_entries():
     y = np.array([1e-320 + 1e-320j, -3e-310 + 0j, 1e300 - 1e300j, 0j, 2.5 + 0j])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        out = phase_power(y, 0.5)
+        given = y.copy()
+        out = phase_power(given, 0.5)
+    # the masked path writes over the complex array it is given
+    assert out is given
     mag = np.abs(y)
     assert out[3] == 0.0
     # a subnormal modulus carries few significant bits; its phase is exact
@@ -571,10 +573,13 @@ def test_phase_power_equals_the_masked_form_byte_for_byte():
             # large moduli overflow in both forms alike
             with np.errstate(over="ignore"), warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                out = phase_power(y, expo)
+                given = y.copy()
+                out = phase_power(given, expo)
                 expected = masked_phase_power(y, expo)
             assert out.dtype == expected.dtype and out.shape == expected.shape
             assert out.tobytes() == expected.tobytes(), (y, expo)
+            # both paths write over a complex array and return it; other input is copied
+            assert (out is given) == (y.dtype == complex), (y, expo)
 
 
 def test_ascent_into_subnormal_iterates_emits_no_warning():
@@ -602,6 +607,12 @@ def test_duality_ascent_stopping_rules():
     assert list(duality_ascent(apply, adjoint, norm, np.zeros(16, dtype=complex), 1.5, 50)) == []
     vanish = lambda w: np.zeros(16, dtype=complex)  # noqa: E731
     assert [k for k, _ in duality_ascent(apply, vanish, norm, start, 1.5, 50)] == [1]
+    # below a power sum of 2**-1000, a norm below 2**(-2000/3) ~ 1.6e-201 at
+    # p = 1.5, neither an iterate nor an image makes a ratio
+    for factor, steps in ((1e-190, 3), (1e-210, 0)):
+        shrunk = lambda x, factor=factor: apply(x) * factor  # noqa: E731
+        assert len(list(duality_ascent(shrunk, adjoint, norm, start, 1.5, 3))) == steps
+    assert list(duality_ascent(apply, adjoint, norm, start * 1e-210, 1.5, 50)) == []
     # a value that overflows, or is NaN, is never yielded
     for bad in (1e300, math.nan):
         blowup = lambda x, bad=bad: apply(x) * bad  # noqa: E731
