@@ -237,9 +237,12 @@ def _line_sup(F):
     d = d.astype(float)
     w = -1j * log_q * d
     # the columns c, c w and c w^2 of m, m' and m'', each times an exact
-    # power-of-two scale taken before w is applied, so that no column
-    # overflows and |m'|^2 stays finite; the steps' bytes do not see it
-    scale = math.ldexp(1.0, -max(math.frexp(best)[1], 0))
+    # power-of-two scale taken before w is applied, that brings the best
+    # grid value into [1/2, 1): no column overflows, and |m'|^2 and m'' m
+    # neither overflow nor underflow; the steps are ratios of products, so
+    # their bytes do not see it.  A subnormal best takes the scale of the
+    # smallest normal one, as a larger power of two leaves float64.
+    scale = math.ldexp(1.0, -max(math.frexp(best)[1], -1021))
     derivs = np.empty((d.size, 3), dtype=complex)
     derivs[:, 0] = coeffs * scale
     derivs[:, 1] = derivs[:, 0] * w

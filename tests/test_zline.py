@@ -649,10 +649,13 @@ def test_line_sup_matches_the_per_maximum_refinement():
         # the unrefined grid falls short by up to 0.5%, so a dropped
         # refinement fails here
         assert sup >= (1.0 - 1e-13) * fine_grid_line_sup(F.params.q, F.offset, F.values, v)
-        # the refinement once overflowed on kernels this large and fell back
-        # to the grid value; it now commutes exactly with a power-of-two scale
-        big = ZKernel(F.params, F.offset, F.values * 2.0**520)
-        assert _line_sup(big.shifted(v)) == (sup * 2.0**520, n)
+        # the refinement once overflowed on kernels this large, and its
+        # derivative products underflowed on kernels this small, and either
+        # way fell back to the grid value; it now commutes exactly with a
+        # power-of-two scale
+        for scale in (2.0**520, 2.0**-600, 2.0**-900):
+            scaled = ZKernel(F.params, F.offset, F.values * scale)
+            assert _line_sup(scaled.shifted(v)) == (sup * scale, n), scale
 
 
 def test_line_sup_of_huge_coefficients_emits_no_warning():
