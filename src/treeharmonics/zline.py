@@ -22,6 +22,7 @@ to its contents must bump the version string, which is quoted in every
 report that depends on a lower bound.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -211,27 +212,32 @@ def inverse_fourier_z(samples, d):
 def _line_sup(F):
     """Sup of ``|FT F|`` on the real line; other lines are :meth:`ZKernel.shifted` first.
 
-    Returns ``(value, n)`` where ``n`` is the grid resolution, four times
-    the kernel span rounded up to a power of two, within ``[1024, 2^14]``.
-    The grid values are one FFT (:func:`_grid_symbol`).  The local maxima
-    of the grid that can still win then take two Newton steps at once on
-    the stationarity equation of ``|symbol|^2``, each clamped to one cell
-    of width ``h``; these scattered points are the only ones evaluated
-    through phase matrices (:func:`_eval_symbol`).  The derivatives
-    ``m'``, ``m''`` are the symbols of the coefficients ``c_d`` times
-    ``w_d = -i d log q`` and ``w_d^2``, so they share ``m``'s phase matrix.
-    A maximum is dropped when its grid value plus ``2h sum |c_d w_d|``
-    (and a rounding allowance proportional to ``sum |c_d|``) does not
-    exceed the best grid value: its steps move it at most ``2h`` and
-    ``|m'| <= sum |c_d w_d|``, so it cannot refine above the best.  The
-    reported value is always an attained (hence certified) value of
-    ``|FT F|``.
+    Returns ``(value, n)`` where ``n`` is the grid resolution, or ``0``
+    where no grid ran.  A symbol of exactly three coefficients whose two
+    ends are nonzero takes its sup from its critical points
+    (:func:`_three_term_sup`).  Every other symbol runs a grid of four
+    times the kernel span rounded up to a power of two, within
+    ``[1024, 2^14]``.  The grid values are one FFT (:func:`_grid_symbol`).
+    The local maxima of the grid that can still win then take two Newton
+    steps at once on the stationarity equation of ``|symbol|^2``, each
+    clamped to one cell of width ``h``; these scattered points are the
+    only ones evaluated through phase matrices (:func:`_eval_symbol`).
+    The derivatives ``m'``, ``m''`` are the symbols of the coefficients
+    ``c_d`` times ``w_d = -i d log q`` and ``w_d^2``, so they share ``m``'s
+    phase matrix.  A maximum is dropped when its grid value plus
+    ``2h sum |c_d w_d|`` (and a rounding allowance proportional to
+    ``sum |c_d|``) does not exceed the best grid value: its steps move it
+    at most ``2h`` and ``|m'| <= sum |c_d w_d|``, so it cannot refine above
+    the best.  Either way the reported value is an attained (hence
+    certified) value of ``|FT F|``.
     """
+    coeffs = F.values
+    if coeffs.size == 3 and coeffs[0] != 0.0 and coeffs[2] != 0.0:
+        return _three_term_sup(F), 0
     span = max(abs(F.offset), abs(F.offset + F.values.size - 1), 1)
     n = min(max(1024, 4 << (span - 1).bit_length()), 1 << 14)
     log_q = F.params.log_q
     d = F.indices
-    coeffs = F.values
     mag = np.abs(_grid_symbol(coeffs, d, n))
     best = float(mag.max())
     d = d.astype(float)
@@ -266,6 +272,51 @@ def _line_sup(F):
     refined = np.abs(_eval_symbol(coeffs, d, s, log_q))
     # a NaN never wins, as in a running maximum
     return float(refined[refined > best].max(initial=best)), n
+
+
+def _three_term_sup(F):
+    """Sup of ``|FT F|`` on the real line for coefficients ``a, b, c`` with ``a c != 0``.
+
+    With ``w = q^{i s}`` the offset's phase drops out of the modulus, and
+
+        |FT F(s)|^2 = S + 2 Re(u w) + 2 Re(v w^2),
+        S = |a|^2 + |b|^2 + |c|^2,  u = a conj(b) + b conj(c),  v = a conj(c).
+
+    Its derivative in ``phi = s log q`` is ``-2 Im(u w + 2 v w^2)``.  On the
+    unit circle ``conj(w) = 1/w``, so it vanishes exactly where the quartic
+    ``2v w^4 + u w^3 - conj(u) w - 2 conj(v)`` does.  The max is one of
+    these critical points, and the quartic's roots are the eigenvalues of
+    its companion matrix.  Each root is taken by its angle, so a root off
+    the circle only adds one more point; every point is an attained value.
+
+    Where ``|v| <= 2^-32 |u|`` the companion's entries reach ``|u/v|``, and
+    its eigenvalues lose the unit-circle roots once that passes about
+    ``2^60``.  There the one point ``u w = |u|``, the max of the two-term
+    part, is used instead.  It is within ``2^-61`` relative of the sup of
+    ``|FT F|^2``, below rounding: a step ``t`` from it changes ``2 Re(u w)``
+    by ``-4|u| sin^2(t/2) <= -4|u| t^2/pi^2`` and ``2 Re(v w^2)`` by at most
+    ``4|v| |t|``, so it gains at most ``pi^2 |v|^2/|u|``, while the value
+    there is at least ``S + 2|u| - 2|v| >= 2|u|`` (``S >= |u|``).
+
+    ``u`` and ``v`` are formed from the coefficients times the power of two
+    that brings the largest modulus into ``[1/2, 1)``, so at extreme scales
+    they neither overflow nor underflow, and the angles, hence the bytes,
+    do not see the scale.  The moduli at the angles come from one
+    :func:`_eval_symbol` call on the coefficients themselves.
+    """
+    a, b, c = F.values.tolist()
+    scale = math.ldexp(1.0, -max(math.frexp(max(abs(a), abs(b), abs(c)))[1], -1021))
+    a, b, c = a * scale, b * scale, c * scale
+    u = a * b.conjugate() + b * c.conjugate()
+    v = a * c.conjugate()
+    if abs(v) > 2.0**-32 * abs(u):
+        companion = np.eye(4, k=-1, dtype=complex)
+        companion[0] = (-u / (2.0 * v), 0.0, u.conjugate() / (2.0 * v), v.conjugate() / v)
+        phi = np.angle(np.linalg.eigvals(companion))
+    else:
+        phi = np.array([-cmath.phase(u)])
+    log_q = F.params.log_q
+    return float(np.abs(_eval_symbol(F.values, F.indices.astype(float), phi / log_q, log_q)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +399,19 @@ def _sup_upper(F, p):
     """``(value, method, sup)``: the upper end from the line sup ``sup`` of the symbol.
 
     At ``p == 2`` the value is ``sup``; elsewhere it interpolates ``sup``
-    and the ``l^1`` norm with exponent ``theta = |2/p - 1|``.  The ``l^1``
-    norm is taken first, so that its overflow raises
-    :class:`~treeharmonics.params.DomainError` before the FFT could.
+    and the ``l^1`` norm with exponent ``theta = |2/p - 1|``.  The method
+    names the route of the sup: ``grid=<n>`` for :func:`_line_sup`'s
+    ``n``-point grid, ``quartic`` for a three-term symbol, where no grid
+    runs.  The ``l^1`` norm is taken first, so that its overflow raises
+    :class:`~treeharmonics.params.DomainError` before the sup could.
     """
     l1 = F.l1()
     sup, used = _line_sup(F)
+    route = f"grid={used}" if used else "quartic"
     if p == 2.0:
-        return sup, f"spectral-sup(grid={used})", sup
+        return sup, f"spectral-sup({route})", sup
     theta = abs(2.0 / p - 1.0)
-    return l1**theta * sup ** (1.0 - theta), f"interp(l1,sup;theta={theta:.6g},grid={used})", sup
+    return l1**theta * sup ** (1.0 - theta), f"interp(l1,sup;theta={theta:.6g},{route})", sup
 
 
 def lp_norm(x, p):

@@ -12,6 +12,7 @@ from oracles import (
     direct_dictionary_ratios,
     fine_grid_line_sup,
     masked_phase_power,
+    mp_trig_sup,
     power_sum_norm,
     scalar_line_sup,
     trapezoid_line_profile,
@@ -640,11 +641,20 @@ def line_sup_cases():
         yield ZKernel(tree_params(2), 1, 1.0 / d), v
 
 
+def grid_size(F, n):
+    """The grid ``_line_sup`` reports for ``F`` where its grid would have ``n`` points.
+
+    A three-term symbol with nonzero ends runs no grid and reports 0.
+    """
+    vals = F.values
+    return 0 if vals.size == 3 and vals[0] != 0.0 and vals[2] != 0.0 else n
+
+
 def test_line_sup_matches_the_per_maximum_refinement():
     for F, v in line_sup_cases():
         sup, n = _line_sup(F.shifted(v))
         ref, ref_n = scalar_line_sup(F.params.q, F.offset, F.values, v)
-        assert n == ref_n
+        assert n == grid_size(F, ref_n)
         assert sup == pytest.approx(ref, rel=1e-13)
         # the unrefined grid falls short by up to 0.5%, so a dropped
         # refinement fails here
@@ -698,12 +708,98 @@ def test_pruned_line_sup_matches_the_unpruned_refinement():
     for F, v in cases:
         sup, n = _line_sup(F.shifted(v))
         ref, ref_n = unpruned_line_sup(F, v)
-        assert n == ref_n
+        assert n == grid_size(F, ref_n)
         # the same maxima win, but a product of fewer rows rounds differently
         # (one row takes numpy's dot path): within the worst-case rounding of
         # a sum of F.values.size terms, which scales with the coefficient mass
         mass = float(np.abs(F.values * F.params.qpow(F.indices * v)).sum())
         assert abs(sup - ref) <= F.values.size * 2.0**-52 * mass
+
+
+def degenerate_three_term_symbols():
+    """``(q, offset, values)``: three-term symbols where the quartic degenerates."""
+    flat = np.array([1.0, 4.0, -0.5])  # |m|^2 = 17.25 + 4 cos(phi) - cos(2 phi): a flat maximum
+    cases = [
+        [1.0, 0.0, 0.5j],  # b = 0: u = 0, the quartic is 2v w^4 - 2 conj(v)
+        [2.0 - 1.0j, 0.0, 0.3 + 0.4j],
+        [1.0, 0.7, 1.0],  # real and symmetric
+        [-0.4, 1.3, -0.4],
+        [1.0, 2.0, 1.0],  # a double root where the symbol vanishes
+        [1.0, -2.0, 1.0],
+        flat,  # a triple root at the maximum
+        flat * np.exp(0.7j) * np.exp(1.9j * np.arange(3)),  # the same, rotated and modulated
+    ]
+    for k in (20, 31, 33, 40, 80, 200, 1000):
+        tiny = 2.0**-k
+        cases.append([tiny, 1.0 + 0.5j, 0.3 - 1.0j])  # |u| >> |v|, either end tiny
+        cases.append([0.3 - 1.0j, 1.0 + 0.5j, tiny * 1j])
+        cases.append([1.0, tiny * (0.2 + 0.7j), 0.3 - 1.0j])  # |u| << |v|
+        cases.append([tiny, 1.0 - 2.0j, tiny * (0.6 + 0.8j)])  # both ends tiny
+    for i, values in enumerate(cases):
+        yield (2, 3, 5, 7, 50)[i % 5], i % 7 - 3, np.asarray(values, dtype=complex)
+
+
+def three_term_cases():
+    """``(F, v)``: 2,000 seeded three-term symbols, real and complex, then the degenerate ones."""
+    rng = np.random.default_rng(34)
+    for i in range(2000):
+        q = (2, 3, 5, 7, 50)[i % 5]
+        vals = rng.normal(size=3) + (1j * rng.normal(size=3) if i % 2 else 0.0)
+        yield ZKernel(tree_params(q), int(rng.integers(-3, 4)), vals), (0.0, -0.25)[i // 2 % 2]
+    for q, offset, values in degenerate_three_term_symbols():
+        yield ZKernel(tree_params(q), offset, values), 0.0
+
+
+def test_three_term_line_sup_matches_the_grid_refinement():
+    for F, v in three_term_cases():
+        q, offset, values = F.params.q, F.offset, F.values
+        G = F.shifted(v)
+        sup, n = _line_sup(G)
+        assert n == 0
+        ref, _ = scalar_line_sup(q, offset, values, v)
+        assert sup >= ref * (1.0 - 1e-14), (q, offset, values, v)
+        if sup > ref * (1.0 + 1e-14):
+            # two Newton steps converge only linearly on a flat maximum and
+            # fall short of it; the 50-digit maximisation is the reference
+            assert abs(sup - mp_trig_sup(G.values)) <= 4 * 2.0**-52 * G.l1(), (values, v)
+        assert sup >= (1.0 - 1e-13) * fine_grid_line_sup(q, offset, values, v), (values, v)
+
+
+def test_three_term_line_sup_matches_a_50_digit_maximisation():
+    cases = [case for i, case in enumerate(three_term_cases()) if i % 50 == 0 or i >= 2000]
+    for F, v in cases:
+        G = F.shifted(v)
+        sup, _ = _line_sup(G)
+        # an attained value evaluated in float64: within a few roundings of a
+        # sum of three terms, which scale with the coefficient mass
+        assert abs(sup - mp_trig_sup(G.values)) <= 4 * 2.0**-52 * G.l1(), (G.values, v)
+
+
+def test_three_term_line_sup_commutes_with_a_power_of_two_scale():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, (F, v) in enumerate(three_term_cases()):
+            if i % 20 and i < 2000:
+                continue
+            sup, _ = _line_sup(F.shifted(v))
+            smallest = float(np.abs(F.shifted(v).values).min())
+            for e in (-900, -600, -300, 300, 600, 900):
+                if smallest * 2.0**e < 2.0**-1022:
+                    continue  # an end would leave the normal range: another symbol
+                scaled = ZKernel(F.params, F.offset, F.values * 2.0**e)
+                assert _line_sup(scaled.shifted(v)) == (sup * 2.0**e, 0), (F.values, e)
+
+
+def test_three_term_upper_ends_name_the_quartic_route():
+    F = zkernel(3, [1.0 + 0.3j, -2.0 + 1.0j, 0.5 - 0.2j], offset=1)
+    sup, _ = _line_sup(F)
+    assert convolutor_upper(F, 2.0) == (sup, "spectral-sup(quartic)")
+    value, method = convolutor_upper(F, 1.5)
+    assert method == "interp(l1,sup;theta=0.333333,quartic)"
+    theta = abs(2.0 / 1.5 - 1.0)
+    assert value == F.l1() ** theta * sup ** (1.0 - theta)
+    # four terms keep the grid
+    assert convolutor_upper(zkernel(3, [1.0, -2.0, 0.5, 0.1j]), 1.5)[1].endswith(",grid=1024)")
 
 
 def test_hinf_strip_norm_validates_width():
