@@ -158,8 +158,11 @@ def negative_height_bound(kernel, p):
     beyond, so the series is the finite sum over ``m <= (D-1)/2`` of
     ``mu_m q^{-2m/p} ||row_m||``, each row norm certified by
     :func:`~treeharmonics.zline.convolutor_upper` (exact for a one-sign
-    row and for a row with at most two nonzero entries).  The same series
-    per unit ``||f||_p`` is the ``rhs`` of :func:`transference_check`.
+    row and for a row with at most two nonzero entries).  The row
+    ``u = D-2..D`` of an odd ``D`` has three entries; where its two ends
+    are nonzero, its line sup comes from one quartic and no grid
+    (:func:`~treeharmonics.zline._three_term_sup`).  The same series per
+    unit ``||f||_p`` is the ``rhs`` of :func:`transference_check`.
 
     Every row is a suffix of row 0, ``q^{u/p} k(u)`` for ``1 <= u <= D``,
     which is scaled once.  Where row 0 is one-sign

@@ -296,7 +296,7 @@ def _three_term_sup(F):
     ``|FT F|^2``, below rounding: a step ``t`` from it changes ``2 Re(u w)``
     by ``-4|u| sin^2(t/2) <= -4|u| t^2/pi^2`` and ``2 Re(v w^2)`` by at most
     ``4|v| |t|``, so it gains at most ``pi^2 |v|^2/|u|``, while the value
-    there is at least ``S + 2|u| - 2|v| >= 2|u|`` (``S >= |u|``).
+    there is at least ``S + 2|u| - 2|v| >= 2|u|``, as ``S >= |a|^2 + |c|^2 >= 2|v|``.
 
     ``u`` and ``v`` are formed from the coefficients times the power of two
     that brings the largest modulus into ``[1/2, 1)``, so at extreme scales
