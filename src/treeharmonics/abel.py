@@ -72,11 +72,8 @@ def abel_inverse(seq):
     if defect != 0.0:
         raise DomainError(f"cannot invert an uneven sequence (evenness defect {defect:g})")
     q = seq.params.q
-    r = seq.values[J:] * seq.params.qpow(-np.arange(J + 1) / 2.0)
-    k = np.zeros(J + 1, dtype=complex)
-    k[J] = r[J]
-    if J >= 1:
-        k[J - 1] = r[J - 1]
+    r = (seq.values[J:] * seq.params.qpow(-np.arange(J + 1) / 2.0)).tolist()
+    k = r[:]  # the top two entries are r's; the rest are overwritten downward
     for t in range(J - 2, -1, -1):
         k[t] = r[t] - q * r[t + 2] + k[t + 2]
     return RadialKernel(seq.params, k)

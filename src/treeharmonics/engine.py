@@ -425,12 +425,12 @@ def transference_check(kernel, ball, f, p):
     The work stays where the vectors can be nonzero; breadth-first, every
     ``B_r`` is a prefix of the ball.  Off the reference ray ``C`` moves
     support inward and ``P`` outward by one sphere, and along the ray each
-    ``C`` reaches one vertex further out, so every ``C^b f`` and every
-    partial sum before the last gather, which has had at most ``D - 1``
-    gathers, vanishes outside ``B_{R-1}``: the walk runs on that prefix.
+    ``C`` reaches one vertex further out.  So ``C^b f``, a down-sum on
+    ``B_{R-D+b}``, is added only on that prefix, and the partial sum of
+    step ``a`` vanishes outside ``B_{R-a}``; its gather fills ``B_{R-a+1}``.
     ``P`` copies entries, so ``|P u|^p = P(|u|^p)``: the last gather moves
     the inner ball's ``p``-th powers, not its complex values.  ``||f||_p``
-    raises only the window's moduli.  Each power sum still runs over a
+    raises the window's moduli, zeros too.  Each power sum still runs over a
     buffer of the whole ball's length, since that length fixes the
     grouping of numpy's pairwise sum, so every byte is that of the walk on
     the whole ball.  At ``D = 0`` the negative-height half is empty and
@@ -473,21 +473,22 @@ def transference_check(kernel, ball, f, p):
             )
         lhs = 0.0
         if D >= 1:
-            # every vector before the last gather vanishes outside B_{R-1}
-            inner = int(start[ball.radius])
-            down = [f[:inner]]  # down[b] = C^b f
-            for _ in range((D - 1) // 2):
-                down.append(ball.down_sum(down[-1]))
-            u = np.zeros(inner, dtype=complex)
+            def grown(g, r):  # g listed on B_r, zero past its own prefix
+                return np.concatenate((g, np.zeros(start[r + 1] - g.size, dtype=complex)))
+
+            down = [f[: start[window + 1]]]  # down[b] = C^b f, listed on B_{window+b}
+            for b in range(1, (D - 1) // 2 + 1):
+                down.append(ball.down_sum(grown(down[-1], window + b)))
+            u = np.zeros(start[window + 1], dtype=complex)  # on B_{R-a} at step a
             for a in range(D, 0, -1):
                 # P^a's coefficient: k(a + b) C^b f, less k(a + b + 2) C^b f, the
                 # walk a + 1 up and b + 1 down that backtracks
                 for b in range(min(a - 1, D - a) + 1):
-                    u += kv[a + b] * down[b]
+                    u[: down[b].size] += kv[a + b] * down[b]
                 for b in range(min(a, D - a - 1)):
-                    u -= kv[a + b + 2] * down[b]
+                    u[: down[b].size] -= kv[a + b + 2] * down[b]
                 if a > 1:
-                    u = ball.up_gather(u)
+                    u = ball.up_gather(grown(u, ball.radius - a + 1))
             # P copies entries, so |P u|^p = P(|u|^p)
             lhs = float(ball.up_gather(_powers(np.abs(u), p, ball.size)).sum() ** (1.0 / p))
     if not math.isfinite(lhs):

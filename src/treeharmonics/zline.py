@@ -415,7 +415,7 @@ def _sup_upper(F, p):
 
 
 def lp_norm(x, p):
-    """``l^p`` norm of a vector, with ``p = inf`` meaning the max norm, by :func:`_powers`."""
+    """``l^p`` norm, ``p = inf`` the max norm, by :func:`_powers`, which raises zeros too."""
     mag = np.abs(np.asarray(x))
     if math.isinf(p):
         return float(mag.max()) if mag.size else 0.0
@@ -425,26 +425,18 @@ def lp_norm(x, p):
 def _powers(mag, p, size):
     """``mag ** p`` at the head of a zero buffer of ``size >= mag.size`` entries.
 
-    numpy's ``pow`` is several times slower on exact zeros than on other
-    entries, and the vectors of a transference check are mostly zeros, so
-    when ``mag`` has any, only its nonzero entries are raised and the rest
-    stay ``0.0``: the same bytes, since ``0 ** p`` is ``0`` for ``p > 0``.
-    The mask is ``!= 0``, not ``> 0``, so that a NaN entry stays NaN.  At
-    ``p`` in ``{1, 2}`` numpy's ``mag**p`` is a copy or a square, which
-    zeros do not slow and a mask would, and a ``mag`` with no zeros keeps
-    ``mag**p`` as well.  numpy's pairwise sum groups its terms by the
-    array's length, so a caller that raises only the head of a vector
-    whose tail is zero pads to the vector's length to keep its sum's bytes.
+    Every entry goes through numpy's ``pow``, exact zeros included, which
+    gives ``+0.0``; ``pow`` is several times slower on zeros than on other
+    entries, so a zero-heavy ``mag`` pays for its zeros.  numpy's pairwise
+    sum groups its terms by the array's length, so a caller that raises
+    only the head of a vector whose tail is zero pads to the vector's
+    length to keep its sum's bytes.
     """
-    if p in (1.0, 2.0) or np.count_nonzero(mag) == mag.size:
-        powers = mag**p
-        if size == mag.size:
-            return powers
-        out = np.zeros(size, powers.dtype)
-        out[: mag.size] = powers
-        return out
-    out = np.zeros(size, np.result_type(mag, p))
-    np.power(mag, p, out=out[: mag.size], where=mag != 0.0)
+    powers = mag**p
+    if size == mag.size:
+        return powers
+    out = np.zeros(size, powers.dtype)
+    out[: mag.size] = powers
     return out
 
 

@@ -916,14 +916,15 @@ def test_transference_check_keeps_its_pinned_bytes():
 
 
 def test_transference_check_on_the_support_is_the_full_ball_walk_byte_for_byte():
-    # the walk runs on B_{R-1}, each norm raises only the moduli where its
-    # vector can be nonzero, and D = 0 takes no walk: the dict must be the
-    # whole-ball walk's to the last bit (compared by repr), with window 0
-    # (R = D), real and complex f, f with zeros inside the window and the
-    # masked and plain powers (p = 1 takes mag**p) all covered
+    # each step of the walk runs on the prefix its vectors can be nonzero
+    # on, each norm raises only the moduli where its vector can be nonzero,
+    # and D = 0 takes no walk: the dict must be the whole-ball walk's to the
+    # last bit (compared by repr), with window 0 (R = D), real and complex
+    # f, f with zeros inside the window, and at q = 2 the three down-sums of
+    # D = 7 and 8, each C^b f grown from B_{window+b-1}, all covered
     rng = np.random.default_rng(401)
     for q in (2, 3, 5):
-        for D in range(7):
+        for D in range(9 if q == 2 else 7):
             # q = 5 stops at R = 7 (117k vertices)
             for R in range(D, min(D + 4, 7 if q == 5 else D + 4) + 1):
                 ball = ball_geometry(q, R)

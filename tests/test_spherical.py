@@ -387,10 +387,14 @@ def test_grid_cosine_table_is_computed_once_and_read_only():
             store.columns(5)
             table = store.table
             for radius in (5, 2, 0, 4):
+                # a view, not a copy: the product reads the cached table itself
                 cols = store.columns(radius)
-                assert cols.flags.c_contiguous and cols.shape == (n, 2 * radius + 1)
+                assert cols.shape == (n, 2 * radius + 1) and cols.dtype == complex
+                assert np.shares_memory(cols, table) and not cols.flags.writeable
+                assert cols.tobytes() == table[:, 5 - radius : 6 + radius].tobytes()
             assert _grid_cosines(tree_params(q), n) is store and store.table is table
-            assert table.tobytes() == widest[:, 6:17].tobytes()
+            assert table.real.tobytes() == widest[:, 6:17].tobytes()
+            assert table.imag.tobytes() == np.zeros(table.shape).tobytes()
             with pytest.raises(ValueError):
                 table[0, 0] = 0.0
     assert _grid_cosines.cache_info().currsize <= _grid_cosines.cache_info().maxsize

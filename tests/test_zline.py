@@ -157,8 +157,8 @@ def test_grid_symbol_folds_like_add_at_byte_for_byte():
 def test_lp_norm_edge_cases():
     assert lp_norm([], math.inf) == 0.0
     assert lp_norm([3.0, -4.0], math.inf) == 4.0
-    assert lp_norm([3.0, 4.0], 2.0) == pytest.approx(5.0, rel=1e-15)
-    assert lp_norm([1.0, 1.0, 1.0], 1.0) == pytest.approx(3.0, rel=1e-15)
+    assert lp_norm([3.0, 4.0], 2.0) == pytest.approx(5.0, rel=1e-15, abs=0.0)
+    assert lp_norm([1.0, 1.0, 1.0], 1.0) == pytest.approx(3.0, rel=1e-15, abs=0.0)
 
 
 def test_lp_norm_is_the_power_sum_byte_for_byte():
@@ -324,8 +324,8 @@ def test_convolutor_interval_is_translation_invariant():
     vals = [0.5, -1.5, 2.0]
     a = convolutor_interval(zkernel(2, vals, offset=0), 1.5)
     b = convolutor_interval(zkernel(2, vals, offset=-7), 1.5)
-    assert a.lower == pytest.approx(b.lower, rel=1e-12)
-    assert a.upper == pytest.approx(b.upper, rel=1e-12)
+    assert a.lower == pytest.approx(b.lower, rel=1e-12, abs=0.0)
+    assert a.upper == pytest.approx(b.upper, rel=1e-12, abs=0.0)
 
 
 def test_convolutor_interval_is_deterministic():
@@ -377,8 +377,8 @@ def test_one_entry_kernels_bracket_their_modulus():
         for p in (1.0, 1.1, 2.0, 3.0, math.inf):
             iv = convolutor_interval(F, p)
             assert iv.lower <= iv.upper
-            assert iv.lower == pytest.approx(abs(c), rel=1e-15)
-            assert iv.upper == pytest.approx(abs(c), rel=1e-15)
+            assert iv.lower == pytest.approx(abs(c), rel=1e-15, abs=0.0)
+            assert iv.upper == pytest.approx(abs(c), rel=1e-15, abs=0.0)
     for p in (1.0, 1.5, 2.0, math.inf):
         iv = convolutor_interval(zkernel(2, [0.0, 0.0], offset=3), p)
         assert (iv.lower, iv.upper) == (0.0, 0.0)
@@ -517,7 +517,7 @@ def test_duality_ascent_yields_exact_ratios_of_its_iterates():
         # rebuild each iterate outside the generator, without normalizing:
         # the ratio does not see the scale of the trial vector
         for _, value in steps:
-            assert value == pytest.approx(norm(apply(x)) / norm(x), rel=1e-12)
+            assert value == pytest.approx(norm(apply(x)) / norm(x), rel=1e-12, abs=0.0)
             x = phase_power(adjoint(phase_power(apply(x), p - 1.0)), dual_exponent(p) - 1.0)
 
 
@@ -535,7 +535,7 @@ def test_phase_power_of_subnormal_entries():
     # a subnormal modulus carries few significant bits; its phase is exact
     for i in (0, 1):
         assert np.angle(out[i]) == pytest.approx(np.angle(y[i]), abs=1e-15)
-        assert abs(out[i]) == pytest.approx(mag[i] ** 0.5, rel=1e-15)
+        assert abs(out[i]) == pytest.approx(mag[i] ** 0.5, rel=1e-15, abs=0.0)
     # entries of normal modulus keep their bytes
     for i in (2, 4):
         assert out[i] == (y[i] / mag[i]) * mag[i] ** 0.5
@@ -603,7 +603,7 @@ def test_duality_ascent_stopping_rules():
     scale = convolution_ascent(np.array([2.0 + 0j]), 1.5, 16)
     steps = list(duality_ascent(*scale, start, 1.5, 50))
     assert [k for k, _ in steps] == [1, 2]
-    assert all(value == pytest.approx(2.0, rel=1e-14) for _, value in steps)
+    assert all(value == pytest.approx(2.0, rel=1e-14, abs=0.0) for _, value in steps)
     # a vanishing start, and an iterate that vanishes after one step
     assert list(duality_ascent(apply, adjoint, norm, np.zeros(16, dtype=complex), 1.5, 50)) == []
     vanish = lambda w: np.zeros(16, dtype=complex)  # noqa: E731
@@ -655,7 +655,7 @@ def test_line_sup_matches_the_per_maximum_refinement():
         sup, n = _line_sup(F.shifted(v))
         ref, ref_n = scalar_line_sup(F.params.q, F.offset, F.values, v)
         assert n == grid_size(F, ref_n)
-        assert sup == pytest.approx(ref, rel=1e-13)
+        assert sup == pytest.approx(ref, rel=1e-13, abs=0.0)
         # the unrefined grid falls short by up to 0.5%, so a dropped
         # refinement fails here
         assert sup >= (1.0 - 1e-13) * fine_grid_line_sup(F.params.q, F.offset, F.values, v)
@@ -816,13 +816,13 @@ def test_hinf_strip_norm_of_unit_shifts():
     # positive shift: the symbol q^{-iz} has modulus q^{v} <= 1 on v <= 0
     assert hinf_strip_norm(delta_z(q, 1), eps) == pytest.approx(1.0, abs=1e-12)
     # negative shift: modulus q^{-v} peaks at the bottom line
-    assert hinf_strip_norm(delta_z(q, -1), eps) == pytest.approx(q**eps, rel=1e-12)
+    assert hinf_strip_norm(delta_z(q, -1), eps) == pytest.approx(q**eps, rel=1e-12, abs=0.0)
 
 
 def test_hinf_strip_norm_difference_kernel():
     # symbol 1 - q^{-2iz}: sup 2 attained on the real line
     F = zkernel(2, [1.0, 0.0, -1.0])
-    assert hinf_strip_norm(F, 0.3) == pytest.approx(2.0, rel=1e-12)
+    assert hinf_strip_norm(F, 0.3) == pytest.approx(2.0, rel=1e-12, abs=0.0)
 
 
 def test_strip_norm_controls_coefficient_decay():
