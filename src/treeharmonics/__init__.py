@@ -54,12 +54,10 @@ _EXPORTS = {
     "abel_forward": ".abel",
     "abel_inverse": ".abel",
     "abel_bruteforce": ".abel",
-    "ball_shell_masses": ".abel",
     "horocycle_slice_sum": ".abel",
     # zline
     "ZKernel": ".zline",
     "zkernel": ".zline",
-    "delta_z": ".zline",
     "fourier_z": ".zline",
     "inverse_fourier_z": ".zline",
     "NormInterval": ".zline",

@@ -83,21 +83,6 @@ def abel_inverse(seq):
 # Census route
 # ---------------------------------------------------------------------------
 
-def ball_shell_masses(ball):
-    """Shell masses ``mu_m`` read off the ball's census at height 0.
-
-    The census row ``(0, 2m, m, count)`` has ``count = mu_m`` by the cell
-    model; extracting the masses from the explicit ball keeps this route
-    independent of the closed-form mass formula.
-    """
-    rows = ball.census()
-    at_zero = rows[rows[:, 0] == 0]
-    masses = {}
-    for h, d, m, count in at_zero:
-        masses[int(m)] = int(count)
-    return [masses[m] for m in range(0, max(masses) + 1)]
-
-
 def horocycle_slice_sum(ball, values, j):
     """Exact horocycle sum ``sum_m mu_m k(max(2m - j, j))`` over census masses.
 
@@ -113,7 +98,8 @@ def horocycle_slice_sum(ball, values, j):
             f"need |j| + D <= ball radius ({abs(j)} + {D} > {ball.radius}): "
             "census shells would be incomplete"
         )
-    masses = ball_shell_masses(ball)
+    # mu_m from the explicit ball's census rows (0, 2m, m, mu_m), in order of m
+    masses = [int(count) for h, _, _, count in ball.census() if h == 0]
     total = 0
     for m in range(0, (D + j) // 2 + 1 if j >= -D else 0):
         d = max(2 * m - j, j)

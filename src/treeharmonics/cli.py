@@ -45,31 +45,6 @@ _COMMON = (
                "help": "output file (default: standard output)"}),
 )
 
-#: Subcommands: name, help text and argument specs, in help order.
-_COMMANDS = (
-    ("transform", "spherical transform of a radial kernel, written as a symbol CSV",
-     (_JSON_KERNEL, ("--grid", {"type": _positive_int, "default": 512,
-                                "help": "frequency grid size (power of two, >= 64)"}))),
-    ("invert", "inverse spherical transform of a symbol CSV, written as kernel JSON",
-     (_kernel("TorusSymbol CSV file"), _Q, _radius("reconstruction radius", required=True))),
-    ("abel", "Abel transform of a radial kernel, written as a sequence CSV",
-     (_JSON_KERNEL,)),
-    ("norms", "certified norm interval for the shifted symbol coefficients",
-     (_JSON_KERNEL, _p(required=True))),
-    ("check", "two-sided bounds report with the soundness sandwich",
-     (_JSON_KERNEL, _p(required=True), _radius())),
-    ("census", "horocyclic census of a ball, written as CSV",
-     (_Q, _radius(required=True))),
-    ("transference", "randomized layered-convolution inequality suite",
-     (_Q, _p(default=1.5), _radius(type=_positive_int, default=8),
-      ("--seed", {"type": int, "default": 0, "help": "seed of the random instances"}),
-      ("--instances", {"type": _positive_int, "default": 100,
-                       "help": "number of random instances"}))),
-    ("hilbert", "growth of the p=2 lower bound for truncated reciprocal kernels",
-     (_Q, ("--grid", {"type": _positive_int, "nargs": "+", "default": [64, 256, 1024],
-                      "help": "support sizes N (one column per value)"}))),
-)
-
 
 @functools.cache
 def _build_parser():
@@ -80,7 +55,7 @@ def _build_parser():
         "on homogeneous trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, help_text, specs in _COMMANDS:
+    for name, (help_text, specs, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text, description=help_text)
         for flag, kwargs in specs + _COMMON:
             cmd.add_argument(flag, **kwargs)
@@ -203,15 +178,36 @@ def _cmd_hilbert(args):
     return 0 if ok else 4
 
 
-_HANDLERS = {
-    "transform": _cmd_transform,
-    "invert": _cmd_invert,
-    "abel": _cmd_abel,
-    "norms": _cmd_norms,
-    "check": _cmd_check,
-    "census": _cmd_census,
-    "transference": _cmd_transference,
-    "hilbert": _cmd_hilbert,
+#: Subcommands: name -> (help text, argument specs, handler), in help order.
+_COMMANDS = {
+    "transform": ("spherical transform of a radial kernel, written as a symbol CSV",
+                  (_JSON_KERNEL,
+                   ("--grid", {"type": _positive_int, "default": 512,
+                               "help": "frequency grid size (power of two, >= 64)"})),
+                  _cmd_transform),
+    "invert": ("inverse spherical transform of a symbol CSV, written as kernel JSON",
+               (_kernel("TorusSymbol CSV file"), _Q,
+                _radius("reconstruction radius", required=True)),
+               _cmd_invert),
+    "abel": ("Abel transform of a radial kernel, written as a sequence CSV",
+             (_JSON_KERNEL,), _cmd_abel),
+    "norms": ("certified norm interval for the shifted symbol coefficients",
+              (_JSON_KERNEL, _p(required=True)), _cmd_norms),
+    "check": ("two-sided bounds report with the soundness sandwich",
+              (_JSON_KERNEL, _p(required=True), _radius()), _cmd_check),
+    "census": ("horocyclic census of a ball, written as CSV",
+               (_Q, _radius(required=True)), _cmd_census),
+    "transference": ("randomized layered-convolution inequality suite",
+                     (_Q, _p(default=1.5), _radius(type=_positive_int, default=8),
+                      ("--seed", {"type": int, "default": 0,
+                                  "help": "seed of the random instances"}),
+                      ("--instances", {"type": _positive_int, "default": 100,
+                                       "help": "number of random instances"})),
+                     _cmd_transference),
+    "hilbert": ("growth of the p=2 lower bound for truncated reciprocal kernels",
+                (_Q, ("--grid", {"type": _positive_int, "nargs": "+", "default": [64, 256, 1024],
+                                 "help": "support sizes N (one column per value)"})),
+                _cmd_hilbert),
 }
 
 
@@ -227,7 +223,7 @@ def main(argv=None):
     from .params import DomainError, ScopeError, SoundnessError
 
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except ScopeError as exc:
         print(f"scope: {exc}", file=sys.stderr)
         return 3

@@ -19,13 +19,14 @@ attain it.  :func:`bounds_report` assembles both sides and *asserts* the
 sandwich ``compression_lower <= total_upper`` — a violation is a
 soundness bug, not a data condition, and raises :class:`SoundnessError`.
 
-Every side reads the same facts: the split exponent, the kernel's sign
-class and its Abel sequence ``seq``, shifted to ``F`` on ``Im z =
-delta(p)``.  :func:`bounds_report` decides them once, as a :class:`_Plan`
-passed to each stage as ``plan``; a stage called alone makes its own.  So
-an exact-route report builds ``seq`` and ``F`` once, checks each finite
-as it is built, and sums ``||F||_1`` once.  :func:`line_profile` computes
-the reconstruction profile as a finite geometric sum, off the report path.
+Every side reads the same facts: the split exponent, whether the kernel
+takes Herz's exact norm, and its Abel sequence ``seq``, shifted to ``F``
+on ``Im z = delta(p)``.  :func:`bounds_report` decides them once, as a
+:class:`_Plan` passed to each stage as ``plan``; a stage called alone
+makes its own.  So an exact-route report builds ``seq`` and ``F`` once,
+checks each finite as it is built, and sums ``||F||_1`` once.
+:func:`line_profile` computes the reconstruction profile as a finite
+geometric sum, off the report path.
 
 ``p = 2`` is excluded throughout the pipeline: there the transform theory
 gives the exact operator norm directly, exposed separately as
@@ -70,31 +71,27 @@ class _Plan:
     """What every side of a report reads, decided once by :func:`_plan`.
 
     ``pe`` is the split exponent: ``p`` below 2, and above 2 the dual,
-    of the same norm; at 1 both sides are the tree ``l1`` norm.  ``sign``
-    is ``"one-sign"`` (real values of one sign), ``"one-entry"`` (one
-    nonzero value, not real) or ``"signed"``; the first two take Herz's
+    of the same norm; at 1 both sides are the tree ``l1`` norm.  ``herz``
+    holds where the kernel has at most one nonzero value or real values of
+    one sign (:func:`~treeharmonics.zline._one_sign`), which take Herz's
     exact norm as the lower side.  ``abel`` is ``(seq, F)``, ``F(j) =
     seq(j) q^{j delta(p)}``, or ``None`` where it overflows float64, and
-    each stage then meets the overflow as it would alone.  Only a
-    ``"one-sign"`` kernel has ``Abel |k| = |seq|`` bit for bit, so only it
-    reuses ``seq`` for the nonnegative half: a phase is not a sign.
+    each stage then meets the overflow as it would alone.
     """
 
     pe: float
-    sign: str
+    herz: bool
     abel: object
 
 
 def _plan(kernel, p):
     """The :class:`_Plan` of ``kernel`` at the checked exponent ``p``."""
-    kv = kernel.values
-    sign = "signed" if not _one_sign(kv) else "one-entry" if np.count_nonzero(kv.imag) else "one-sign"
     try:
         seq = abel_forward(kernel)
         abel = seq, seq.shifted(strip_halfwidth(p))
     except DomainError:
         abel = None
-    return _Plan(p if p < 2.0 else dual_exponent(p), sign, abel)
+    return _Plan(p if p < 2.0 else dual_exponent(p), _one_sign(kernel.values), abel)
 
 
 def line_profile(kernel, p):
@@ -216,7 +213,10 @@ def nonnegative_height_bound(kernel, p, *, plan=None):
     For real ``k`` of one sign, ``|k| = +-k`` entry for entry, and the
     Abel transform takes the same steps on both with every sign flipped,
     which rounding respects, so such a kernel reads ``|seq|`` from ``plan``
-    (:class:`_Plan`).  Any other kernel transforms ``|k|`` itself.
+    (:class:`_Plan`): one whose Herz flag holds and whose imaginary parts
+    are all zero.  A phase is not a sign: a single nonzero value that is
+    not real also takes Herz's norm, but ``|seq|`` misses its ``Abel |k|``
+    in the last bits.  Any other kernel transforms ``|k|`` itself.
     """
     p = check_exponent(p)
     if not 1.0 < p < 2.0:
@@ -225,7 +225,7 @@ def nonnegative_height_bound(kernel, p, *, plan=None):
     D = kernel.radius
     delta = strip_halfwidth(p)
     plan = plan or _plan(kernel, p)
-    if plan.sign == "one-sign" and plan.abel is not None:
+    if plan.herz and plan.abel is not None and not np.count_nonzero(kernel.values.imag):
         abs_seq = np.abs(plan.abel[0].values.real)
     else:
         abs_seq = abel_forward(RadialKernel(params, np.abs(kernel.values))).values.real
@@ -335,15 +335,15 @@ def tree_norm_lower(kernel, p, radius=None, *, plan=None):
     Where the split exponent is 1 — ``p`` in ``{1, inf}``, or a ``p``
     whose dual rounds to 1 — or the kernel has radius 0, the convolutor
     norm is the tree ``l1`` norm, returned as ``exact:l1``.  Where the
-    sign class of ``plan`` (:class:`_Plan`; ``None`` makes it) is not
-    ``"signed"``, the norm is Herz's ``|FT k(i delta(p))|``, returned
-    rounded down past its rounding error as ``exact:herz``
-    (:func:`_herz_lower`); a Herz sum that leaves float64 falls through to
-    the compression.  Neither route runs a compression.  Otherwise every
-    reported value is an attained Rayleigh quotient of the exact ball
-    convolution of a radial trial function, computed on the radial
-    quotient of the ball by :func:`~treeharmonics.tree.opnorm_lower`,
-    hence a true lower bound for the convolutor norm.  That value is
+    Herz flag of ``plan`` (:class:`_Plan`; ``None`` makes it) holds, the
+    norm is Herz's ``|FT k(i delta(p))|``, returned rounded down past its
+    rounding error as ``exact:herz`` (:func:`_herz_lower`); a Herz sum
+    that leaves float64 falls through to the compression.  Neither route
+    runs a compression.  Otherwise every reported value is an attained
+    Rayleigh quotient of the exact ball convolution of a radial trial
+    function, computed on the radial quotient of the ball by
+    :func:`~treeharmonics.tree.opnorm_lower`, hence a true lower bound
+    for the convolutor norm.  That value is
     clamped to the tree ``l1`` norm, which bounds every ``L^p`` norm: for
     ``p`` next to 1 the best trial can round above the exact norm.
     Returns ``(value, method)``.  The ball must strictly contain the
@@ -362,7 +362,7 @@ def tree_norm_lower(kernel, p, radius=None, *, plan=None):
     plan = plan or _plan(kernel, p)
     if D == 0 or plan.pe == 1.0:
         return kernel.l1_on_tree(), "exact:l1"
-    if plan.sign != "signed" and plan.abel is not None:
+    if plan.herz and plan.abel is not None:
         herz = _herz_lower(kernel, plan.abel[1])
         if herz is not None:
             return herz, "exact:herz"

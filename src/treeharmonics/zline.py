@@ -132,11 +132,6 @@ def zkernel(q, values, offset=0):
     return ZKernel(tree_params(q), offset, np.asarray(values, dtype=complex))
 
 
-def delta_z(q, d=0):
-    """Unit mass at the single integer ``d``."""
-    return ZKernel(tree_params(q), int(d), np.ones(1, dtype=complex))
-
-
 # ---------------------------------------------------------------------------
 # Fourier transform on the integers
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from treeharmonics.abel import (
     abel_bruteforce,
     abel_forward,
     abel_inverse,
-    ball_shell_masses,
     horocycle_slice_sum,
     weyl_residual,
 )
@@ -154,10 +153,13 @@ def test_inverse_rejects_windows_not_centred_at_zero():
 
 def test_ball_shell_masses_match_closed_form():
     for q, R in ((2, 6), (3, 5)):
-        ball = ball_geometry(q, R)
-        got = ball_shell_masses(ball)
+        # the explicit ball's census rows at height 0 are (0, 2m, m, mu_m)
+        rows = ball_geometry(q, R).census()
+        at_zero = rows[rows[:, 0] == 0]
+        assert at_zero[:, 2].tolist() == list(range(R // 2 + 1))
+        assert at_zero[:, 1].tolist() == list(range(0, R + 1, 2))
         want = shell_masses(q, R // 2)
-        assert got == [int(x) for x in want]
+        assert at_zero[:, 3].tolist() == [int(x) for x in want]
 
 
 def test_slice_sum_matches_fraction_oracle():
@@ -241,3 +243,18 @@ def test_abel_factorizes_the_spherical_transform():
             phi = spherical_function(params, strip[:, None], d[None, :])
             envelope = np.abs(phi) @ np.abs(weights)
             assert np.all(np.abs(spherical_transform_at(k, strip) - phi @ weights) <= 1e-13 * envelope)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: abel_bruteforce(ball_geometry(2, 3), ball_kernel(3, 1), 0),
+         "kernel and ball live on trees of different degree"),
+        (lambda: horocycle_slice_sum(ball_geometry(2, 3), [1, 2, 3], 2),
+         "need |j| + D <= ball radius (2 + 2 > 3): census shells would be incomplete"),
+    ],
+)
+def test_census_route_refuses_invalid_input_with_its_message(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message

@@ -479,7 +479,7 @@ def _dispatch_table(tmp_path):
     ]
     invalid = [
         [], ["--help"], ["-h"], ["bogus"], ["--bogus"], ["chec"],
-        *([name, "--help"] for name, _, _ in cli._COMMANDS),
+        *([name, "--help"] for name in cli._COMMANDS),
         ["check", *k],  # --p is required
         ["check", "--p", "1.5"],  # --kernel is required
         ["census", "--q", "2"],
@@ -517,9 +517,21 @@ def test_each_command_parser_answers_as_the_top_level_parser(tmp_path, monkeypat
         assert _run_main(argv, capsys) == expected, argv
         assert isinstance(expected[0], int) == valid, argv  # the parser exits on the rest
     seen = []
+
+    def handler(args):
+        seen.append(args)
+        return 0
+
     for name in commands:
-        monkeypatch.setitem(cli._HANDLERS, name, lambda args: seen.append(args) or 0)
+        help_text, specs, _ = cli._COMMANDS[name]
+        monkeypatch.setitem(cli._COMMANDS, name, (help_text, specs, handler))
     for argv, valid in table:
         if valid:
             assert main(argv) == 0
             assert seen.pop() == parser.parse_args(argv), argv
+
+
+@pytest.mark.parametrize("grid, code", [(["64", "64"], 4), (["256", "64"], 4), (["64", "256"], 0)])
+def test_hilbert_exits_4_unless_the_lower_bound_grows(grid, code, capsys):
+    assert main(["hilbert", "--grid", *grid]) == code
+    assert capsys.readouterr().out.startswith("N,lower,log_N\n")

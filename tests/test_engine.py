@@ -659,7 +659,7 @@ def test_a_real_one_sign_kernel_shares_its_abel_sequence_with_the_nonnegative_ha
         assert np.abs(seq.values.real).tobytes() == mirror.values.real.tobytes(), case
         p = float(rng.uniform(1.01, 1.99))
         plan = replace(_plan(kernel, p), abel=(seq, None))
-        assert plan.sign == "one-sign", case
+        assert plan.herz and not np.count_nonzero(kernel.values.imag), case
         shared = nonnegative_height_bound(kernel, p, plan=plan)
         assert repr(shared) == repr(nonnegative_height_bound(kernel, p)), case
         assert repr(shared) == repr(nonnegative_height_bound(absk, p)), case
@@ -675,9 +675,13 @@ def test_a_kernel_with_one_complex_value_is_one_sign_for_herz_but_not_for_the_ab
         absk = radial_kernel(q, np.abs(kernel.values))
         for p in (1.1, 1.5, 3.0):
             pe = p if p < 2.0 else dual_exponent(p)
-            assert _plan(kernel, p).sign == "one-entry"
+            plan = _plan(kernel, p)
+            assert plan.herz and np.count_nonzero(kernel.values.imag)
             step2 = nonnegative_height_bound(kernel, pe)
             assert repr(step2) == repr(nonnegative_height_bound(absk, pe)), (q, p)
+            # not real, so the Abel sum reads no seq from the plan
+            unread = replace(plan, abel=(None, None))
+            assert repr(nonnegative_height_bound(kernel, pe, plan=unread)) == repr(step2), (q, p)
             assert repr(step2) == repr(bounds_report(kernel, p).step2_upper), (q, p)
             assert tree_norm_lower(kernel, p)[1] == "exact:herz", (q, p)
             assert_stages_alone_give_the_report(kernel, p, kernel.radius + 3, (q, p))
@@ -1252,3 +1256,33 @@ def test_compression_at_large_radius_stays_finite_and_sound():
         rep = bounds_report(ball_kernel(q, 2), 1.5, radius=R)
         assert math.isfinite(rep.compression_lower)
         assert 0.0 < rep.compression_lower <= rep.total_upper, (q, R)
+
+
+def test_a_signed_row_whose_l1_sum_overflows_makes_the_split_infinite():
+    # every scaled entry q^{u/p} k(u) is +-8e307, finite, but row 0 sums to
+    # 2.4e308; the row is signed, so convolutor_upper meets the overflow
+    kernel = radial_kernel(2, [0.0, 8e307 * 2.0 ** (-2 / 3), -8e307 * 2.0 ** (-4 / 3), 8e307 / 4])
+    assert not _plan(kernel, 1.5).herz
+    assert negative_height_bound(kernel, 1.5) == math.inf
+    with pytest.raises(DomainError) as err:
+        bounds_report(kernel, 1.5)
+    assert str(err.value) == "the height-split bound overflows float64"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: nonnegative_height_bound(ball_kernel(2, 2), 1.0),
+         "nonnegative-height bound requires p in (1, 2), got p=1"),
+        (lambda: transference_check(ball_kernel(3, 1), ball_geometry(2, 3), np.zeros(22), 1.5),
+         "kernel and ball live on trees of different degree"),
+        (lambda: transference_check(ball_kernel(2, 4), ball_geometry(2, 3), np.zeros(22), 1.5),
+         "kernel radius 4 exceeds ball radius 3: no interior window"),
+        (lambda: transference_check(ball_kernel(2, 1), ball_geometry(2, 3), np.zeros(21), 1.5),
+         "f must be a vector of length 22, got shape (21,)"),
+    ],
+)
+def test_engine_refuses_invalid_input_with_its_message(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message

@@ -21,6 +21,11 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from treeharmonics import *", namespace)
     assert set(treeharmonics.__all__) <= set(namespace)
+    # each callable is exported from the module that defines it, so a name
+    # deleted or moved there cannot linger here as a re-export
+    for name, module in treeharmonics._EXPORTS.items():
+        if callable(namespace[name]):
+            assert namespace[name].__module__ == "treeharmonics" + module, name
 
 
 def test_spherical_transform_runs_in_a_fresh_process_that_imports_abel_first():

@@ -170,3 +170,24 @@ def test_json_records_are_json_dumps_with_indent_two():
         interval, _ = symbol_norm_report(kernel, p)
         want = json.dumps(asdict(interval), indent=2, allow_nan=False) + "\n"
         assert interval_to_json(interval) == want
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("", None),  # a blank row is skipped
+        ("1.0,2.0", "expected 3 fields"),
+        ("1.0,x,0.0", "could not convert string to float: 'x'"),
+    ],
+)
+def test_symbol_rows_are_skipped_when_blank_and_refused_when_malformed(tmp_path, row, message):
+    symbol = spherical_transform(ball_kernel(2, 1), 64)
+    lines = symbol_to_csv(symbol).splitlines()
+    path = tmp_path / "symbol.csv"
+    path.write_text("\n".join([*lines[:3], row, *lines[3:]]) + "\n")
+    if message is None:
+        assert read_symbol(2, path).samples.tobytes() == symbol.samples.tobytes()
+    else:
+        with pytest.raises(DomainError) as err:
+            read_symbol(2, path)
+        assert str(err.value) == f"{path}:4: {message}"

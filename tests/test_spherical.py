@@ -470,3 +470,27 @@ def test_transform_at_is_the_full_cosine_table_byte_for_byte():
 def test_torus_symbol_validates_grid_size():
     with pytest.raises(DomainError):
         TorusSymbol(tree_params(2), np.ones(100))
+
+
+def test_integral_float_distances_read_as_integers():
+    params = tree_params(3)
+    z = np.array([0.0, 0.3, 1.1 - 0.2j])[:, None]
+    want = spherical_function(params, z, np.array([0, 2, 5]))
+    assert spherical_function(params, z, np.array([0.0, 2.0, 5.0])).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ball_kernel(2, -1), "ball radius must be >= 0, got -1"),
+        (lambda: sphere_kernel(2, -1), "sphere radius must be >= 0, got -1"),
+        (lambda: TorusSymbol(2, np.zeros((2, 64))), "symbol samples must form a 1-d array"),
+        (lambda: inverse_spherical_transform(spherical_transform(ball_kernel(2, 1), 64), -1),
+         "radius must be >= 0, got -1"),
+        (lambda: spherical_function(tree_params(2), 0.3, 1.5), "hop distances must be integers"),
+    ],
+)
+def test_spherical_refuses_invalid_input_with_its_message(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message

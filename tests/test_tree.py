@@ -580,3 +580,17 @@ def test_opnorm_lower_keeps_its_pinned_bytes():
     for kernel, p, R, value, method in pinned:
         bound, name = opnorm_lower(kernel, p, R)
         assert (repr(bound), name) == (value, method), (kernel.values, p, R)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ball_geometry(2, 3).adjacency_sum(np.zeros(3)),
+         "expected a vector of length 22, got (3,)"),
+        (lambda: ball_geometry(2, -1), "ball radius must be >= 0, got -1"),
+    ],
+)
+def test_tree_refuses_invalid_input_with_its_message(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message

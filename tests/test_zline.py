@@ -31,7 +31,6 @@ from treeharmonics.zline import (
     _powers,
     convolutor_interval,
     convolutor_upper,
-    delta_z,
     duality_ascent,
     fourier_z,
     hilbert_witness,
@@ -92,7 +91,7 @@ def test_a_kernel_keeps_its_l1_sum_and_a_trimmed_copy_takes_its_own():
 def test_fourier_z_sign_convention():
     params = tree_params(2)
     s = 0.37
-    val = fourier_z(delta_z(2, 1), s)
+    val = fourier_z(zkernel(2, [1.0], 1), s)
     assert val == pytest.approx(np.exp(-1j * s * params.log_q), abs=1e-15)
 
 
@@ -284,7 +283,7 @@ def test_convolutor_upper_interpolates_between_extremes():
 
 
 def test_convolutor_upper_single_spike_is_sharp_everywhere():
-    F = delta_z(2, 3)
+    F = zkernel(2, [1.0], 3)
     for p in (1.0, 1.5, 2.0, 4.0, math.inf):
         val, _ = convolutor_upper(F, p)
         assert val == pytest.approx(1.0, abs=1e-12)
@@ -803,7 +802,7 @@ def test_three_term_upper_ends_name_the_quartic_route():
 
 
 def test_hinf_strip_norm_validates_width():
-    F = delta_z(2, 1)
+    F = zkernel(2, [1.0], 1)
     assert hinf_strip_norm(F, 0.3) == pytest.approx(1.0, abs=1e-12)
     for eps in (0.0, -0.1, math.inf, math.nan):
         with pytest.raises(DomainError):
@@ -814,9 +813,9 @@ def test_hinf_strip_norm_of_unit_shifts():
     q = 2
     eps = 0.3
     # positive shift: the symbol q^{-iz} has modulus q^{v} <= 1 on v <= 0
-    assert hinf_strip_norm(delta_z(q, 1), eps) == pytest.approx(1.0, abs=1e-12)
+    assert hinf_strip_norm(zkernel(q, [1.0], 1), eps) == pytest.approx(1.0, abs=1e-12)
     # negative shift: modulus q^{-v} peaks at the bottom line
-    assert hinf_strip_norm(delta_z(q, -1), eps) == pytest.approx(q**eps, rel=1e-12, abs=0.0)
+    assert hinf_strip_norm(zkernel(q, [1.0], -1), eps) == pytest.approx(q**eps, rel=1e-12, abs=0.0)
 
 
 def test_hinf_strip_norm_difference_kernel():
@@ -916,7 +915,7 @@ def test_truncation_bound_dominates_certified_lower():
 
 def test_truncation_bound_rejects_negative_index():
     with pytest.raises(DomainError):
-        truncation_bound(delta_z(2, 0), -1, 0.3, 1.5)
+        truncation_bound(zkernel(2, [1.0], 0), -1, 0.3, 1.5)
 
 
 def test_hilbert_witness_grows_past_log():
@@ -952,3 +951,10 @@ def test_hilbert_witness_of_one_entry_is_exactly_one():
 def test_hilbert_witness_rejects_empty_support():
     with pytest.raises(DomainError):
         hilbert_witness(2, 0)
+
+
+@pytest.mark.parametrize("values", [np.zeros(0), np.zeros((2, 2))])
+def test_a_kernel_needs_a_nonempty_1d_array(values):
+    with pytest.raises(DomainError) as err:
+        ZKernel(tree_params(2), 0, values)
+    assert str(err.value) == "kernel values must form a nonempty 1-d array"
