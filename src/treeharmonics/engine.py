@@ -33,6 +33,7 @@ gives the exact operator norm directly, exposed separately as
 :func:`spectral_sup`.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,6 +53,7 @@ from .tree import opnorm_lower, shell_masses
 from .zline import (
     DICTIONARY_VERSION,
     _built,
+    _l1_exact,
     _one_sign,
     _powers,
     convolutor_interval,
@@ -144,6 +146,24 @@ def line_profile(kernel, p):
     return _built(params, -L, vals)
 
 
+@functools.lru_cache(maxsize=32)
+def _shell_geometry(params, p, D):
+    """Step 1's weights ``mu_m q^{-2m/p}`` and row-0 scale ``q^{u/p}``, ``1 <= u <= D``.
+
+    Computed once per ``(params, p, D)`` (at most 32 geometries): the
+    weights as a tuple of floats, the scale as an array that every call
+    shares, so it is read-only.
+    """
+    top = 2 * ((D - 1) // 2)  # the last row, m = top / 2, starts at u = top + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        # q^{u/p} by one exp: the shell weights at u = -2m, row 0 at u >= 1
+        powers = params.qpow(np.arange(-top, D + 1) / p)
+        weights = tuple((shell_masses(params, top // 2) * powers[top::-2]).tolist())
+    scale = powers[top + 1 :]
+    scale.flags.writeable = False
+    return weights, scale
+
+
 def negative_height_bound(kernel, p):
     """Step 1 of the height split: the shell series of the negative-height half.
 
@@ -162,13 +182,19 @@ def negative_height_bound(kernel, p):
     unit ``||f||_p`` is the ``rhs`` of :func:`transference_check`.
 
     Every row is a suffix of row 0, ``q^{u/p} k(u)`` for ``1 <= u <= D``,
-    which is scaled once.  Where row 0 is one-sign
-    (:func:`~treeharmonics.zline._one_sign`), so is every suffix, and each
-    row norm is the exact ``l1`` sum of its moduli, as
+    which is scaled once; the weights and the scale are computed once per
+    ``(q, p, D)`` (:func:`_shell_geometry`).  The moduli of row 0 are taken
+    once, and each row's ``l1`` norm is the sum of their suffix, the bytes
+    of :meth:`~treeharmonics.zline.ZKernel.l1`.  A row whose ``l1`` bound is
+    exact (:func:`~treeharmonics.zline._l1_exact`) contributes that sum, as
     :func:`~treeharmonics.zline.convolutor_upper` would return it, with no
-    row built.  Kernels supported at the origin only have an identically
-    vanishing negative half, reported as exactly ``0.0``.  A row that
-    overflows float64 makes the series infinite.
+    row built; so does every later row, since a suffix of a one-sign row
+    is one-sign and one of a two-entry row has at most two nonzero entries.
+    Only the other rows go to
+    :func:`~treeharmonics.zline.convolutor_upper`, their sum attached.
+    Kernels supported at the origin only have an identically vanishing
+    negative half, reported as exactly ``0.0``.  A row that overflows
+    float64 makes the series infinite.
     """
     p = check_exponent(p)
     if p >= 2.0:
@@ -177,26 +203,20 @@ def negative_height_bound(kernel, p):
     D = kernel.radius
     if D == 0:
         return 0.0
-    top = 2 * ((D - 1) // 2)  # the last row, m = top / 2, starts at u = top + 1
+    weights, scale = _shell_geometry(params, p, D)
     series = 0.0
+    exact = None
     with np.errstate(over="ignore", invalid="ignore"):
-        # q^{u/p} by one exp: the shell weights at u = -2m, row 0 at u >= 1
-        powers = params.qpow(np.arange(-top, D + 1) / p)
-        weights = (shell_masses(params, top // 2) * powers[top::-2]).tolist()
-        scaled = kernel.values[1:] * powers[top + 1 :]
-        if not np.isfinite(scaled).all():
-            return math.inf
-        moduli = np.abs(scaled) if _one_sign(scaled) else None
+        scaled = kernel.values[1:] * scale
+        moduli = np.abs(scaled)
         for m, weight in enumerate(weights):
-            if moduli is not None:
-                row_norm = float(np.add.reduce(moduli[2 * m :]))
-                if not math.isfinite(row_norm):
-                    return math.inf  # the row's l1 norm overflows
-            else:
-                try:
-                    row_norm, _ = convolutor_upper(_built(params, 2 * m + 1, scaled[2 * m :]), p)
-                except DomainError:
-                    return math.inf  # the row's l1 norm overflows
+            row_norm = float(np.add.reduce(moduli[2 * m :]))
+            if not math.isfinite(row_norm):
+                return math.inf  # the row, or its l1 norm, overflows
+            exact = exact or _l1_exact(scaled[2 * m :], p)
+            if not exact:
+                row = _built(params, 2 * m + 1, scaled[2 * m :], l1=row_norm)
+                row_norm, _ = convolutor_upper(row, p)
             series += weight * row_norm
     return series
 

@@ -39,6 +39,7 @@ the rest a height below, and the ball's up-gather and down-sum, read off
 the level offsets, walk the geodesics.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +65,11 @@ class TreeBall:
     - ``depth``: hop distance to the base vertex;
     - ``merge``: depth of the deepest upward-ray ancestor;
     - ``height``: horocycle index ``2 * merge - depth``.
+
+    Breadth-first, every sub-ball ``B_r`` is a prefix of the ball, so
+    :meth:`up_gather` and :meth:`down_sum` accept a vector of any prefix
+    length ``level_start[r + 1]``.  They look the length up in a map built
+    once per ball, which holds each sub-ball's offsets and ray indices.
     """
 
     params: object
@@ -104,18 +110,33 @@ class TreeBall:
             raise DomainError(f"expected a vector of length {self.size}, got {f.shape}")
         return self.up_gather(f) + self.down_sum(f)
 
-    def _radius_of(self, g):
-        """Radius ``r`` of the sub-ball ``B_r`` whose vertices ``g`` lists.
+    @functools.cached_property
+    def _sub_balls(self):
+        """``{level_start[r + 1]: (first, inner, below, above, mid)}``, one per sub-ball ``B_r``.
 
         Breadth-first, every ``B_r`` is a prefix of the ball, of length
-        ``level_start[r + 1]``.
+        ``level_start[r + 1]``.  Within ``B_r`` the children of the
+        vertices past the base vertex start at ``first`` and sphere ``r``,
+        whose first vertex is the ray top, at ``inner``.  ``below`` and
+        ``above`` index the ray vertices at depths ``0 .. r - 1`` and
+        ``1 .. r``, and ``mid`` those at ``1 .. r - 1``.
         """
-        end = int(np.searchsorted(self.level_start, len(g)))
-        if not 1 <= end <= self.radius + 1 or self.level_start[end] != len(g):
+        starts = self.level_start.tolist()
+        sub_balls = {}
+        for r, size in enumerate(starts[1:]):
+            ray = self.level_start[: r + 1]
+            below, above, mid = ray[:-1].copy(), ray[1:].copy(), ray[1:r].copy()
+            sub_balls[size] = (starts[min(2, r + 1)], starts[r], below, above, mid)
+        return sub_balls
+
+    def _sub_ball(self, g):
+        """The :attr:`_sub_balls` entry of the sub-ball whose vertices ``g`` lists."""
+        sub = self._sub_balls.get(len(g))
+        if sub is None:
             raise DomainError(
                 f"a vector of length {len(g)} fills no sub-ball of the radius-{self.radius} ball"
             )
-        return end - 1
+        return sub
 
     def up_gather(self, g):
         """``(P g)(x) = g(up(x))``, with ``up(x)`` the neighbour one height above ``x``.
@@ -129,18 +150,15 @@ class TreeBall:
         which numpy runs faster than one broadcast assignment.
         """
         q = self.params.q
-        r = self._radius_of(g)
-        first = int(self.level_start[min(2, r + 1)])
-        inner = int(self.level_start[r])
+        first, inner, below, above, _ = self._sub_ball(g)
         out = np.empty_like(g)
         out[1:first] = g[0]
         blocks = out[first:].reshape(-1, q)
         parents = g[1:inner]
         for j in range(q):
             blocks[:, j] = parents
-        ray = self.level_start[: r + 1]
-        out[ray[:-1]] = g[ray[1:]]
-        out[ray[-1]] = 0
+        out[below] = g[above]
+        out[inner] = 0
         return out
 
     def down_sum(self, g):
@@ -154,18 +172,16 @@ class TreeBall:
         sub-ball ``B_r``, whose outside children are treated as zero.
         """
         q = self.params.q
-        R = self._radius_of(g)
-        first = int(self.level_start[min(2, R + 1)])
-        inner = int(self.level_start[R])
+        first, inner, below, above, mid = self._sub_ball(g)
         out = np.zeros_like(g)
-        out[0] = g[2:first].sum()
+        out[0] = np.add.reduce(g[2:first])
         children = g[first:].reshape(-1, q)
         acc = out[1:inner]
         for j in range(q):
             acc += children[:, j]
-        ray = self.level_start[: R + 1]
-        out[ray[1:R]] = children[ray[1:R] - 1, 1:].sum(axis=1)
-        out[ray[1:]] += g[ray[:-1]]
+        # vertex v >= 1 has its children in row v - 1
+        out[mid] = np.add.reduce(children[mid - 1, 1:], axis=1)
+        out[above] += g[below]
         return out
 
     def convolve(self, kernel, f):

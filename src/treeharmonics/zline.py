@@ -118,12 +118,17 @@ class ZKernel:
         return _built(self.params, self.offset + int(lo), self.values[lo : hi + 1].copy())
 
 
-def _built(params, offset, values):
+def _built(params, offset, values, l1=None):
     """An unchecked :class:`ZKernel`: ``values`` must be a finite complex nonempty 1-d array
     that the caller built and no longer writes, ``params`` a ``TreeParams``, ``offset`` an ``int``.
+
+    ``l1``, where given, is kept as :meth:`ZKernel.l1`'s sum: it must be
+    ``float(np.add.reduce(np.abs(values)))``, its bytes included.
     """
     kernel = object.__new__(ZKernel)
     kernel.__dict__.update(params=params, offset=offset, values=values)
+    if l1 is not None:
+        kernel.__dict__["_l1"] = l1
     return kernel
 
 
@@ -296,8 +301,10 @@ def _three_term_sup(F):
     ``u`` and ``v`` are formed from the coefficients times the power of two
     that brings the largest modulus into ``[1/2, 1)``, so at extreme scales
     they neither overflow nor underflow, and the angles, hence the bytes,
-    do not see the scale.  The moduli at the angles come from one
-    :func:`_eval_symbol` call on the coefficients themselves.
+    do not see the scale.  Each root's angle is ``arctan2`` of its parts, as
+    ``np.angle`` takes it.  The moduli at the angles come from one phase
+    matrix on the coefficients themselves, the products
+    :func:`_eval_symbol` forms, with no chunk loop for four points.
     """
     a, b, c = F.values.tolist()
     scale = math.ldexp(1.0, -max(math.frexp(max(abs(a), abs(b), abs(c)))[1], -1021))
@@ -307,11 +314,14 @@ def _three_term_sup(F):
     if abs(v) > 2.0**-32 * abs(u):
         companion = np.eye(4, k=-1, dtype=complex)
         companion[0] = (-u / (2.0 * v), 0.0, u.conjugate() / (2.0 * v), v.conjugate() / v)
-        phi = np.angle(np.linalg.eigvals(companion))
+        roots = np.linalg.eigvals(companion)
+        phi = np.arctan2(roots.imag, roots.real)
     else:
         phi = np.array([-cmath.phase(u)])
     log_q = F.params.log_q
-    return float(np.abs(_eval_symbol(F.values, F.indices.astype(float), phi / log_q, log_q)).max())
+    d = np.arange(F.offset, F.offset + 3, dtype=float)
+    phases = -1j * log_q * np.multiply.outer(phi / log_q, d)
+    return float(np.abs(np.exp(phases, out=phases) @ F.values).max())
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +363,8 @@ def _one_sign(vals):
         np.count_nonzero(real >= 0.0) == n or np.count_nonzero(real <= 0.0) == n)
 
 
-def _l1_exact(F, p):
-    """Why the bound ``||F||_1`` is exact for convolution by ``F`` on ``l^p``, or ``None``.
+def _l1_exact(vals, p):
+    """Why ``||F||_1`` is exact for convolution on ``l^p`` by ``F``, of values ``vals``.
 
     ``one-sign``: at most one nonzero entry, or real entries of one sign
     (:func:`_one_sign`), which the boxes ``1_[0, L)`` attain as ``L ->
@@ -362,9 +372,8 @@ def _l1_exact(F, p):
     somewhere on the real line, so the ``l^2`` norm, the sup of the
     symbol, is already ``||F||_1``, and the ``l^p`` norm lies between the
     two.  ``endpoint``: ``p`` in ``{1, inf}``, where the delta and a
-    matched-sign trial attain it.
+    matched-sign trial attain it.  ``None`` where no reason holds.
     """
-    vals = F.values
     if _one_sign(vals):
         return "one-sign"
     if np.count_nonzero(vals) == 2:
@@ -384,7 +393,7 @@ def convolutor_upper(F, p):
     overflows float64 raises :class:`~treeharmonics.params.DomainError`.
     """
     p = check_exponent(p)
-    exact = _l1_exact(F, p)
+    exact = _l1_exact(F.values, p)
     if exact:
         return F.l1(), f"l1-exact({exact})"
     return _sup_upper(F, p)[:2]
@@ -541,7 +550,7 @@ def convolutor_interval(F, p):
     """
     p = check_exponent(p)
     F = F.trimmed()
-    exact = _l1_exact(F, p)
+    exact = _l1_exact(F.values, p)
     if exact:
         l1 = F.l1()
         return NormInterval(l1, l1, f"exact:{exact}({DICTIONARY_VERSION})", f"l1-exact({exact})")

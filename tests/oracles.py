@@ -21,6 +21,9 @@ the spherical transform, :func:`uncached_grid_transform` the grid transform
 with its cosine table built per call, :func:`uncached_inverse_transform`
 the inverse transform with its weights evaluated per call,
 :func:`trapezoid_line_profile` the line profile by an FFT trapezoid sum,
+:func:`row_loop_negative_height_bound` step 1 of the height split with
+every row through ``convolutor_upper``, and :func:`angle_three_term_sup`
+the three-term line sup by ``np.angle`` and ``_eval_symbol``,
 to pin the faster ones;
 :func:`affine_negative_height_bound` keeps the earlier, looser step 1 of
 the height split, built on the package's line profile, as a
@@ -29,6 +32,7 @@ splitting at the end, which only tests use, cross-checks the line profile
 and the Haar measure.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -728,6 +732,27 @@ def unpruned_line_sup(F, v):
     return float(refined[refined > best].max(initial=best)), n
 
 
+def angle_three_term_sup(F):
+    """The package's earlier form of the three-term line sup, for ``F`` with ``a c != 0``.
+
+    The same quartic, its roots' angles taken by ``np.angle`` and the moduli
+    at them by one :func:`~treeharmonics.zline._eval_symbol` call.
+    """
+    a, b, c = F.values.tolist()
+    scale = math.ldexp(1.0, -max(math.frexp(max(abs(a), abs(b), abs(c)))[1], -1021))
+    a, b, c = a * scale, b * scale, c * scale
+    u = a * b.conjugate() + b * c.conjugate()
+    v = a * c.conjugate()
+    if abs(v) > 2.0**-32 * abs(u):
+        companion = np.eye(4, k=-1, dtype=complex)
+        companion[0] = (-u / (2.0 * v), 0.0, u.conjugate() / (2.0 * v), v.conjugate() / v)
+        phi = np.angle(np.linalg.eigvals(companion))
+    else:
+        phi = np.array([-cmath.phase(u)])
+    log_q = F.params.log_q
+    return float(np.abs(_eval_symbol(F.values, F.indices.astype(float), phi / log_q, log_q)).max())
+
+
 def _newton_step(coeffs, dvals, s, log_q, h):
     """One Newton step on ``g'(s) = 0`` for ``g = |symbol|^2``, clamped to one cell."""
     e = np.exp(-1j * dvals * (s * log_q))
@@ -960,6 +985,38 @@ def profile_strip_constant(kernel, p):
     coeff_l1 = ZKernel(params, seq.offset, np.abs(seq.values)).shifted(delta).l1()
     line_sup = max(c_inverse_line_sup(params, delta), c_inverse_line_sup(params, -delta))
     return 2.0 * params.plancherel_const * params.period * coeff_l1 * line_sup
+
+
+def row_loop_negative_height_bound(kernel, p):
+    """Step 1 of the height split row by row, every row through ``convolutor_upper``.
+
+    The package's earlier loop: row 0, ``q^{u/p} k(u)`` for ``1 <= u <=
+    D``, is scaled once, and each suffix row ``m`` is built as a checked
+    :class:`~treeharmonics.zline.ZKernel` and bounded by
+    :func:`~treeharmonics.zline.convolutor_upper`, which sums its moduli
+    itself.  A row that overflows float64 makes the series infinite.
+    ``p`` in ``[1, 2)``.
+    """
+    p = check_exponent(p)
+    params = kernel.params
+    D = kernel.radius
+    if D == 0:
+        return 0.0
+    top = 2 * ((D - 1) // 2)
+    series = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = params.qpow(np.arange(-top, D + 1) / p)
+        weights = (shell_masses(params, top // 2) * powers[top::-2]).tolist()
+        row0 = kernel.values[1:] * powers[top + 1 :]
+        if not np.isfinite(row0).all():
+            return math.inf
+        for m, weight in enumerate(weights):
+            try:
+                row_norm, _ = convolutor_upper(ZKernel(params, 2 * m + 1, row0[2 * m :]), p)
+            except DomainError:
+                return math.inf  # the row's l1 norm overflows
+            series += weight * row_norm
+    return series
 
 
 def affine_negative_height_bound(kernel, p):

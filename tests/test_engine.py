@@ -21,6 +21,7 @@ from oracles import (
     negative_half_opnorm_lower,
     profile_strip_constant,
     recurrence_spherical,
+    row_loop_negative_height_bound,
     split_kernel,
     trapezoid_line_profile,
 )
@@ -59,7 +60,7 @@ from treeharmonics.spherical import (
     spherical_transform_at,
 )
 from treeharmonics.tree import ball_geometry, opnorm_lower
-from treeharmonics.zline import DICTIONARY_VERSION, ZKernel, convolutor_upper
+from treeharmonics.zline import DICTIONARY_VERSION, ZKernel, _l1_exact, convolutor_upper
 
 
 def random_kernel(rng, q, D):
@@ -282,6 +283,98 @@ def test_negative_height_rows_of_at_most_two_entries_contribute_their_l1_norm():
                 assert got == want, (q, p, D, zero)
 
 
+def step_one_fuzz_cases():
+    """``(kernel, p)``: 3,000 seeded draws for the shell series.
+
+    q in {2, 3, 5, 7} and D from 0 to 8; real, complex, one-sign and
+    zero-holed kernels, whose later rows can have one or two nonzero
+    entries; p at and near 1 and through (1, 2).  The values, at most 1 in
+    modulus, are scaled by 10^s with ``|s|`` below 5, from 5 up to 300, or
+    ``s`` from 300 up to 308, where a row can overflow.
+    """
+    rng = np.random.default_rng(59)
+    exponents = (1.0, 1.0 + 1e-9, 1.1, 4.0 / 3.0, 1.5, 1.9)
+    for i in range(3000):
+        q = (2, 3, 5, 7)[int(rng.integers(4))]
+        D = int(rng.integers(9))
+        p = exponents[int(rng.integers(len(exponents)))]
+        v = rng.normal(size=D + 1)
+        kind = i % 4
+        if kind == 1 or (kind == 3 and i % 8 == 7):
+            v = v + 1j * rng.normal(size=D + 1)
+        if kind == 2:
+            v = np.abs(v) * (-1.0) ** i
+        if kind == 3:
+            v[rng.random(D + 1) < 0.4] = 0.0
+        v /= max(float(np.abs(v).max()), 1.0)
+        band = i % 3
+        if band == 0:
+            s = rng.uniform(-5.0, 5.0)
+        elif band == 1:
+            s = rng.choice((-1.0, 1.0)) * rng.uniform(5.0, 300.0)
+        else:
+            s = rng.uniform(300.0, 308.0)
+        yield radial_kernel(q, v * 10.0**s), p
+
+
+def test_negative_height_bound_is_the_row_loop_bit_for_bit():
+    # the one-pass series against the row loop that sends every row to
+    # convolutor_upper: the same bytes, inf where a row overflows
+    infinite = suffix_exact = 0
+    for kernel, p in step_one_fuzz_cases():
+        want = row_loop_negative_height_bound(kernel, p)
+        assert repr(negative_height_bound(kernel, p)) == repr(want), (kernel.values, p)
+        infinite += want == math.inf
+        # a signed row 0 with a later row of three or more entries that is
+        # exact; the scale q^{u/p} > 0 keeps every exact case
+        row0 = kernel.values[1:]
+        rows = [row0[2 * m :] for m in range((kernel.radius + 1) // 2)]
+        suffix_exact += bool(rows) and _l1_exact(rows[0], p) is None and any(
+            row.size >= 3 and _l1_exact(row, p) for row in rows[1:]
+        )
+    assert infinite >= 100 and suffix_exact >= 100, (infinite, suffix_exact)
+
+
+def test_step_one_sends_only_its_signed_rows_to_convolutor_upper(monkeypatch):
+    # counted calls, not time: a one-sign kernel's rows are all l1-exact; a
+    # signed D = 3 kernel sends its three-term row 0, and row 1, one entry,
+    # is exact; and the weights of a (q, p, D) are computed once
+    import treeharmonics.engine as engine
+
+    sent = []
+
+    def counted(F, p):
+        sent.append(F)
+        return convolutor_upper(F, p)
+
+    monkeypatch.setattr(engine, "convolutor_upper", counted)
+    rng = np.random.default_rng(67)
+    for q in (2, 3, 5):
+        for D in range(1, 9):
+            for values in (rng.uniform(0.1, 1.0, D + 1), -rng.uniform(0.1, 1.0, D + 1)):
+                for p in (1.1, 1.5, 1.9):
+                    negative_height_bound(radial_kernel(q, values), p)
+    assert sent == []
+    for q in (2, 3, 5):
+        for p in (4.0 / 3.0, 1.5):
+            kernel = random_kernel(rng, q, 3)
+            sent.clear()
+            series = negative_height_bound(kernel, p)
+            assert [(F.offset, F.values.size) for F in sent] == [(1, 3)], (q, p)
+            assert repr(series) == repr(row_loop_negative_height_bound(kernel, p)), (q, p)
+    # kernel-suite's 12 geometries, and again: every second call is a hit
+    geometries = [(q, p, D) for q in (2, 3) for p in (4.0 / 3.0, 1.5) for D in (1, 2, 3)]
+    for q, p, D in geometries:
+        negative_height_bound(random_kernel(rng, q, D), p)
+    before = engine._shell_geometry.cache_info()
+    for q, p, D in geometries:
+        negative_height_bound(random_kernel(rng, q, D), p)
+    after = engine._shell_geometry.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (12, 0)
+    _, scale = engine._shell_geometry(tree_params(2), 1.5, 3)
+    assert not scale.flags.writeable
+
+
 def test_negative_half_ascent_never_exceeds_the_shell_series():
     # a duality ascent over every vertex function of an explicit ball, on
     # the negative-height half alone, comes within 12% of the series
@@ -485,8 +578,8 @@ def test_a_report_transforms_a_one_sign_kernel_once(monkeypatch):
     # series and in the symbol interval; the delta has no row 0.  Every
     # array a report builds is checked as it is built, so no report runs
     # ZKernel.__post_init__.  A call of ZKernel.l1 that finds no sum kept on
-    # its kernel takes one: a one-sign report sums F once, a signed one also
-    # each row of its shell series, and no kernel is summed twice
+    # its kernel takes one: every report sums F once, and no kernel twice;
+    # a row of the shell series is built with its sum already kept
     import treeharmonics.engine as engine
     import treeharmonics.zline as zline
 
@@ -500,7 +593,7 @@ def test_a_report_transforms_a_one_sign_kernel_once(monkeypatch):
 
     def summing(kernel):
         if "_l1" not in vars(kernel):
-            summed.append(kernel)  # held, so that no id is reused within a report
+            summed.append(kernel)
         return l1(kernel)
 
     monkeypatch.setattr(zline.ZKernel, "__post_init__", checked)
@@ -521,8 +614,8 @@ def test_a_report_transforms_a_one_sign_kernel_once(monkeypatch):
     one_sign = counted(zline, "_one_sign")
     for module in (engine, zline):
         monkeypatch.setattr(module, "_one_sign", one_sign)
-    for kernels, transforms, signs, sums in (
-        (("delta",), 1, 2, (1,)), (ONE_SIGN, 1, 3, (1,)), (SIGNED, 2, None, (1, 3))
+    for kernels, transforms, signs in (
+        (("delta",), 1, 2), (ONE_SIGN, 1, 3), (SIGNED, 2, None)
     ):
         for name, kernel, p, R in interior_sweep_cases(kernels):
             calls.clear()
@@ -533,9 +626,7 @@ def test_a_report_transforms_a_one_sign_kernel_once(monkeypatch):
             else:
                 assert calls.pop("_one_sign") == signs, name
             assert calls == {"abel_forward": transforms, "_plan": 1, **dict.fromkeys(stages, 1)}, name
-            # F, and the two rows of a shell series whose row 0 is signed
-            assert len(summed) in sums, name
-            assert len({id(k) for k in summed}) == len(summed), name
+            assert len(summed) == 1, name
 
 
 def assert_stages_alone_give_the_report(kernel, p, R, name):

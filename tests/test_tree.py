@@ -106,6 +106,34 @@ def test_walks_on_a_prefix_are_the_sub_balls_walks():
                 ball.down_sum(np.zeros(length))
 
 
+def test_walks_refuse_every_length_that_fills_none_of_their_own_sub_balls():
+    # each ball looks a vector's length up in its own map: a length is
+    # taken only where it is one of that ball's prefixes, and every other
+    # one (0, a length between two prefixes, one longer than the ball, a
+    # prefix of a ball of another q or radius) is refused with one text.
+    # The balls walk in turn, so a map shared between them would show
+    balls = [ball_geometry(q, R) for q in (2, 3) for R in (3, 4)]
+    lengths = {0}
+    for ball in balls:
+        starts = ball.level_start[1:].tolist()
+        lengths.update(starts)
+        lengths.update(n + 1 for n in starts)
+        lengths.add(2 * ball.size)
+    for length in sorted(lengths):
+        g = np.arange(length) * (1.0 + 1.0j)
+        for ball in balls:
+            if length in ball.level_start[1:].tolist():
+                r = ball.level_start[1:].tolist().index(length)
+                sub = ball_geometry(ball.params.q, r)
+                assert ball.up_gather(g).tobytes() == sub.up_gather(g).tobytes()
+                assert ball.down_sum(g).tobytes() == sub.down_sum(g).tobytes()
+                continue
+            text = f"a vector of length {length} fills no sub-ball of the radius-{ball.radius} ball"
+            for walk in (ball.up_gather, ball.down_sum):
+                with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+                    walk(g)
+
+
 def test_distance_recovered_from_horocyclic_coordinates():
     for q in (2, 3):
         ball = ball_geometry(q, 8)

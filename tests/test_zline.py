@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from oracles import (
+    angle_three_term_sup,
     dense_grid_symbol,
     dense_inverse_sum,
     direct_dictionary_ratios,
@@ -29,6 +30,7 @@ from treeharmonics.zline import (
     _grid_symbol,
     _line_sup,
     _powers,
+    _three_term_sup,
     convolutor_interval,
     convolutor_upper,
     duality_ascent,
@@ -787,6 +789,21 @@ def test_three_term_line_sup_commutes_with_a_power_of_two_scale():
                     continue  # an end would leave the normal range: another symbol
                 scaled = ZKernel(F.params, F.offset, F.values * 2.0**e)
                 assert _line_sup(scaled.shifted(v)) == (sup * 2.0**e, 0), (F.values, e)
+
+
+def test_three_term_line_sup_keeps_the_bytes_of_its_angle_form():
+    # arctan2 of the roots' parts is np.angle, and the inline phase matrix
+    # is _eval_symbol's: on both branches of the quartic, at offsets -3..3
+    # and at unit scale and 1e+-300, the bytes are those of the earlier form
+    two_term_branch = 0
+    for F, v in three_term_cases():
+        G = F.shifted(v)
+        a, b, c = G.values
+        two_term_branch += abs(a * np.conj(c)) <= 2.0**-32 * abs(a * np.conj(b) + b * np.conj(c))
+        for scale in (1.0, 1e-300, 1e300):
+            H = ZKernel(G.params, G.offset, G.values * scale)
+            assert repr(_three_term_sup(H)) == repr(angle_three_term_sup(H)), (G.values, scale)
+    assert two_term_branch >= 10  # the degenerate cases whose |u| >> |v|
 
 
 def test_three_term_upper_ends_name_the_quartic_route():
