@@ -125,8 +125,7 @@ class TreeBall:
         sub_balls = {}
         for r, size in enumerate(starts[1:]):
             ray = self.level_start[: r + 1]
-            below, above, mid = ray[:-1].copy(), ray[1:].copy(), ray[1:r].copy()
-            sub_balls[size] = (starts[min(2, r + 1)], starts[r], below, above, mid)
+            sub_balls[size] = (starts[min(2, r + 1)], starts[r], ray[:-1], ray[1:], ray[1:r])
         return sub_balls
 
     def _sub_ball(self, g):
