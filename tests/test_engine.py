@@ -303,7 +303,7 @@ def step_one_fuzz_cases():
         if kind == 1 or (kind == 3 and i % 8 == 7):
             v = v + 1j * rng.normal(size=D + 1)
         if kind == 2:
-            v = np.abs(v) * (-1.0) ** i
+            v = np.abs(v) * (-1.0) ** (i // 4)
         if kind == 3:
             v[rng.random(D + 1) < 0.4] = 0.0
         v /= max(float(np.abs(v).max()), 1.0)
